@@ -33,8 +33,9 @@ from .errors import (CavityClockError, QuadratureError, TruncationError,
                      UnboundedVarianceError, ValidationError)
 from .gauss import extract_params
 from .metrology import cramer_rao, phase_qfi
-from .modes import (BogoliubovMap, dump_map, free_phase_map, junction_map,
-                    symplectic_residual, trajectory_map, ModeBasis, BasisKind)
+from .modes import (BogoliubovMap, dump_map, free_phase_map, gated_residual,
+                    junction_map, symplectic_residual, trajectory_map,
+                    ModeBasis, BasisKind)
 from .trajectory import build_twin_trajectory
 
 EXIT_OK = 0
@@ -80,6 +81,13 @@ def _require(mapping: dict, key: str, kinds, where: str):
     return value
 
 
+def _number(mapping: dict, key: str, default: float, where: str) -> float:
+    """Optional numeric field, type-checked like `_require` when present."""
+    if key not in mapping:
+        return default
+    return float(_require(mapping, key, (int, float), where))
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     with open(path, encoding="utf-8") as fh:
         document = json.load(fh)
@@ -123,19 +131,19 @@ def load_config(path: str | Path) -> LoadedConfig:
         t_a = theta_a * u_max * C / (clock_mode * math.pi * abs(a))
 
     kind = state.get("kind", "coherent")
-    mean_n = float(state.get("mean_n", 1.0))
-    theta0 = float(state.get("theta0_rad", 0.0))
-
+    mean_n = _number(state, "mean_n", 1.0, "scenario.state")
+    theta0 = _number(state, "theta0_rad", 0.0, "scenario.state")
+    tol = _number(numerics, "quadrature_tol", 1e-12, "numerics")
     gate = numerics.get("residual_gate", 1e-4)
-    tol = numerics.get("quadrature_tol", 1e-12)
+    if gate is not None:
+        gate = _number(numerics, "residual_gate", 1e-4, "numerics")
 
     try:
         scenario = ScenarioConfig(
             t_a=t_a, t_i=t_i, L=L, a=a, repetitions=reps,
             clock_mode=clock_mode, n_max=n_max, state_kind=kind,
             mean_n=mean_n, theta0=theta0,
-            residual_gate=None if gate is None else float(gate),
-            quadrature_tol=float(tol))
+            residual_gate=gate, quadrature_tol=tol)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -242,7 +250,7 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
     logging.getLogger("cavityclock").addHandler(collector)
     try:
         points = sweep(loaded.scenario, loaded.sweep_spec["vary"],
-                       loaded.sweep_spec["grid"], threads=args.threads)
+                       loaded.sweep_spec["grid"])
     finally:
         logging.getLogger("cavityclock").removeHandler(collector)
     results = [p.result for p in points if p.result is not None]
@@ -274,11 +282,8 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
     c = loaded.scenario
     traj = build_twin_trajectory(c.t_a, c.t_i, c.repetitions, c.a)
     bmap = trajectory_map(traj, c.L, c.n_max, tol=c.quadrature_tol)
-    interior = min(c.clock_mode + 4, c.n_max)
-    eps1, eps2 = symplectic_residual(bmap, interior)
-    if c.residual_gate is not None and eps1 > c.residual_gate:
-        raise TruncationError(
-            f"symplectic residual {eps1:.3e} exceeds gate {c.residual_gate:.3e}")
+    eps1, eps2 = gated_residual(bmap, c.clock_mode, c.residual_gate,
+                                "trajectory-map")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{loaded.prefix}_bogomap.txt"
@@ -343,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON config document")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for sweeps (0 = auto)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the pipeline is deterministic")
+                       help="ignored; sweeps run serially")
 
     common(sub.add_parser("twin", help="run one twin-paradox scenario"))
     common(sub.add_parser("sweep", help="run a parameter sweep"))
@@ -360,7 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    return _execute(build_parser().parse_args(argv))
+
+
+def run(config_path: str | Path, out: str | Path = ".") -> int:
+    """Programmatic equivalent of `cavityclock twin --config ...`
+    (or `sweep` when the config carries a sweep section)."""
+    return _execute(argparse.Namespace(command=None, config=str(config_path),
+                                       out=str(out)))
+
+
+def _execute(args: argparse.Namespace) -> int:
+    """Load the config once, run `args.command` and map errors to exit
+    codes.  A command of None picks `sweep` or `twin` from the config."""
     try:
         loaded = load_config(args.config) if args.config else None
     except json.JSONDecodeError as exc:
@@ -373,21 +388,24 @@ def main(argv=None) -> int:
         print(f"config validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    command = args.command
     try:
-        if args.command == "check":
+        if command == "check":
             return _cmd_check(args, loaded)
         if loaded is None:
             print("this subcommand needs --config", file=sys.stderr)
             return EXIT_VALIDATION
-        if args.command == "twin":
+        if command is None:
+            command = "sweep" if loaded.sweep_spec is not None else "twin"
+        if command == "twin":
             return _cmd_twin(args, loaded)
-        if args.command == "sweep":
+        if command == "sweep":
             return _cmd_sweep(args, loaded)
-        if args.command == "qfi":
+        if command == "qfi":
             return _cmd_qfi(args, loaded)
-        if args.command == "bogo":
+        if command == "bogo":
             return _cmd_bogo(args, loaded)
-        raise AssertionError(f"unhandled command {args.command}")
+        raise AssertionError(f"unhandled command {command}")
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -397,21 +415,6 @@ def main(argv=None) -> int:
     except CavityClockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def run(config_path: str | Path, out: str | Path = ".",
-        threads: int = 0) -> int:
-    """Programmatic equivalent of `cavityclock twin --config ...`
-    (or `sweep` when the config carries a sweep section)."""
-    try:
-        loaded = load_config(config_path)
-    except (json.JSONDecodeError, OSError):
-        return EXIT_PARSE
-    except ValidationError:
-        return EXIT_VALIDATION
-    command = "sweep" if loaded.sweep_spec is not None else "twin"
-    return main([command, "--config", str(config_path), "--out", str(out),
-                 "--threads", str(threads)])
 
 
 if __name__ == "__main__":

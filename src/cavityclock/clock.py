@@ -16,17 +16,16 @@ truth for any configuration whose mixing corrections are perturbative.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import C, G_NEWTON
-from .errors import HorizonError, TruncationError, ValidationError
+from .errors import HorizonError, ValidationError
 from .gauss import (GaussianParams, GaussianState, apply_reduced, coherent,
                     extract_params, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
-from .modes import BogoliubovMap, symplectic_residual, trajectory_map
+from .modes import BogoliubovMap, gated_residual, trajectory_map
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
     rindler_geometry
 
@@ -147,12 +146,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     block_map = trajectory_map(block, config.L, config.n_max,
                                tol=config.quadrature_tol)
-    interior = min(k + 4, config.n_max)
-    residual = symplectic_residual(block_map, interior)
-    if config.residual_gate is not None and residual[0] > config.residual_gate:
-        raise TruncationError(
-            f"block-map symplectic residual {residual[0]:.3e} exceeds gate "
-            f"{config.residual_gate:.3e}; increase n_max")
+    gated_residual(block_map, k, config.residual_gate, "block-map")
 
     state0 = config.initial_state()
     params0 = extract_params(state0)
@@ -182,11 +176,8 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series[rep - 1] = theta_alice - theta_full
 
-    final_residual = symplectic_residual(cur, interior)
-    if config.residual_gate is not None and final_residual[0] > config.residual_gate:
-        raise TruncationError(
-            f"composed-map symplectic residual {final_residual[0]:.3e} exceeds "
-            f"gate {config.residual_gate:.3e}; increase n_max")
+    final_residual = gated_residual(cur, k, config.residual_gate,
+                                    "composed-map")
 
     params_full = extract_params(state_full)
     qfi_after = phase_qfi(params_full)
@@ -257,11 +248,12 @@ def _config_at(base: ScenarioConfig, vary: str, value: float) -> ScenarioConfig:
     raise ValidationError(f"vary must be one of {_SWEEP_FIELDS}, got {vary!r}")
 
 
-def sweep(base: ScenarioConfig, vary: str, grid, threads: int = 0) -> list[SweepPoint]:
+def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:
     """Run the scenario across `grid` values of one parameter.
 
-    Points run concurrently but results come back in grid order; per-point
-    failures are collected as SweepPoint.error instead of aborting the sweep.
+    Points run one after another on the calling thread, in grid order;
+    per-point failures are collected as SweepPoint.error instead of aborting
+    the sweep.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -276,9 +268,7 @@ def sweep(base: ScenarioConfig, vary: str, grid, threads: int = 0) -> list[Sweep
         except Exception as exc:  # collected, not fatal
             return SweepPoint(value, None, f"{type(exc).__name__}: {exc}")
 
-    workers = threads if threads > 0 else min(32, len(values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, values))
+    return [point(value) for value in values]
 
 
 def schwarzschild_acceleration(mass: float, r: float) -> float:

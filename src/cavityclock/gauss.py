@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError, ValidationError
-from .modes import BogoliubovMap, symplectic_residual
+from .errors import ValidationError
+from .modes import BogoliubovMap, gated_residual
 
 logger = logging.getLogger(__name__)
 
@@ -121,21 +121,16 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
     """Reduced evolution of mode k (1-based): all other modes in vacuum.
 
     moments' = M_kk moments, sigma' = M_kk sigma M_kkᵀ
-    + (1/4) sum_{n != k} M_kn M_knᵀ.  When `residual_gate` is set, the
-    symplectic residual on the interior block of size min(k+4, n_max) must
-    not exceed it (truncation would silently corrupt the noise sum).
+    + (1/4) sum_{n != k} M_kn M_knᵀ.  When `residual_gate` is set, the map
+    must pass `gated_residual` for mode k (truncation would silently corrupt
+    the noise sum); None skips the residual entirely.
     """
     if state.mode_count != 1:
         raise ValidationError("apply_reduced expects a single-mode state")
     if not 1 <= k <= bmap.n_max:
         raise ValidationError(f"mode index {k} outside [1, {bmap.n_max}]")
     if residual_gate is not None:
-        interior = min(k + 4, bmap.n_max)
-        eps1, _ = symplectic_residual(bmap, interior)
-        if eps1 > residual_gate:
-            raise TruncationError(
-                f"symplectic residual {eps1:.3e} exceeds gate {residual_gate:.3e} "
-                f"on the leading {interior}x{interior} block; increase n_max")
+        gated_residual(bmap, k, residual_gate, "transport-map")
     m = _m_row(bmap, k)
     mkk = m[:, :, k - 1]
     total = np.einsum("abn,cbn->ac", m, m)

@@ -28,7 +28,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from .constants import C
-from .errors import HorizonError, QuadratureError, ValidationError
+from .errors import (HorizonError, QuadratureError, TruncationError,
+                     ValidationError)
 from .trajectory import SegmentKind, Trajectory
 
 
@@ -223,18 +224,6 @@ class BogoliubovMap:
         return BogoliubovMap(u @ vh, np.zeros_like(self.beta))
 
 
-def compose(second: BogoliubovMap, first: BogoliubovMap) -> BogoliubovMap:
-    return second.compose(first)
-
-
-def inverse(bmap: BogoliubovMap) -> BogoliubovMap:
-    return bmap.inverse()
-
-
-def identity_map(n_max: int) -> BogoliubovMap:
-    return BogoliubovMap.identity(n_max)
-
-
 def _diag_phase_map(frequencies: np.ndarray, duration: float) -> BogoliubovMap:
     phases = np.exp(-1j * frequencies * duration)
     n = frequencies.size
@@ -392,6 +381,23 @@ def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, floa
     g1 = a @ a.conj().T - b @ b.conj().T - np.eye(interior)
     g2 = a @ b.T - b @ a.T
     return float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
+
+
+def gated_residual(bmap: BogoliubovMap, clock_mode: int, gate: float | None,
+                   what: str) -> tuple[float, float]:
+    """`symplectic_residual` on the interior block trusted for the 1-based
+    `clock_mode`: the leading min(clock_mode + 4, n_max) modes.
+
+    Raises TruncationError when eps1 exceeds `gate` (None disables the
+    gate); `what` names the map in the message.
+    """
+    interior = min(clock_mode + 4, bmap.n_max)
+    eps1, eps2 = symplectic_residual(bmap, interior)
+    if gate is not None and eps1 > gate:
+        raise TruncationError(
+            f"{what} symplectic residual {eps1:.3e} exceeds gate {gate:.3e} "
+            f"on the leading {interior}x{interior} block; increase n_max")
+    return eps1, eps2
 
 
 _DUMP_HEADER = "# cavityclock bogoliubov map v1"

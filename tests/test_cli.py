@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import cavityclock.cli as cli
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main,
                              run)
@@ -69,6 +70,29 @@ class TestConfigLoading:
         eta = abs(cfg.a) * cfg.t_a / 299792458.0
         assert (math.pi / u_max) * eta == pytest.approx(math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("state", "mean_n", "lots"),
+        ("state", "theta0_rad", "north"),
+        ("numerics", "quadrature_tol", "fine"),
+        ("numerics", "residual_gate", "tight"),
+        ("numerics", "residual_gate", True),
+    ])
+    def test_malformed_optional_number_exit_code(self, tmp_path, section,
+                                                 key, value):
+        doc = base_config()
+        sections = {"state": doc["scenario"]["state"],
+                    "numerics": doc["numerics"]}
+        sections[section][key] = value
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+    def test_residual_gate_may_be_null(self, tmp_path):
+        doc = base_config()
+        doc["numerics"]["residual_gate"] = None
+        loaded = load_config(write_config(tmp_path, doc))
+        assert loaded.scenario.residual_gate is None
+
     def test_both_durations_rejected(self, tmp_path):
         doc = base_config()
         doc["scenario"]["theta_a_rad"] = math.pi
@@ -121,6 +145,21 @@ class TestTwinCommand:
         config = write_config(tmp_path, base_config())
         assert run(config, out=tmp_path) == EXIT_OK
         assert (tmp_path / "test_results.csv").exists()
+
+    def test_run_helper_loads_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.load_config
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_config", counting)
+        doc = base_config()
+        doc["sweep"] = {"vary": "L", "grid": [0.011]}
+        assert run(write_config(tmp_path, doc), out=tmp_path) == EXIT_OK
+        assert len(calls) == 1
+        assert len(read_rows(tmp_path / "test_results.csv")) == 1
 
 
 class TestSweepCommand:
@@ -198,6 +237,14 @@ class TestBogoCommand:
         header = dumps[0].decode().splitlines()
         assert header[1] == "# n_max=12"
         assert any("convention=" in line for line in header[:6])
+
+    def test_gate_failure_exit_code(self, tmp_path, capsys):
+        doc = base_config(a_mps2=1.8 * 299792458.0**2 / 0.011)
+        doc["numerics"] = {"n_max": 6, "residual_gate": 1e-10}
+        config = write_config(tmp_path, doc)
+        assert main(["bogo", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "increase n_max" in capsys.readouterr().err
 
 
 class TestCheckCommand:

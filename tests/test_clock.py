@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestSweep:
     def test_results_in_grid_order(self):
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=2, n_max=12)
         grid = [0.009, 0.013, 0.011, 0.010]
-        points = sweep(base, "L", grid, threads=3)
+        points = sweep(base, "L", grid)
         assert [p.value for p in points] == grid
         assert all(p.result.config.L == v for p, v in zip(points, grid))
 
@@ -210,21 +211,27 @@ class TestSweep:
         # orders of magnitude as a function of L
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=20, n_max=20)
         grid = list(np.linspace(0.004, 0.024, 11))
-        points = sweep(base, "L", grid, threads=4)
+        points = sweep(base, "L", grid)
         fractions = [p.result.pc_fraction for p in points]
         nonzero = [abs(f) for f in fractions if f != 0.0]
         assert any(f > 0 for f in fractions)
         assert any(f < 0 for f in fractions)
         assert max(nonzero) / min(nonzero) > 100
 
-    def test_thread_count_does_not_change_results(self):
-        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=2, n_max=12)
-        grid = [0.009, 0.011, 0.013]
-        one = sweep(base, "L", grid, threads=1)
-        many = sweep(base, "L", grid, threads=3)
-        for p1, p2 in zip(one, many):
-            assert p1.result.theta_full == p2.result.theta_full
-            assert p1.result.qfi_after == p2.result.qfi_after
+    def test_points_run_serially_on_calling_thread(self, monkeypatch):
+        import cavityclock.clock as clock
+        calls = []
+        real = clock.run_twin
+
+        def recording(config):
+            calls.append((threading.get_ident(), config.L))
+            return real(config)
+
+        monkeypatch.setattr(clock, "run_twin", recording)
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
+        grid = [0.013, 0.009, 0.011]
+        sweep(base, "L", grid)
+        assert calls == [(threading.get_ident(), L) for L in grid]
 
 
 class TestSchwarzschild:

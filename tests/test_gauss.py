@@ -151,6 +151,22 @@ class TestApplyReduced:
             apply_reduced(junction_map(1.2, 6), 2, coherent(1.0),
                           residual_gate=1e-10)
 
+    def test_residual_computed_only_when_gated(self, monkeypatch):
+        import cavityclock.modes as modes
+        calls = []
+        real = modes.symplectic_residual
+
+        def counting(bmap, interior):
+            calls.append(interior)
+            return real(bmap, interior)
+
+        monkeypatch.setattr(modes, "symplectic_residual", counting)
+        bmap = BogoliubovMap.identity(8)
+        apply_reduced(bmap, 2, coherent(1.0), residual_gate=None)
+        assert calls == []
+        apply_reduced(bmap, 2, coherent(1.0), residual_gate=1e-4)
+        assert calls == [6]
+
     def test_uncertainty_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

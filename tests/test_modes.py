@@ -5,13 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_symplectic_map
-from cavityclock import (BasisKind, C, HorizonError, Mode,
+from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, Mode,
                          ModeBasis, Segment, SegmentKind, Trajectory,
-                         ValidationError, apply_reduced, coherent, compose,
-                         dump_map, free_phase_map, identity_map, inverse,
-                         junction_map, kg_inner_product, load_map, mode_value,
-                         rindler_geometry, symplectic_residual,
-                         trajectory_map)
+                         ValidationError, apply_reduced, coherent, dump_map,
+                         free_phase_map, junction_map, kg_inner_product,
+                         load_map, mode_value, rindler_geometry,
+                         symplectic_residual, trajectory_map)
 
 
 def minkowski_basis(L=1.0, n_max=8):
@@ -189,14 +188,14 @@ class TestComposeInverse:
     def test_identity_neutral(self):
         rng = np.random.default_rng(11)
         bmap = random_symplectic_map(rng, 6)
-        ident = identity_map(6)
-        assert np.array_equal(compose(bmap, ident).alpha, bmap.alpha)
-        assert np.array_equal(compose(ident, bmap).beta, bmap.beta)
+        ident = BogoliubovMap.identity(6)
+        assert np.array_equal(bmap.compose(ident).alpha, bmap.alpha)
+        assert np.array_equal(ident.compose(bmap).beta, bmap.beta)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(12)
         bmap = random_symplectic_map(rng, 6)
-        round1 = compose(inverse(bmap), bmap)
+        round1 = bmap.inverse().compose(bmap)
         assert np.max(np.abs(round1.alpha - np.eye(6))) < 1e-13
         assert np.max(np.abs(round1.beta)) < 1e-13
 
@@ -209,7 +208,7 @@ class TestComposeInverse:
 
     def test_free_phases_add(self):
         basis = minkowski_basis(2.0, 6)
-        combined = compose(free_phase_map(basis, 0.7), free_phase_map(basis, 1.1))
+        combined = free_phase_map(basis, 0.7).compose(free_phase_map(basis, 1.1))
         direct = free_phase_map(basis, 1.8)
         assert np.max(np.abs(combined.alpha - direct.alpha)) < 1e-15
 
@@ -219,15 +218,15 @@ class TestComposeInverse:
             b1 = random_symplectic_map(rng, 6)
             b2 = random_symplectic_map(rng, 6)
             b3 = random_symplectic_map(rng, 6)
-            left = compose(compose(b3, b2), b1)
-            right = compose(b3, compose(b2, b1))
+            left = b3.compose(b2).compose(b1)
+            right = b3.compose(b2.compose(b1))
             scale = np.max(np.abs(left.alpha))
             assert np.max(np.abs(left.alpha - right.alpha)) < 1e-13 * scale
             assert np.max(np.abs(left.beta - right.beta)) < 1e-13 * scale
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            compose(identity_map(4), identity_map(5))
+            BogoliubovMap.identity(4).compose(BogoliubovMap.identity(5))
 
 
 def twin_block(t_a, t_i, a, repetitions=1):
@@ -271,7 +270,7 @@ class TestTrajectoryMap:
         block = twin_block(2e-9, 1e-9, 8e14)
         repeated = trajectory_map(twin_block(2e-9, 1e-9, 8e14, 7), 0.011, 8)
         single = trajectory_map(block, 0.011, 8)
-        sequential = identity_map(8)
+        sequential = BogoliubovMap.identity(8)
         for _ in range(7):
             sequential = single.compose(sequential)
         assert np.max(np.abs(repeated.alpha - sequential.alpha)) < 1e-12
@@ -305,7 +304,7 @@ class TestTrajectoryMap:
 
 class TestSymplecticResidual:
     def test_identity_zero(self):
-        assert symplectic_residual(identity_map(6), 6) == (0.0, 0.0)
+        assert symplectic_residual(BogoliubovMap.identity(6), 6) == (0.0, 0.0)
 
     def test_free_map_zero(self):
         fmap = free_phase_map(minkowski_basis(1.0, 6), 0.123)
@@ -324,7 +323,7 @@ class TestSymplecticResidual:
 
     def test_interior_validation(self):
         with pytest.raises(ValidationError):
-            symplectic_residual(identity_map(4), 5)
+            symplectic_residual(BogoliubovMap.identity(4), 5)
 
 
 class TestDumpLoad:
