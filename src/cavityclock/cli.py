@@ -266,6 +266,9 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
         print(f"sweep point failed: {line}", file=sys.stderr)
     print(f"sweep: wrote {len(results)} rows to "
           f"{out / (loaded.prefix + '_results.csv')}")
+    if not results:
+        # nothing computed: exit as `twin` would on the first point's error
+        raise points[0].exception
     return EXIT_OK
 
 

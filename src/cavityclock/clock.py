@@ -5,6 +5,14 @@ Bogoliubov map, evolve the clock mode's Gaussian state, and compare the
 resulting clock time (phase / mode frequency) and precision (phase QFI)
 against the pointlike and classical extended-clock predictions.
 
+Repetitions: after r round trips the map is B^r for the one-block map B.
+Powers of one map commute, so B^r = B^(r-1) ∘ B exactly, and the row pair of
+the clock mode k in the real symplectic matrix obeys S_k(r) = S_k(r-1) S_B:
+one 2 x 2n by 2n x 2n product per repetition instead of a full map
+composition, and the clock-mode readout needs nothing else.  The readouts
+run vectorized over chunks of repetitions; the residual gates and the
+mode-mixing-only readout still use full maps (B and B^reps by squaring).
+
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
 phi/2, which advances at the same rate but wraps with period pi.  Phases are
@@ -16,16 +24,18 @@ truth for any configuration whose mixing corrections are perturbative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from .constants import C, G_NEWTON
-from .errors import HorizonError, ValidationError
-from .gauss import (GaussianParams, GaussianState, apply_reduced, coherent,
-                    extract_params, squeezed_vacuum)
+from .errors import (CavityClockError, HorizonError, TruncationError,
+                     ValidationError)
+from .gauss import (GaussianParams, GaussianState, _remainder, coherent,
+                    extract_params, moment_params, reduced_moments,
+                    squeezed_vacuum, symplectic_matrix)
 from .metrology import phase_qfi, qfi_change_pct
-from .modes import BogoliubovMap, gated_residual, trajectory_map
+from .modes import _map_power, gated_residual, trajectory_map
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
     rindler_geometry
 
@@ -128,30 +138,62 @@ class ScenarioResult:
     config: ScenarioConfig = field(repr=False)
 
 
-def _read_phase(params: GaussianParams) -> tuple[float, float]:
-    """(wrapped phase, wrap period) for the clock readout."""
-    if params.displacement > 1e-12:
-        return params.phase, 2.0 * math.pi
-    return 0.5 * params.squeeze_angle, math.pi
+# Repetitions per vectorized readout: bounds the row buffer to
+# _CHUNK x 2 x 2 n_max floats whatever the repetition count.
+_CHUNK = 64
 
 
-def _unwrap(wrapped: float, anchor: float, period: float) -> float:
-    delta = math.remainder(wrapped - anchor, period)
-    return anchor + delta
+def _read_phase(params: GaussianParams):
+    """(wrapped phase, wrap period) for the clock readout, elementwise for
+    batched params: the displacement phase, or half the squeeze angle at
+    zero displacement."""
+    displaced = params.displacement > 1e-12
+    return (np.where(displaced, params.phase, 0.5 * params.squeeze_angle),
+            np.where(displaced, 2.0 * math.pi, math.pi))
+
+
+def _unwrap(wrapped, anchor, period: float):
+    return anchor + _remainder(wrapped - anchor, period)
+
+
+def _transported_params(rows: np.ndarray, k: int, state0: GaussianState,
+                        first_rep: int, what: str) -> GaussianParams:
+    """Batched readout of mode k for the row pairs `rows` (one per
+    repetition, starting at `first_rep`).  A state that breaks the
+    uncertainty relation after transport is a truncation artifact."""
+    params, fault = moment_params(*reduced_moments(rows, k, state0))
+    if fault is not None:
+        index, message = fault
+        raise TruncationError(
+            f"{what} at repetition {first_rep + index}: {message}; "
+            "truncation artifact, increase n_max")
+    return params
+
+
+def _last(params: GaussianParams) -> GaussianParams:
+    return GaussianParams(*(float(v[-1]) for v in astuple(params)))
 
 
 def run_twin(config: ScenarioConfig) -> ScenarioResult:
     """Run the twin-paradox scenario and collect the full decomposition."""
     k = config.clock_mode
+    n_max = config.n_max
+    reps = config.repetitions
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
-    block_map = trajectory_map(block, config.L, config.n_max,
+    block_map = trajectory_map(block, config.L, n_max,
                                tol=config.quadrature_tol)
     gated_residual(block_map, k, config.residual_gate, "block-map")
+    # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
+    # and benchmark configs (tests/test_repetitions.py): the residual grows
+    # with r, so gating the final map vouches for every repetition below.
+    final_map = _map_power(block_map, reps)
+    final_residual = gated_residual(final_map, k, config.residual_gate,
+                                    "composed-map")
 
     state0 = config.initial_state()
     params0 = extract_params(state0)
     qfi_before = phase_qfi(params0)
-    theta_start, period = _read_phase(params0)
+    theta_start, period = map(float, _read_phase(params0))
 
     omega_k = k * math.pi / config.L
     ratio = classical_cavity_ratio(config.h)
@@ -160,34 +202,33 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     anchor_block = omega_k * C * (tau_coast_block + ratio * tau_acc_block)
     _, tau_alice_block = elapsed_times(block)
 
-    reps = config.repetitions
+    # Row pair k of S(B^r) is row pair k of S(B^(r-1)) times S(B); exact
+    # because powers of one map commute (see the module docstring).
+    s_block = symplectic_matrix(block_map.alpha, block_map.beta)
+    row = np.eye(2 * n_max)[2 * k - 2:2 * k]
+    buffer = np.empty((min(_CHUNK, reps), 2, 2 * n_max))
     series = np.empty(reps)
-    cur = BogoliubovMap.identity(config.n_max)
-    state_full = state0
-    theta_full = theta_start
-    for rep in range(1, reps + 1):
-        cur = block_map.compose(cur)
-        # gate once on the final composed map below; the per-rep residual is
-        # monotone in rep for these maps
-        state_full = apply_reduced(cur, k, state0, residual_gate=None)
-        wrapped, _ = _read_phase(extract_params(state_full))
-        anchor = theta_start + rep * anchor_block
-        theta_full = _unwrap(wrapped, anchor, period)
+    for start in range(0, reps, _CHUNK):
+        rows = buffer[:min(_CHUNK, reps - start)]
+        for slot in rows:
+            row = np.matmul(row, s_block, out=slot)
+        params = _transported_params(rows, k, state0, start + 1,
+                                     "transported state")
+        rep = np.arange(start + 1, start + 1 + len(rows), dtype=float)
+        theta = _unwrap(_read_phase(params)[0],
+                        theta_start + rep * anchor_block, period)
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
-        series[rep - 1] = theta_alice - theta_full
+        series[start:start + len(rows)] = theta_alice - theta
+    theta_full = float(theta[-1])
+    qfi_after = phase_qfi(_last(params))
 
-    final_residual = gated_residual(cur, k, config.residual_gate,
-                                    "composed-map")
-
-    params_full = extract_params(state_full)
-    qfi_after = phase_qfi(params_full)
-
-    mm_map = cur.passive_part()
-    state_mm = apply_reduced(mm_map, k, state0, residual_gate=None)
-    params_mm = extract_params(state_mm)
+    mm_map = final_map.passive_part()
+    mm_rows = symplectic_matrix(mm_map.alpha[k - 1:k], mm_map.beta[k - 1:k])
+    params_mm = _last(_transported_params(mm_rows[None], k, state0, reps,
+                                          "mode-mixing-only state"))
     qfi_after_mm = phase_qfi(params_mm)
-    wrapped_mm, _ = _read_phase(params_mm)
-    theta_mm = _unwrap(wrapped_mm, theta_start + reps * anchor_block, period)
+    theta_mm = float(_unwrap(_read_phase(params_mm)[0],
+                             theta_start + reps * anchor_block, period))
 
     tau_alice = reps * tau_alice_block
     tau_point = reps * (tau_acc_block + tau_coast_block)
@@ -228,11 +269,18 @@ _SWEEP_FIELDS = ("L", "h", "mean_n", "theta0")
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid point of a sweep: the varied value and either a result or
-    the error message that point produced."""
+    the library error that point raised."""
 
     value: float
     result: ScenarioResult | None
-    error: str | None
+    exception: CavityClockError | None
+
+    @property
+    def error(self) -> str | None:
+        """The point's error as "ErrorType: message", or None."""
+        if self.exception is None:
+            return None
+        return f"{type(self.exception).__name__}: {self.exception}"
 
 
 def _config_at(base: ScenarioConfig, vary: str, value: float) -> ScenarioConfig:
@@ -252,8 +300,9 @@ def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:
     """Run the scenario across `grid` values of one parameter.
 
     Points run one after another on the calling thread, in grid order;
-    per-point failures are collected as SweepPoint.error instead of aborting
-    the sweep.
+    per-point library errors (CavityClockError) are collected as
+    SweepPoint.exception instead of aborting the sweep.  Any other exception
+    is a bug and propagates.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -265,8 +314,8 @@ def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:
         try:
             result = run_twin(_config_at(base, vary, value))
             return SweepPoint(value, result, None)
-        except Exception as exc:  # collected, not fatal
-            return SweepPoint(value, None, f"{type(exc).__name__}: {exc}")
+        except CavityClockError as exc:  # collected, not fatal
+            return SweepPoint(value, None, exc)
 
     return [point(value) for value in values]
 

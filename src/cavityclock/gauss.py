@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -25,12 +25,21 @@ logger = logging.getLogger(__name__)
 _TWO_PI = 2.0 * math.pi
 
 
-def _wrap_angle(x: float) -> float:
-    """Wrap to the canonical branch (-pi, pi]."""
-    y = math.remainder(x, _TWO_PI)
-    if y <= -math.pi:
-        y += _TWO_PI
-    return y
+def _remainder(x, y: float):
+    """`math.remainder(x, y)` elementwise for y > 0, exact like the IEEE
+    operation (ties to the even quotient)."""
+    # fmod by 2y is exact and keeps the quotient's parity; every later
+    # subtraction is exact by Sterbenz' lemma
+    r = np.fmod(x, 2.0 * y)
+    a = np.abs(r)
+    step = np.where(a - y < 0.5 * y, y, 2.0 * y)
+    return np.where(a <= 0.5 * y, r, r - np.copysign(step, r))
+
+
+def _wrap_angle(x):
+    """Wrap to the canonical branch (-pi, pi], elementwise."""
+    y = _remainder(x, _TWO_PI)
+    return np.where(y <= -math.pi, y + _TWO_PI, y)
 
 
 @dataclass(frozen=True)
@@ -103,27 +112,40 @@ def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
     return GaussianState(f, c)
 
 
-def _m_row(bmap: BogoliubovMap, k: int) -> np.ndarray:
-    """2 x 2 x n_max stack of M_kn blocks for the (1-based) row k."""
-    a = bmap.alpha[k - 1, :]
-    b = bmap.beta[k - 1, :]
-    amb, apb = a - b, a + b
-    m = np.empty((2, 2, bmap.n_max))
-    m[0, 0] = amb.real
-    m[0, 1] = apb.imag
-    m[1, 0] = -amb.imag
-    m[1, 1] = apb.real
-    return m
+def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Real 2m x 2n matrix acting on quadratures (q1, p1, q2, p2, ...) for m
+    rows of a map's (alpha, beta); row pair k holds the M_kn blocks."""
+    amb, apb = alpha - beta, alpha + beta
+    s = np.empty((2 * alpha.shape[0], 2 * alpha.shape[1]))
+    s[0::2, 0::2] = amb.real
+    s[0::2, 1::2] = apb.imag
+    s[1::2, 0::2] = -amb.imag
+    s[1::2, 1::2] = apb.real
+    return s
+
+
+def reduced_moments(rows: np.ndarray, k: int,
+                    state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of mode k (1-based) after maps whose row pair k of the
+    symplectic matrix is `rows` (shape (..., 2, 2n)); all other modes start
+    in vacuum.
+
+    moments' = M_kk moments, sigma' = M_kk sigma M_kkᵀ
+    + (1/4) sum_{n != k} M_kn M_knᵀ, over any leading batch axes.
+    """
+    mkk = rows[..., 2 * k - 2:2 * k]
+    mkk_t = np.swapaxes(mkk, -1, -2)
+    total = rows @ np.swapaxes(rows, -1, -2)
+    cov = mkk @ state.covariance @ mkk_t + 0.25 * (total - mkk @ mkk_t)
+    return mkk @ state.first_moments, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
                   residual_gate: float | None = 1e-4) -> GaussianState:
-    """Reduced evolution of mode k (1-based): all other modes in vacuum.
-
-    moments' = M_kk moments, sigma' = M_kk sigma M_kkᵀ
-    + (1/4) sum_{n != k} M_kn M_knᵀ.  When `residual_gate` is set, the map
-    must pass `gated_residual` for mode k (truncation would silently corrupt
-    the noise sum); None skips the residual entirely.
+    """Reduced evolution of mode k (1-based): all other modes in vacuum,
+    see `reduced_moments`.  When `residual_gate` is set, the map must pass
+    `gated_residual` for mode k (truncation would silently corrupt the noise
+    sum); None skips the residual entirely.
     """
     if state.mode_count != 1:
         raise ValidationError("apply_reduced expects a single-mode state")
@@ -131,12 +153,8 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
         raise ValidationError(f"mode index {k} outside [1, {bmap.n_max}]")
     if residual_gate is not None:
         gated_residual(bmap, k, residual_gate, "transport-map")
-    m = _m_row(bmap, k)
-    mkk = m[:, :, k - 1]
-    total = np.einsum("abn,cbn->ac", m, m)
-    noise = 0.25 * (total - mkk @ mkk.T)
-    cov = mkk @ state.covariance @ mkk.T + noise
-    return GaussianState(mkk @ state.first_moments, 0.5 * (cov + cov.T))
+    rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
+    return GaussianState(*reduced_moments(rows, k, state))
 
 
 def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
@@ -145,13 +163,7 @@ def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
     if bmap.n_max != n:
         raise ValidationError(
             f"map size {bmap.n_max} does not match state with {n} modes")
-    amb = bmap.alpha - bmap.beta
-    apb = bmap.alpha + bmap.beta
-    s = np.empty((2 * n, 2 * n))
-    s[0::2, 0::2] = amb.real
-    s[0::2, 1::2] = apb.imag
-    s[1::2, 0::2] = -amb.imag
-    s[1::2, 1::2] = apb.real
+    s = symplectic_matrix(bmap.alpha, bmap.beta)
     cov = s @ state.covariance @ s.T
     return GaussianState(s @ state.first_moments, 0.5 * (cov + cov.T))
 
@@ -169,7 +181,8 @@ def partial_trace(state: GaussianState, keep: int) -> GaussianState:
 @dataclass(frozen=True)
 class GaussianParams:
     """Single-mode parameters: displacement alpha >= 0, phase theta, squeezing
-    xi = r exp(i phi), and purity P, all on canonical branches."""
+    xi = r exp(i phi), and purity P, all on canonical branches.  Fields are
+    floats, or equal-shape arrays for a batch from `moment_params`."""
 
     displacement: float
     phase: float
@@ -178,43 +191,60 @@ class GaussianParams:
     purity: float
 
 
-def extract_params(state: GaussianState) -> GaussianParams:
-    """Parameters from the first and second moments of a single-mode state.
+def moment_params(moments: np.ndarray, cov: np.ndarray
+                  ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
+    """Parameters from single-mode moments (..., 2) and covariances
+    (..., 2, 2), elementwise over the leading axes.
 
-    r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the cancellation-free
-    form of (1/2) artanh(s/T) with T = tr sigma and s the eigenvalue split;
-    arguments at the artanh boundary are logged as clip events.
+    Returns (params, None), or (None, (i, message)) naming the first entry i
+    (flat index) whose covariance is not positive definite or violates the
+    uncertainty relation (purity > 1 + 1e-9); the caller picks the error.
+    r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
+    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
+    eigenvalue split; arguments at the artanh boundary are logged as clip
+    events.
     """
+    q, p = moments[..., 0], moments[..., 1]
+    s11, s22, s12 = cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1]
+    det = s11 * s22 - s12 * s12
+    not_pd = (s11 <= 0) | (s22 <= 0) | (det <= 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        purity = 1.0 / (4.0 * np.sqrt(det))
+    bad = np.flatnonzero(not_pd | (purity > 1.0 + 1e-9))
+    if bad.size:
+        i = int(bad[0])
+        if np.ravel(not_pd)[i]:
+            return None, (i, "covariance matrix is not positive definite")
+        return None, (i, "covariance violates the uncertainty relation "
+                         f"(purity {float(np.ravel(purity)[i])!r})")
+
+    displacement = np.hypot(q, p)
+    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
+    trace = s11 + s22
+    split = np.hypot(s11 - s22, 2.0 * s12)
+    squeezed = split > 1e-14 * trace  # degenerate: angle undefined, report 0
+    clipped = np.ravel(squeezed & (split >= trace * (1.0 - 1e-15)))
+    for ratio in np.ravel(split / trace)[clipped]:
+        logger.warning("squeeze extraction at artanh boundary clipped: "
+                       "s/T = %.17g", ratio)
+    r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
+                 0.0)
+    phi = np.where(squeezed,
+                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
+                   0.0)
+    return GaussianParams(displacement, theta, r, phi,
+                          np.minimum(purity, 1.0)), None
+
+
+def extract_params(state: GaussianState) -> GaussianParams:
+    """Parameters from the first and second moments of a single-mode state
+    (see `moment_params`); an unphysical state raises ValidationError."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
-    q, p = state.first_moments
-    s11, s22 = state.covariance[0, 0], state.covariance[1, 1]
-    s12 = state.covariance[0, 1]
-    det = s11 * s22 - s12 * s12
-    if s11 <= 0 or s22 <= 0 or det <= 0:
-        raise ValidationError("covariance matrix is not positive definite")
-
-    displacement = math.hypot(q, p)
-    theta = math.atan2(p, q) if displacement > 0 else 0.0
-
-    purity = 1.0 / (4.0 * math.sqrt(det))
-    if purity > 1.0:
-        if purity > 1.0 + 1e-9:
-            raise ValidationError(
-                f"covariance violates the uncertainty relation (purity {purity})")
-        purity = 1.0
-
-    trace = s11 + s22
-    split = math.hypot(s11 - s22, 2.0 * s12)
-    if split <= 1e-14 * trace:  # degenerate: angle undefined, report 0
-        r, phi = 0.0, 0.0
-    else:
-        if split >= trace * (1.0 - 1e-15):
-            logger.warning("squeeze extraction at artanh boundary clipped: "
-                           "s/T = %.17g", split / trace)
-        r = 0.25 * math.log((trace + split) ** 2 / (4.0 * det))
-        phi = _wrap_angle(math.atan2(2.0 * s12, s11 - s22) - 2.0 * theta)
-    return GaussianParams(displacement, theta, r, phi, purity)
+    params, fault = moment_params(state.first_moments, state.covariance)
+    if fault is not None:
+        raise ValidationError(fault[1])
+    return GaussianParams(*map(float, astuple(params)))
 
 
 def mean_photon_number(state: GaussianState) -> float:

@@ -141,6 +141,17 @@ class TestTwinCommand:
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
+    def test_truncation_artifact_exit_code(self, tmp_path, capsys):
+        # the residual gate passes, but the transported state breaks the
+        # uncertainty relation: numerical, not a validation error
+        doc = base_config(t_i_s=1e-9, L_m=0.05, a_mps2=1.7e16,
+                          repetitions=500)
+        doc["numerics"]["n_max"] = 24
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "increase n_max" in capsys.readouterr().err
+
     def test_run_helper_dispatches_twin(self, tmp_path):
         config = write_config(tmp_path, base_config())
         assert run(config, out=tmp_path) == EXIT_OK
@@ -197,6 +208,28 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "test_manifest.json").read_text())
         assert len(manifest["errors"]) == 1
         assert "Horizon" in manifest["errors"][0]
+
+    def test_all_points_failed_exits_numerical(self, tmp_path, capsys):
+        doc = base_config(t_i_s=1e-9, a_mps2=1.7e16, repetitions=500)
+        doc["numerics"]["n_max"] = 24
+        doc["sweep"] = {"vary": "L", "grid": [0.05]}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "numerical gate failure" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+        assert manifest["rows"] == 0
+        assert len(manifest["errors"]) == 1
+        assert "TruncationError" in manifest["errors"][0]
+
+    def test_all_points_failed_maps_first_error(self, tmp_path):
+        doc = base_config()
+        doc["sweep"] = {"vary": "h", "grid": [2.5, 3.0]}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+        assert len(manifest["errors"]) == 2
 
     def test_sweep_without_section_is_validation_error(self, tmp_path):
         config = write_config(tmp_path, base_config())

@@ -166,6 +166,24 @@ class TestResidualGate:
             run_twin(cfg)
 
 
+# h ~ 0.0095 with n_max 24: the residual gate passes (eps1 ~ 4e-8), but
+# truncation lets the transported state break the uncertainty relation
+TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
+                           repetitions=500, n_max=24)
+
+
+class TestTruncationArtifact:
+    def test_unphysical_transported_state_is_truncation_error(self):
+        with pytest.raises(TruncationError,
+                           match=r"repetition \d+: .*uncertainty relation.*"
+                                 r"increase n_max"):
+            run_twin(ScenarioConfig(**TRUNCATION_ARTIFACT))
+
+    def test_larger_truncation_reads_out(self):
+        res = run_twin(ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": 48}))
+        assert res.qfi_after > 0
+
+
 class TestSweep:
     def test_singleton_grid_matches_run_twin(self):
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=3, n_max=12)
@@ -199,6 +217,17 @@ class TestSweep:
         assert points[0].error is None
         assert points[1].result is None and "Horizon" in points[1].error
         assert points[2].error is None
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import cavityclock.clock as clock
+
+        def broken(config):
+            raise TypeError("a bug, not a failed point")
+
+        monkeypatch.setattr(clock, "run_twin", broken)
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
+        with pytest.raises(TypeError):
+            sweep(base, "L", [0.011])
 
     def test_h_axis_rescales_acceleration(self):
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from cavityclock import (BasisKind, BogoliubovMap, ModeBasis, TruncationError,
                          embed, extract_params, free_phase_map, junction_map,
                          mean_photon_number, partial_trace, squeezed_vacuum,
                          uncertainty_defect, vacuum)
+from cavityclock.gauss import GaussianParams, GaussianState, _remainder, \
+    moment_params
 
 
 class TestConstructors:
@@ -99,6 +102,11 @@ class TestExtractParams:
         with pytest.raises(ValidationError):
             extract_params(type(bad)(bad.first_moments, cov))
 
+    def test_uncertainty_violation_rejected(self):
+        state = GaussianState(np.zeros(2), 0.2 * np.eye(2))
+        with pytest.raises(ValidationError, match="uncertainty relation"):
+            extract_params(state)
+
     def test_highly_squeezed_state_extraction_is_stable(self):
         # far past the artanh cancellation regime
         state = squeezed_vacuum(1e8, 0.0)
@@ -112,6 +120,64 @@ def rotation_map(n_max, k, angle):
     """Free map whose mode-k phase advance is `angle`."""
     basis = ModeBasis(BasisKind.MINKOWSKI, 0.0, 1.0, n_max)
     return free_phase_map(basis, angle / basis.frequency(k))
+
+
+class TestMomentParams:
+    STATES = [coherent(1.3, 2.9), squeezed_vacuum(2.0, -0.6), vacuum(1),
+              squeezed_vacuum(0.5, 3.0), coherent(0.2, -3.1)]
+
+    def stack(self, states):
+        return (np.array([s.first_moments for s in states]),
+                np.array([s.covariance for s in states]))
+
+    def test_batch_matches_scalar_extraction(self):
+        params, fault = moment_params(*self.stack(self.STATES))
+        assert fault is None
+        for i, state in enumerate(self.STATES):
+            single = extract_params(state)
+            assert single == GaussianParams(
+                *(float(getattr(params, f)[i]) for f in (
+                    "displacement", "phase", "squeeze_magnitude",
+                    "squeeze_angle", "purity")))
+
+    def test_first_unphysical_entry_reported(self):
+        moments, cov = self.stack(self.STATES)
+        cov[3] = 0.2 * np.eye(2)                          # purity 1.25
+        cov[1] = [[0.25, 0.3], [0.3, 0.25]]               # not positive definite
+        params, fault = moment_params(moments, cov)
+        assert params is None
+        assert fault == (1, "covariance matrix is not positive definite")
+        cov[1] = 0.25 * np.eye(2)
+        _, fault = moment_params(moments, cov)
+        assert fault[0] == 3 and "purity 1.25" in fault[1]
+
+    def test_purity_clipped_within_tolerance(self):
+        moments, cov = self.stack([vacuum(1), vacuum(1)])
+        cov[1] *= 1.0 - 1e-10
+        params, fault = moment_params(moments, cov)
+        assert fault is None
+        np.testing.assert_array_equal(params.purity, [1.0, 1.0])
+
+    def test_clip_warning_logged_per_entry(self, caplog):
+        states = [squeezed_vacuum(1e8), vacuum(1),
+                  squeezed_vacuum(1e8, math.pi)]
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            _, fault = moment_params(*self.stack(states))
+        assert fault is None
+        clips = [m for m in caplog.messages if "artanh boundary" in m]
+        assert len(clips) == 2
+
+
+class TestRemainder:
+    @pytest.mark.parametrize("period", [math.pi, 2 * math.pi, 0.75])
+    def test_matches_math_remainder(self, period):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            rng.uniform(-1e7, 1e7, 500), rng.uniform(-10, 10, 500),
+            np.arange(-40, 41) * (0.5 * period),           # ties
+            [0.0, -0.0, period, -period, 0.5 * period, 1.5 * period]])
+        expected = [math.remainder(v, period) for v in x]
+        np.testing.assert_array_equal(_remainder(x, period), expected)
 
 
 class TestApplyReduced:

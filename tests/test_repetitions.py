@@ -1,0 +1,110 @@
+"""Clock-mode row propagation across repetitions in `run_twin`, pinned
+against the full-map loop it replaced, and the residual growth that lets the
+final-map gate vouch for every repetition."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cavityclock import (C, ScenarioConfig, apply_reduced, extract_params,
+                         phase_qfi, run_twin, symplectic_residual,
+                         trajectory_map)
+from cavityclock.clock import _CHUNK, classical_cavity_ratio
+from cavityclock.modes import BogoliubovMap, _map_power
+from cavityclock.trajectory import build_twin_trajectory, elapsed_times
+
+
+def full_map_loop(config: ScenarioConfig) -> dict:
+    """Reference: compose the full n_max x n_max map every repetition and
+    read mode k from a freshly transported state, then take the
+    mode-mixing-only readout from the iterated map."""
+    k = config.clock_mode
+    block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
+    block_map = trajectory_map(block, config.L, config.n_max,
+                               tol=config.quadrature_tol)
+    state0 = config.initial_state()
+
+    def read(params):
+        if params.displacement > 1e-12:
+            return params.phase, 2.0 * math.pi
+        return 0.5 * params.squeeze_angle, math.pi
+
+    theta_start, period = read(extract_params(state0))
+    omega_k = k * math.pi / config.L
+    ratio = classical_cavity_ratio(config.h)
+    anchor_block = omega_k * C * (2.0 * config.t_i + ratio * 4.0 * config.t_a)
+    _, tau_alice_block = elapsed_times(block)
+
+    series = []
+    cur = BogoliubovMap.identity(config.n_max)
+    for rep in range(1, config.repetitions + 1):
+        cur = block_map.compose(cur)
+        state = apply_reduced(cur, k, state0, residual_gate=None)
+        wrapped, _ = read(extract_params(state))
+        anchor = theta_start + rep * anchor_block
+        theta_full = anchor + math.remainder(wrapped - anchor, period)
+        theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
+        series.append(theta_alice - theta_full)
+
+    params_mm = extract_params(apply_reduced(cur.passive_part(), k, state0,
+                                             residual_gate=None))
+    wrapped_mm, _ = read(params_mm)
+    anchor = theta_start + config.repetitions * anchor_block
+    return {
+        "series": np.array(series),
+        "qfi_after": phase_qfi(extract_params(state)),
+        "theta_mm_only": anchor + math.remainder(wrapped_mm - anchor, period),
+        "qfi_after_mm_only": phase_qfi(params_mm),
+    }
+
+
+CHUNK_EDGES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+class TestRowPathAgainstFullMapLoop:
+    @pytest.mark.parametrize("reps", CHUNK_EDGES)
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
+    def test_matches_reference(self, kind, reps):
+        config = ScenarioConfig(t_a=1e-9, t_i=0.3e-9, L=0.011, a=4e15,
+                                repetitions=reps, n_max=16, state_kind=kind,
+                                mean_n=3.0, theta0=0.4)
+        res = run_twin(config)
+        ref = full_map_loop(config)
+        assert res.phase_difference_series.shape == (reps,)
+        np.testing.assert_allclose(res.phase_difference_series, ref["series"],
+                                   rtol=0, atol=1e-9)
+        assert res.phase_difference_vs_alice == res.phase_difference_series[-1]
+        assert res.qfi_after == pytest.approx(ref["qfi_after"], rel=1e-11)
+        for key in ("theta_mm_only", "qfi_after_mm_only"):
+            assert getattr(res, key) == pytest.approx(ref[key], rel=1e-11)
+
+
+class TestResidualGrowth:
+    @pytest.mark.parametrize("L", [0.010, 0.011, 0.012])
+    def test_final_gate_bounds_every_earlier_repetition(self, L):
+        # README config (L = 0.011 m) and the ends of the L range the
+        # twin-reps benchmark draws from: eps1 of B^r for r <= 2000 never
+        # exceeds eps1 of B^2000, so gating the final map covers them all
+        n_max, last = 24, 2000
+        block = trajectory_map(build_twin_trajectory(1e-9, 0.0, 1, 1.7e15),
+                               L, n_max)
+        # _map_power(B, r) composes the squares of B for the set bits of r,
+        # lowest first, so it equals squares[top] ∘ _map_power(B, r - 2^top)
+        squares = [block]
+        while 1 << len(squares) <= last:
+            squares.append(squares[-1].compose(squares[-1]))
+        powers = [BogoliubovMap.identity(n_max)]
+        eps = [0.0]
+        for r in range(1, last + 1):
+            top = r.bit_length() - 1
+            power = squares[top].compose(powers[r - (1 << top)])
+            if r < 1 << (last.bit_length() - 1):
+                powers.append(power)
+            eps.append(symplectic_residual(power, 5)[0])
+            if r in (1, 3, 1024, 1365, last):
+                direct = _map_power(block, r)
+                np.testing.assert_array_equal(power.alpha, direct.alpha)
+                np.testing.assert_array_equal(power.beta, direct.beta)
+        assert max(eps[1:last]) <= eps[last]
+        assert eps[last] > 100 * eps[1]
