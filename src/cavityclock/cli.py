@@ -159,8 +159,13 @@ def load_config(path: str | Path) -> LoadedConfig:
 
     output = document.get("output", {})
     prefix = output.get("prefix", "run") if isinstance(output, dict) else "run"
+    # outputs must land in --out: a bare file-name stem, on any platform
+    if (not isinstance(prefix, str) or "/" in prefix or "\\" in prefix
+            or prefix in (".", "..")):
+        raise ConfigError(
+            f"output.prefix must be a file-name stem, got {prefix!r}")
     return LoadedConfig(scenario, config_digest(document), document,
-                        sweep_spec, str(prefix))
+                        sweep_spec, prefix)
 
 
 def _fmt(value) -> str:

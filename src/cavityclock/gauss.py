@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,19 +124,18 @@ def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
-def reduced_moments(rows: np.ndarray, k: int,
+def reduced_moments(mkk: np.ndarray, gram: np.ndarray,
                     state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of mode k (1-based) after maps whose row pair k of the
-    symplectic matrix is `rows` (shape (..., 2, 2n)); all other modes start
-    in vacuum.
+    """Moments of mode k after maps whose row pair k of the symplectic
+    matrix has diagonal block `mkk` = M_kk and Gram matrix `gram` =
+    sum_n M_kn M_knᵀ (both shape (..., 2, 2)); all other modes start in
+    vacuum.
 
     moments' = M_kk moments, sigma' = M_kk sigma M_kkᵀ
     + (1/4) sum_{n != k} M_kn M_knᵀ, over any leading batch axes.
     """
-    mkk = rows[..., 2 * k - 2:2 * k]
     mkk_t = np.swapaxes(mkk, -1, -2)
-    total = rows @ np.swapaxes(rows, -1, -2)
-    cov = mkk @ state.covariance @ mkk_t + 0.25 * (total - mkk @ mkk_t)
+    cov = mkk @ state.covariance @ mkk_t + 0.25 * (gram - mkk @ mkk_t)
     return mkk @ state.first_moments, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
@@ -154,7 +153,8 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
     if residual_gate is not None:
         gated_residual(bmap, k, residual_gate, "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
-    return GaussianState(*reduced_moments(rows, k, state))
+    return GaussianState(*reduced_moments(rows[:, 2 * k - 2:2 * k],
+                                          rows @ rows.T, state))
 
 
 def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
@@ -244,7 +244,8 @@ def extract_params(state: GaussianState) -> GaussianParams:
     params, fault = moment_params(state.first_moments, state.covariance)
     if fault is not None:
         raise ValidationError(fault[1])
-    return GaussianParams(*map(float, astuple(params)))
+    # vars(), not dataclasses.astuple: astuple deep-copies every array field
+    return GaussianParams(*map(float, vars(params).values()))
 
 
 def mean_photon_number(state: GaussianState) -> float:

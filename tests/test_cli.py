@@ -87,6 +87,18 @@ class TestConfigLoading:
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("prefix", ["absolute", "../x", "..", ".", None])
+    def test_prefix_outside_out_rejected(self, tmp_path, prefix):
+        if prefix == "absolute":
+            prefix = str(tmp_path / "elsewhere" / "x")
+        doc = base_config()
+        doc["output"]["prefix"] = prefix
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["twin", "--config", str(config),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert not list(tmp_path.rglob("*_results.csv"))
+
     def test_residual_gate_may_be_null(self, tmp_path):
         doc = base_config()
         doc["numerics"]["residual_gate"] = None

@@ -9,6 +9,8 @@ from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          classical_cavity_ratio, coherent, extract_params,
                          near_horizon_geometry, run_twin,
                          schwarzschild_acceleration, sweep, trajectory_map)
+from cavityclock.clock import _last
+from cavityclock.gauss import moment_params
 from test_modes import twin_block
 
 SQUID_DEFAULTS = dict(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15)
@@ -170,6 +172,16 @@ class TestResidualGate:
 # truncation lets the transported state break the uncertainty relation
 TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
                            repetitions=500, n_max=24)
+
+
+class TestLastEntry:
+    def test_fields_are_plain_floats(self):
+        batch, fault = moment_params(np.array([[1.0, 0.5], [0.2, -0.3]]),
+                                     np.stack([0.25 * np.eye(2)] * 2))
+        assert fault is None
+        last = _last(batch)
+        assert all(type(v) is float for v in vars(last).values())
+        assert last.phase == math.atan2(-0.3, 0.2)
 
 
 class TestTruncationArtifact:

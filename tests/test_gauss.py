@@ -63,6 +63,10 @@ class TestExtractParams:
         assert params.squeeze_magnitude == 0.0
         assert params.squeeze_angle == 0.0
 
+    def test_fields_are_plain_floats(self):
+        params = extract_params(squeezed_vacuum(2.0, 0.3))
+        assert all(type(v) is float for v in vars(params).values())
+
     def test_coherent_roundtrip(self):
         params = extract_params(coherent(3.0, math.pi / 4))
         assert params.displacement == pytest.approx(3.0, rel=1e-14)

@@ -1,28 +1,41 @@
-"""Clock-mode row propagation across repetitions in `run_twin`, pinned
-against the full-map loop it replaced, and the residual growth that lets the
-final-map gate vouch for every repetition."""
+"""Lane propagation of the clock-mode rows across repetitions in
+`run_twin`, pinned against the full-map loop it replaced, and the residual
+growth that lets the final-map gate vouch for every repetition."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cavityclock import (C, ScenarioConfig, apply_reduced, extract_params,
-                         phase_qfi, run_twin, symplectic_residual,
-                         trajectory_map)
-from cavityclock.clock import _CHUNK, classical_cavity_ratio
+import cavityclock.clock as clock
+from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
+                         apply_reduced, extract_params, phase_qfi, run_twin,
+                         symplectic_residual, trajectory_map)
+from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
 from cavityclock.modes import BogoliubovMap, _map_power
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 
 
-def full_map_loop(config: ScenarioConfig) -> dict:
-    """Reference: compose the full n_max x n_max map every repetition and
-    read mode k from a freshly transported state, then take the
-    mode-mixing-only readout from the iterated map."""
-    k = config.clock_mode
+def full_map_states(config: ScenarioConfig):
+    """Yield (rep, B^rep, mode-k state after rep round trips), composing the
+    full n_max x n_max map every repetition."""
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     block_map = trajectory_map(block, config.L, config.n_max,
                                tol=config.quadrature_tol)
+    state0 = config.initial_state()
+    cur = BogoliubovMap.identity(config.n_max)
+    for rep in range(1, config.repetitions + 1):
+        cur = block_map.compose(cur)
+        yield rep, cur, apply_reduced(cur, config.clock_mode, state0,
+                                      residual_gate=None)
+
+
+def full_map_loop(config: ScenarioConfig) -> dict:
+    """Reference: read mode k from a freshly transported state every
+    repetition (`full_map_states`), then take the mode-mixing-only readout
+    from the iterated map."""
+    k = config.clock_mode
+    block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     state0 = config.initial_state()
 
     def read(params):
@@ -37,10 +50,7 @@ def full_map_loop(config: ScenarioConfig) -> dict:
     _, tau_alice_block = elapsed_times(block)
 
     series = []
-    cur = BogoliubovMap.identity(config.n_max)
-    for rep in range(1, config.repetitions + 1):
-        cur = block_map.compose(cur)
-        state = apply_reduced(cur, k, state0, residual_gate=None)
+    for rep, cur, state in full_map_states(config):
         wrapped, _ = read(extract_params(state))
         anchor = theta_start + rep * anchor_block
         theta_full = anchor + math.remainder(wrapped - anchor, period)
@@ -59,16 +69,23 @@ def full_map_loop(config: ScenarioConfig) -> dict:
     }
 
 
-CHUNK_EDGES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+# Repetition counts at the edges of the first lane fill, of a lane step and
+# of a readout span, a few interior counts, and one long run.
+LANE_EDGES = [1, _LANES - 1, _LANES, _LANES + 1, _SPAN - 1, _SPAN, _SPAN + 1,
+              2 * _SPAN + _LANES + 3, 2000, 63, 64, 65, 131]
+
+
+def lane_config(reps: int, kind: str = "coherent") -> ScenarioConfig:
+    return ScenarioConfig(t_a=1e-9, t_i=0.3e-9, L=0.011, a=4e15,
+                          repetitions=reps, n_max=16, state_kind=kind,
+                          mean_n=3.0, theta0=0.4)
 
 
 class TestRowPathAgainstFullMapLoop:
-    @pytest.mark.parametrize("reps", CHUNK_EDGES)
+    @pytest.mark.parametrize("reps", LANE_EDGES)
     @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
     def test_matches_reference(self, kind, reps):
-        config = ScenarioConfig(t_a=1e-9, t_i=0.3e-9, L=0.011, a=4e15,
-                                repetitions=reps, n_max=16, state_kind=kind,
-                                mean_n=3.0, theta0=0.4)
+        config = lane_config(reps, kind)
         res = run_twin(config)
         ref = full_map_loop(config)
         assert res.phase_difference_series.shape == (reps,)
@@ -78,6 +95,57 @@ class TestRowPathAgainstFullMapLoop:
         assert res.qfi_after == pytest.approx(ref["qfi_after"], rel=1e-11)
         for key in ("theta_mm_only", "qfi_after_mm_only"):
             assert getattr(res, key) == pytest.approx(ref[key], rel=1e-11)
+
+    def test_truncation_error_names_first_faulty_repetition(self):
+        # L = 0.05 m at 1.7e16 m/s^2 and n_max 24: the final-map residual
+        # passes its gate, but truncation pushes the purity above 1
+        config = ScenarioConfig(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
+                                repetitions=500, n_max=24)
+        first_bad = None
+        for rep, _, state in full_map_states(config):
+            try:
+                extract_params(state)
+            except ValidationError:
+                first_bad = rep
+                break
+        assert first_bad is not None
+        with pytest.raises(TruncationError,
+                           match=rf"at repetition {first_bad}: "):
+            run_twin(config)
+
+    def test_one_readout_per_span(self, monkeypatch):
+        # guards the span readout without timing anything: a readout per
+        # lane step or per repetition would make 4x to 96x more calls
+        calls = []
+        moment_params = clock.moment_params
+
+        def counting(*args):
+            calls.append(None)
+            return moment_params(*args)
+
+        monkeypatch.setattr(clock, "moment_params", counting)
+        run_twin(lane_config(5000))
+        assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
+
+
+class TestMapPower:
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 200, 5000])
+    def test_squarings_plus_products(self, exponent, monkeypatch):
+        block = trajectory_map(build_twin_trajectory(1e-9, 0.0, 1, 1.7e15),
+                               0.011, 8)
+        calls = []
+        compose = BogoliubovMap.compose
+
+        def counting(self, first):
+            calls.append(None)
+            return compose(self, first)
+
+        monkeypatch.setattr(BogoliubovMap, "compose", counting)
+        power = _map_power(block, exponent)
+        assert len(calls) == (exponent.bit_length() - 1
+                              + bin(exponent).count("1") - 1)
+        if exponent == 1:
+            assert power is block
 
 
 class TestResidualGrowth:
