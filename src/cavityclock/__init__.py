@@ -17,9 +17,9 @@ from .gauss import (GaussianParams, GaussianState, apply_full, apply_reduced,
                     partial_trace, squeezed_vacuum, uncertainty_defect, vacuum)
 from .metrology import (PrecisionReport, cramer_rao, phase_qfi,
                         precision_report, qfi_change_pct)
-from .modes import (BasisKind, BogoliubovMap, Mode, ModeBasis, dump_map,
-                    free_phase_map, junction_map, kg_inner_product, load_map,
-                    mode_value, symplectic_residual, trajectory_map)
+from .modes import (BasisKind, BogoliubovMap, ModeBasis, dump_map,
+                    free_phase_map, junction_map, load_map,
+                    symplectic_residual, trajectory_map)
 from .trajectory import (RindlerGeometry, Segment, SegmentKind, Trajectory,
                          build_twin_trajectory, concat, elapsed_times,
                          final_kinematics, is_closed, make_segment,
@@ -37,9 +37,9 @@ __all__ = [
     "build_twin_trajectory", "rindler_geometry", "elapsed_times",
     "final_kinematics", "is_closed", "concat",
     # modes
-    "BasisKind", "ModeBasis", "Mode", "BogoliubovMap", "mode_value",
-    "kg_inner_product", "junction_map", "free_phase_map", "trajectory_map",
-    "symplectic_residual", "dump_map", "load_map",
+    "BasisKind", "ModeBasis", "BogoliubovMap", "junction_map",
+    "free_phase_map", "trajectory_map", "symplectic_residual", "dump_map",
+    "load_map",
     # gauss
     "GaussianState", "GaussianParams", "vacuum", "coherent",
     "squeezed_vacuum", "embed", "apply_reduced", "apply_full",

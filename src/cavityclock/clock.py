@@ -11,11 +11,12 @@ symplectic matrix obeys S_k(r + m) = S_k(r) S_B^m for any m, and the
 clock-mode readout needs nothing else.  `run_twin` keeps the row pairs of
 M consecutive repetitions as lanes: the powers S_B^r = S_B^(r-1) S_B for
 r = 1..M fill them and end at H = S_B^M, then one (2M x 2n) by (2n x 2n)
-product with H moves every lane forward by M repetitions.  Of each
-repetition only the 2 x 2 block M_kk and the 2 x 2 Gram matrix of the row
-pair are kept, and the readout runs vectorized once per span of consecutive
-repetitions.  The residual gates and the mode-mixing-only readout still use
-full maps (B and B^reps by squaring).
+product with H moves every lane forward by M repetitions.  Each lane's row
+pair carries the initial state, embedded at mode k of a vacuum register, to
+the clock mode's moments and covariance (`gauss.row_moments`), all that is
+kept per repetition; the readout runs vectorized once per span of them.  The
+residual gates and the mode-mixing-only rows use full maps (B and B^reps by
+squaring) and are done before the lanes start.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
@@ -36,7 +37,7 @@ from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
 from .gauss import (GaussianParams, GaussianState, _remainder, coherent,
-                    extract_params, moment_params, reduced_moments,
+                    embed, extract_params, moment_params, row_moments,
                     squeezed_vacuum, symplectic_matrix)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import _map_power, gated_residual, trajectory_map
@@ -105,6 +106,12 @@ class ScenarioConfig:
             raise ValidationError(
                 f"need clock_mode + 4 <= n_max for a trusted interior block, "
                 f"got k={self.clock_mode}, n_max={self.n_max}")
+        if not self.quadrature_tol > 0:
+            raise ValidationError(
+                f"quadrature_tol must be > 0, got {self.quadrature_tol}")
+        if self.residual_gate is not None and not self.residual_gate > 0:
+            raise ValidationError(
+                f"residual_gate must be > 0 or None, got {self.residual_gate}")
         if self.h >= 2:
             raise HorizonError(
                 f"cavity intersects the Rindler horizon: h = {self.h:.6g} >= 2")
@@ -144,8 +151,8 @@ class ScenarioResult:
 
 # Lanes advanced per matrix product, and repetitions per vectorized
 # readout; _SPAN is a multiple of _LANES so every span ends on a lane step.
-# The buffers stay _LANES x 2 x 2 n_max and _SPAN x 2 x 2 x 2 floats
-# whatever the repetition count.
+# The buffers stay _LANES x 2 x 2 n_max and _SPAN x 6 floats whatever the
+# repetition count.
 _LANES = 24
 _SPAN = 192
 
@@ -163,14 +170,13 @@ def _unwrap(wrapped, anchor, period: float):
     return anchor + _remainder(wrapped - anchor, period)
 
 
-def _transported_params(mkk: np.ndarray, gram: np.ndarray,
-                        state0: GaussianState, first_rep: int,
+def _transported_params(moments: np.ndarray, cov: np.ndarray, first_rep: int,
                         what: str) -> GaussianParams:
-    """Batched readout of the clock mode from the M_kk blocks and Gram
-    matrices of its row pairs (one per repetition, starting at
-    `first_rep`).  A state that breaks the uncertainty relation after
-    transport is a truncation artifact."""
-    params, fault = moment_params(*reduced_moments(mkk, gram, state0))
+    """Batched readout of the clock mode from its transported moments and
+    covariances (one per repetition, starting at `first_rep`).  A state
+    that breaks the uncertainty relation after transport is a truncation
+    artifact."""
+    params, fault = moment_params(moments, cov)
     if fault is not None:
         index, message = fault
         raise TruncationError(
@@ -199,6 +205,11 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     final_map = _map_power(block_map, reps)
     final_residual = gated_residual(final_map, k, config.residual_gate,
                                     "composed-map")
+    # of B^reps only the mode-mixing-only rows are needed later; releasing it
+    # before the lanes start keeps the peak allocation of a call down
+    mm_map = final_map.passive_part()
+    mm_rows = symplectic_matrix(mm_map.alpha[k - 1:k], mm_map.beta[k - 1:k])
+    del final_map, mm_map
 
     state0 = config.initial_state()
     params0 = extract_params(state0)
@@ -224,9 +235,9 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         step = step @ s_block
         lane[...] = step[2 * k - 2:2 * k]
     del s_block
-    # per repetition the readout needs only M_kk and the Gram matrix
-    mkk = np.empty((min(_SPAN, reps), 2, 2))
-    gram = np.empty_like(mkk)
+    embedded = embed(state0, n_max, k)
+    moments = np.empty((min(_SPAN, reps), 2))
+    cov = np.empty((min(_SPAN, reps), 2, 2))
     series = np.empty(reps)
     for start in range(0, reps, _SPAN):
         count = min(_SPAN, reps - start)
@@ -235,11 +246,10 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
                 lanes = (lanes.reshape(-1, 2 * n_max) @ step).reshape(
                     lanes.shape)
             rows = lanes[:count - offset]
-            mkk[offset:offset + len(rows)] = rows[..., 2 * k - 2:2 * k]
-            np.matmul(rows, np.swapaxes(rows, -1, -2),
-                      out=gram[offset:offset + len(rows)])
-        params = _transported_params(mkk[:count], gram[:count], state0,
-                                     start + 1, "transported state")
+            end = offset + len(rows)
+            moments[offset:end], cov[offset:end] = row_moments(rows, embedded)
+        params = _transported_params(moments[:count], cov[:count], start + 1,
+                                     "transported state")
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(_read_phase(params)[0],
                         theta_start + rep * anchor_block, period)
@@ -248,12 +258,8 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     theta_full = float(theta[-1])
     qfi_after = phase_qfi(_last(params))
 
-    mm_map = final_map.passive_part()
-    mm_rows = symplectic_matrix(mm_map.alpha[k - 1:k],
-                                mm_map.beta[k - 1:k])[None]
     params_mm = _last(_transported_params(
-        mm_rows[..., 2 * k - 2:2 * k], mm_rows @ np.swapaxes(mm_rows, -1, -2),
-        state0, reps, "mode-mixing-only state"))
+        *row_moments(mm_rows[None], embedded), reps, "mode-mixing-only state"))
     qfi_after_mm = phase_qfi(params_mm)
     theta_mm = float(_unwrap(_read_phase(params_mm)[0],
                              theta_start + reps * anchor_block, period))

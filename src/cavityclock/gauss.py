@@ -3,10 +3,11 @@ under Bogoliubov maps.
 
 Quadratures are X_{2n-1} = (a_n + a_n†)/2 and X_{2n} = -i(a_n - a_n†)/2, so
 the vacuum covariance is I/4 and moments are ordered (q1, p1, q2, p2, ...).
-The reduced single-mode update assumes every mode other than the tracked one
-starts in vacuum and uncorrelated; that is what makes the environment noise
-term (1/4) sum_{n != k} M_kn M_knᵀ exact.  Use `apply_full` + `partial_trace`
-when that assumption does not hold.
+One mode is transported by its row pair R of the real symplectic matrix:
+its moments after the map are R f and R sigma Rᵀ for the multimode state
+(f, sigma) before it (`row_moments`).  `apply_reduced` embeds a single-mode
+state at the tracked mode of a vacuum register (`embed`); use `apply_full` +
+`partial_trace` when the other modes do not start in vacuum.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class GaussianState:
         c = np.array(self.covariance, dtype=float)
         if f.ndim != 1 or f.size % 2 or c.shape != (f.size, f.size):
             raise ValidationError("moments must be length 2N, covariance 2N x 2N")
-        if not np.allclose(c, c.T, atol=1e-12 * max(1.0, float(np.max(np.abs(c))))):
+        # exact symmetry first: allclose is the slow part of building a state
+        if not (np.array_equal(c, c.T) or np.allclose(
+                c, c.T, atol=1e-12 * max(1.0, float(np.max(np.abs(c)))))):
             raise ValidationError("covariance matrix must be symmetric")
         c = 0.5 * (c + c.T)
         f.setflags(write=False)
@@ -103,9 +106,8 @@ def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
         raise ValidationError("embed expects a single-mode state")
     if not 1 <= k <= mode_count:
         raise ValidationError(f"mode index {k} outside [1, {mode_count}]")
-    base = vacuum(mode_count)
-    f = np.array(base.first_moments)
-    c = np.array(base.covariance)
+    f = np.zeros(2 * mode_count)
+    c = 0.25 * np.eye(2 * mode_count)
     i = 2 * (k - 1)
     f[i:i + 2] = state.first_moments
     c[i:i + 2, i:i + 2] = state.covariance
@@ -124,37 +126,32 @@ def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
-def reduced_moments(mkk: np.ndarray, gram: np.ndarray,
-                    state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of mode k after maps whose row pair k of the symplectic
-    matrix has diagonal block `mkk` = M_kk and Gram matrix `gram` =
-    sum_n M_kn M_knᵀ (both shape (..., 2, 2)); all other modes start in
-    vacuum.
-
-    moments' = M_kk moments, sigma' = M_kk sigma M_kkᵀ
-    + (1/4) sum_{n != k} M_kn M_knᵀ, over any leading batch axes.
-    """
-    mkk_t = np.swapaxes(mkk, -1, -2)
-    cov = mkk @ state.covariance @ mkk_t + 0.25 * (gram - mkk @ mkk_t)
-    return mkk @ state.first_moments, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+def row_moments(rows: np.ndarray,
+                state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of one mode after maps whose row pairs of the symplectic
+    matrix are `rows` (shape (..., 2, 2N)), applied to the N-mode `state`:
+    moments' = R f and sigma' = R sigma Rᵀ, over any leading batch axes.
+    sigma' is symmetric up to rounding; its consumers (`GaussianState`,
+    `moment_params`) symmetrize."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    moments = (flat @ state.first_moments).reshape(rows.shape[:-1])
+    half = (flat @ state.covariance).reshape(rows.shape)
+    return moments, half @ np.swapaxes(rows, -1, -2)
 
 
 def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
                   residual_gate: float | None = 1e-4) -> GaussianState:
-    """Reduced evolution of mode k (1-based): all other modes in vacuum,
-    see `reduced_moments`.  When `residual_gate` is set, the map must pass
-    `gated_residual` for mode k (truncation would silently corrupt the noise
-    sum); None skips the residual entirely.
+    """Evolution of mode k (1-based) with all other modes in vacuum: row
+    pair k of the map applied to `state` embedded at mode k (`row_moments`).
+    When `residual_gate` is set, the map must pass `gated_residual` for mode
+    k (truncation would silently corrupt the vacuum noise); None skips the
+    residual entirely.
     """
-    if state.mode_count != 1:
-        raise ValidationError("apply_reduced expects a single-mode state")
-    if not 1 <= k <= bmap.n_max:
-        raise ValidationError(f"mode index {k} outside [1, {bmap.n_max}]")
+    embedded = embed(state, bmap.n_max, k)
     if residual_gate is not None:
         gated_residual(bmap, k, residual_gate, "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
-    return GaussianState(*reduced_moments(rows[:, 2 * k - 2:2 * k],
-                                          rows @ rows.T, state))
+    return GaussianState(*row_moments(rows, embedded))
 
 
 def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
@@ -194,7 +191,8 @@ class GaussianParams:
 def moment_params(moments: np.ndarray, cov: np.ndarray
                   ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
     """Parameters from single-mode moments (..., 2) and covariances
-    (..., 2, 2), elementwise over the leading axes.
+    (..., 2, 2), elementwise over the leading axes; a covariance need be
+    symmetric only up to rounding (the off-diagonal entries are averaged).
 
     Returns (params, None), or (None, (i, message)) naming the first entry i
     (flat index) whose covariance is not positive definite or violates the
@@ -205,7 +203,8 @@ def moment_params(moments: np.ndarray, cov: np.ndarray
     events.
     """
     q, p = moments[..., 0], moments[..., 1]
-    s11, s22, s12 = cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1]
+    s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
+    s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
     not_pd = (s11 <= 0) | (s22 <= 0) | (det <= 0)
     with np.errstate(invalid="ignore", divide="ignore"):

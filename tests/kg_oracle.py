@@ -1,0 +1,96 @@
+"""Klein-Gordon overlap oracle for the junction map: cavity mode functions
+evaluated pointwise and their inner products on the matching slice, by the
+composite quadrature `junction_map` uses, but integrated in the cavity
+coordinate chi instead of the log coordinate u."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cavityclock import BasisKind, ModeBasis, QuadratureError, ValidationError
+from cavityclock.modes import _MAX_PANELS, _composite_nodes
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A single (possibly conjugated) mode of a basis, for overlap integrals."""
+
+    basis: ModeBasis
+    n: int
+    conjugate: bool = False
+
+    def __post_init__(self):
+        if not 1 <= self.n <= self.basis.n_max:
+            raise ValidationError(
+                f"mode index {self.n} outside [1, {self.basis.n_max}]")
+
+
+def mode_value(basis: ModeBasis, n: int, t: float, x: float) -> complex:
+    """Mode function at (t, x): the basis' own chart coordinates.
+
+    For Rindler bases `t` is the Rindler time eta and `x` the Rindler spatial
+    coordinate chi.  Boundary points are legal and give 0.
+    """
+    if not 1 <= n <= basis.n_max:
+        raise ValidationError(f"mode index {n} outside [1, {basis.n_max}]")
+    if not basis.x1 <= x <= basis.x2:
+        raise ValidationError(f"point x={x} outside cavity [{basis.x1}, {basis.x2}]")
+    if basis.kind is BasisKind.MINKOWSKI:
+        profile = math.sin(n * math.pi * (x - basis.x1) / basis.length)
+    else:
+        profile = math.sin(n * math.pi * math.log(x / basis.x1) / basis.log_ratio)
+    return (profile / math.sqrt(n * math.pi)) * complex(
+        math.cos(basis.frequency(n) * t), -math.sin(basis.frequency(n) * t))
+
+
+def _slice_profile(mode: Mode, x: np.ndarray) -> np.ndarray:
+    b = mode.basis
+    if b.kind is BasisKind.MINKOWSKI:
+        s = np.sin(mode.n * np.pi * (x - b.x1) / b.length)
+    else:
+        s = np.sin(mode.n * np.pi * np.log(x / b.x1) / b.log_ratio)
+    return s / math.sqrt(mode.n * math.pi)
+
+
+def _slice_frequency(mode: Mode, x: np.ndarray) -> np.ndarray:
+    """Local frequency w(x) with d/dt mode = -i w(x) mode on the matching
+    slice; Rindler time derivatives convert as d/dt = (1/chi) d/d(eta)."""
+    b = mode.basis
+    sign = -1.0 if mode.conjugate else 1.0
+    if b.kind is BasisKind.MINKOWSKI:
+        return np.full_like(x, sign * b.frequency(mode.n))
+    return sign * b.frequency(mode.n) / x
+
+
+def kg_inner_product(f: Mode, g: Mode, tol: float = 1e-10) -> complex:
+    """Klein-Gordon inner product (f, g) = -i int dx (f dt g* - g* dt f)
+    on the t = 0 / eta = 0 matching slice.
+
+    Both cavities must occupy the same slice interval.  Quadrature is
+    composite Gauss-Legendre with panel doubling until two successive levels
+    agree to `tol`; raises QuadratureError with the achieved estimate if the
+    panel budget runs out.
+    """
+    fb, gb = f.basis, g.basis
+    scale = max(abs(fb.x1), abs(fb.x2), 1.0)
+    if abs(fb.x1 - gb.x1) > 1e-12 * scale or abs(fb.x2 - gb.x2) > 1e-12 * scale:
+        raise ValidationError("modes live on different slice intervals")
+
+    def level(panels: int) -> float:
+        x, w = _composite_nodes(fb.x1, fb.x2, panels)
+        integrand = ((_slice_frequency(f, x) + _slice_frequency(g, x))
+                     * _slice_profile(f, x) * _slice_profile(g, x))
+        return float(np.dot(w, integrand))
+
+    panels = max(2, (f.n + g.n) // 8)
+    prev = level(panels)
+    estimate = math.inf
+    while panels <= _MAX_PANELS:
+        panels *= 2
+        cur = level(panels)
+        estimate = abs(cur - prev)
+        if estimate <= tol * max(1.0, abs(cur)):
+            return complex(cur)
+        prev = cur
+    raise QuadratureError("kg_inner_product did not converge", estimate)

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cavityclock.cli as cli
+from cavityclock import BogoliubovMap
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main,
                              run)
@@ -99,6 +101,72 @@ class TestConfigLoading:
                      "--out", str(out)]) == EXIT_VALIDATION
         assert not list(tmp_path.rglob("*_results.csv"))
 
+    @pytest.mark.parametrize("path, value", [
+        ("scenario.t_i_s", math.nan),
+        ("scenario.L_m", math.nan),
+        ("scenario.a_mps2", math.nan),
+        ("scenario.t_a_s", math.nan),
+        ("scenario.theta_a_rad", math.nan),
+        ("state.mean_n", math.nan),
+        ("state.theta0_rad", math.inf),
+        ("state.theta0_rad", -math.inf),
+        ("numerics.quadrature_tol", math.nan),
+        ("numerics.residual_gate", math.nan),
+        ("sweep.grid", [0.011, math.nan]),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, path, value):
+        # json writes and parses NaN and Infinity; none may reach the run
+        doc = base_config()
+        doc["sweep"] = {"vary": "L", "grid": [0.011]}
+        sections = {"scenario": doc["scenario"],
+                    "state": doc["scenario"]["state"],
+                    "numerics": doc["numerics"], "sweep": doc["sweep"]}
+        section, key = path.split(".")
+        if key == "theta_a_rad":
+            del doc["scenario"]["t_a_s"]
+        sections[section][key] = value
+        config = write_config(tmp_path, doc)
+        command = "sweep" if section == "sweep" else "twin"
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_results.csv"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("quadrature_tol", 0.0),
+        ("quadrature_tol", -1e-12),
+        ("residual_gate", 0.0),
+        ("residual_gate", -1e-4),
+    ])
+    def test_non_positive_tolerance_exit_code(self, tmp_path, capsys, key,
+                                              value):
+        doc = base_config()
+        doc["numerics"][key] = value
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert f"{key} must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("scenario", "clock_mode"),
+                                              ("numerics", "n_max")])
+    def test_boolean_integer_field_exit_code(self, tmp_path, capsys, section,
+                                             key):
+        doc = base_config()
+        doc[section][key] = True
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["results", ["prefix"], 3])
+    def test_non_object_output_exit_code(self, tmp_path, output):
+        doc = base_config()
+        doc["output"] = output
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert not list(tmp_path.rglob("*_results.csv"))
+
     def test_residual_gate_may_be_null(self, tmp_path):
         doc = base_config()
         doc["numerics"]["residual_gate"] = None
@@ -152,6 +220,16 @@ class TestTwinCommand:
         config = write_config(tmp_path, doc)
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_NUMERICAL
+
+    def test_quadrature_failure_exit_code(self, tmp_path, capsys):
+        doc = base_config()
+        doc["numerics"] = {"n_max": 8, "quadrature_tol": 1e-300}
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical gate failure" in err
+        assert "did not converge" in err
 
     def test_truncation_artifact_exit_code(self, tmp_path, capsys):
         # the residual gate passes, but the transported state breaks the
@@ -290,6 +368,20 @@ class TestBogoCommand:
         assert main(["bogo", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert "increase n_max" in capsys.readouterr().err
+
+
+    def test_non_finite_map_fails_gate(self, tmp_path, capsys, monkeypatch):
+        # a NaN residual compares False against any gate: it must fail
+        def nan_map(*args, **kwargs):
+            return BogoliubovMap(np.full((12, 12), np.nan, complex),
+                                 np.zeros((12, 12), complex))
+
+        monkeypatch.setattr(cli, "trajectory_map", nan_map)
+        config = write_config(tmp_path, base_config())
+        assert main(["bogo", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "exceeds gate" in capsys.readouterr().err
+        assert not (tmp_path / "test_bogomap.txt").exists()
 
 
 class TestCheckCommand:

@@ -68,6 +68,15 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, mean_n=0.0)
 
+    @pytest.mark.parametrize("field", [dict(quadrature_tol=0.0),
+                                       dict(quadrature_tol=math.nan),
+                                       dict(residual_gate=0.0),
+                                       dict(residual_gate=-1e-4),
+                                       dict(residual_gate=math.nan)])
+    def test_tolerances_must_be_positive(self, field):
+        with pytest.raises(ValidationError, match="must be > 0"):
+            ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, **field)
+
 
 class TestRunTwinInertialLimit:
     def test_zero_acceleration_is_pure_free_evolution(self):

@@ -48,6 +48,16 @@ class TestConstructors:
         assert mean_photon_number(squeezed_vacuum(5.0, 1.0)) == pytest.approx(
             5.0, rel=1e-12)
 
+    def test_covariance_symmetry_check(self):
+        cov = np.array([[0.5, 0.1], [0.1, 0.3]])
+        GaussianState(np.zeros(2), cov)
+        rounded = cov + np.array([[0.0, 1e-15], [0.0, 0.0]])
+        state = GaussianState(np.zeros(2), rounded)
+        assert state.covariance[0, 1] == state.covariance[1, 0]
+        for bad in ([[0.5, 0.1], [0.2, 0.3]], [[0.5, np.nan], [np.nan, 0.3]]):
+            with pytest.raises(ValidationError, match="symmetric"):
+                GaussianState(np.zeros(2), np.array(bad))
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValidationError):
             coherent(-1.0)
@@ -220,6 +230,12 @@ class TestApplyReduced:
         with pytest.raises(TruncationError):
             apply_reduced(junction_map(1.2, 6), 2, coherent(1.0),
                           residual_gate=1e-10)
+
+    def test_non_finite_map_fails_gate(self):
+        bmap = BogoliubovMap(np.full((6, 6), np.nan, complex),
+                             np.zeros((6, 6), complex))
+        with pytest.raises(TruncationError, match="exceeds gate"):
+            apply_reduced(bmap, 1, coherent(1.0), residual_gate=1e-4)
 
     def test_residual_computed_only_when_gated(self, monkeypatch):
         import cavityclock.modes as modes

@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_symplectic_map
-from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, Mode,
-                         ModeBasis, Segment, SegmentKind, Trajectory,
-                         ValidationError, apply_reduced, coherent, dump_map,
-                         free_phase_map, junction_map, kg_inner_product,
-                         load_map, mode_value, rindler_geometry,
+from kg_oracle import Mode, kg_inner_product, mode_value
+from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
+                         Segment, SegmentKind, Trajectory, ValidationError,
+                         apply_reduced, coherent, dump_map, free_phase_map,
+                         junction_map, load_map, rindler_geometry,
                          symplectic_residual, trajectory_map)
 
 

@@ -9,11 +9,19 @@ import pytest
 
 import cavityclock.clock as clock
 from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
-                         apply_reduced, extract_params, phase_qfi, run_twin,
-                         symplectic_residual, trajectory_map)
+                         apply_full, embed, extract_params, partial_trace,
+                         phase_qfi, run_twin, symplectic_residual,
+                         trajectory_map)
 from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
 from cavityclock.modes import BogoliubovMap, _map_power
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
+
+
+def full_transport(bmap: BogoliubovMap, state0, k: int):
+    """Mode k after the full multimode transport of `state0` embedded at
+    mode k; independent of the row transport `run_twin` and `apply_reduced`
+    share."""
+    return partial_trace(apply_full(bmap, embed(state0, bmap.n_max, k)), k)
 
 
 def full_map_states(config: ScenarioConfig):
@@ -26,8 +34,7 @@ def full_map_states(config: ScenarioConfig):
     cur = BogoliubovMap.identity(config.n_max)
     for rep in range(1, config.repetitions + 1):
         cur = block_map.compose(cur)
-        yield rep, cur, apply_reduced(cur, config.clock_mode, state0,
-                                      residual_gate=None)
+        yield rep, cur, full_transport(cur, state0, config.clock_mode)
 
 
 def full_map_loop(config: ScenarioConfig) -> dict:
@@ -57,8 +64,7 @@ def full_map_loop(config: ScenarioConfig) -> dict:
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series.append(theta_alice - theta_full)
 
-    params_mm = extract_params(apply_reduced(cur.passive_part(), k, state0,
-                                             residual_gate=None))
+    params_mm = extract_params(full_transport(cur.passive_part(), state0, k))
     wrapped_mm, _ = read(params_mm)
     anchor = theta_start + config.repetitions * anchor_block
     return {
