@@ -13,17 +13,15 @@ from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, QuadratureError,
                      TruncationError, UnboundedVarianceError, ValidationError)
 from .gauss import (GaussianParams, GaussianState, apply_full, apply_reduced,
-                    coherent, embed, extract_params, mean_photon_number,
-                    partial_trace, squeezed_vacuum, uncertainty_defect, vacuum)
-from .metrology import (PrecisionReport, cramer_rao, phase_qfi,
-                        precision_report, qfi_change_pct)
+                    coherent, embed, extract_params, partial_trace,
+                    squeezed_vacuum, vacuum)
+from .metrology import cramer_rao, phase_qfi, qfi_change_pct
 from .modes import (BasisKind, BogoliubovMap, ModeBasis, dump_map,
-                    free_phase_map, junction_map, load_map,
-                    symplectic_residual, trajectory_map)
+                    free_phase_map, junction_map, symplectic_residual,
+                    trajectory_map)
 from .trajectory import (RindlerGeometry, Segment, SegmentKind, Trajectory,
-                         build_twin_trajectory, concat, elapsed_times,
-                         final_kinematics, is_closed, make_segment,
-                         rindler_geometry)
+                         build_twin_trajectory, elapsed_times,
+                         final_kinematics, rindler_geometry)
 
 __version__ = "0.1.0"
 
@@ -33,21 +31,18 @@ __all__ = [
     "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
     "TruncationError", "UnboundedVarianceError",
     # trajectory
-    "Segment", "SegmentKind", "Trajectory", "RindlerGeometry", "make_segment",
+    "Segment", "SegmentKind", "Trajectory", "RindlerGeometry",
     "build_twin_trajectory", "rindler_geometry", "elapsed_times",
-    "final_kinematics", "is_closed", "concat",
+    "final_kinematics",
     # modes
     "BasisKind", "ModeBasis", "BogoliubovMap", "junction_map",
     "free_phase_map", "trajectory_map", "symplectic_residual", "dump_map",
-    "load_map",
     # gauss
     "GaussianState", "GaussianParams", "vacuum", "coherent",
     "squeezed_vacuum", "embed", "apply_reduced", "apply_full",
-    "partial_trace", "extract_params", "mean_photon_number",
-    "uncertainty_defect",
+    "partial_trace", "extract_params",
     # metrology
-    "phase_qfi", "cramer_rao", "qfi_change_pct", "PrecisionReport",
-    "precision_report",
+    "phase_qfi", "cramer_rao", "qfi_change_pct",
     # clock
     "ScenarioConfig", "ScenarioResult", "SweepPoint", "classical_cavity_ratio",
     "run_twin", "sweep", "schwarzschild_acceleration", "near_horizon_geometry",

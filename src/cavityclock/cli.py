@@ -76,17 +76,21 @@ def _require(mapping: dict, key: str, kinds, where: str):
     value = mapping[key]
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{where}.{key} has wrong type: {value!r}")
-    # json parses NaN and ±Infinity
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return value
 
 
-def _number(mapping: dict, key: str, default: float, where: str) -> float:
-    """Optional numeric field, type-checked like `_require` when present."""
-    if key not in mapping:
+def _number(mapping: dict, key: str, where: str,
+            default: float | None = None) -> float:
+    """Numeric field as a float, required unless a default is given.  NaN
+    and ±Infinity pass: finiteness is `ScenarioConfig`'s rule."""
+    if default is not None and key not in mapping:
         return default
-    return float(_require(mapping, key, (int, float), where))
+    value = _require(mapping, key, (int, float), where)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{where}.{key} is too large for a double") from None
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -107,9 +111,9 @@ def load_config(path: str | Path) -> LoadedConfig:
     if not isinstance(numerics, dict):
         raise ConfigError("numerics must be an object")
 
-    t_i = float(_require(sc, "t_i_s", (int, float), "scenario"))
-    L = float(_require(sc, "L_m", (int, float), "scenario"))
-    a = float(_require(sc, "a_mps2", (int, float), "scenario"))
+    t_i = _number(sc, "t_i_s", "scenario")
+    L = _number(sc, "L_m", "scenario")
+    a = _number(sc, "a_mps2", "scenario")
     reps = _require(sc, "repetitions", int, "scenario")
     clock_mode = sc.get("clock_mode", 1)
     n_max = numerics.get("n_max", 24)
@@ -119,10 +123,10 @@ def load_config(path: str | Path) -> LoadedConfig:
     if ("t_a_s" in sc) == ("theta_a_rad" in sc):
         raise ConfigError("scenario needs exactly one of t_a_s or theta_a_rad")
     if "t_a_s" in sc:
-        t_a = float(_require(sc, "t_a_s", (int, float), "scenario"))
+        t_a = _number(sc, "t_a_s", "scenario")
     else:
         # theta_a = Omega_k * eta(t_a)  =>  t_a = theta_a u_max c / (k pi |a|)
-        theta_a = float(_require(sc, "theta_a_rad", (int, float), "scenario"))
+        theta_a = _number(sc, "theta_a_rad", "scenario")
         if a == 0:
             raise ConfigError("theta_a_rad needs a nonzero acceleration")
         h = abs(a) * L / C**2
@@ -132,12 +136,12 @@ def load_config(path: str | Path) -> LoadedConfig:
         t_a = theta_a * u_max * C / (clock_mode * math.pi * abs(a))
 
     kind = state.get("kind", "coherent")
-    mean_n = _number(state, "mean_n", 1.0, "scenario.state")
-    theta0 = _number(state, "theta0_rad", 0.0, "scenario.state")
-    tol = _number(numerics, "quadrature_tol", 1e-12, "numerics")
+    mean_n = _number(state, "mean_n", "scenario.state", 1.0)
+    theta0 = _number(state, "theta0_rad", "scenario.state", 0.0)
+    tol = _number(numerics, "quadrature_tol", "numerics", 1e-12)
     gate = numerics.get("residual_gate", 1e-4)
     if gate is not None:
-        gate = _number(numerics, "residual_gate", 1e-4, "numerics")
+        gate = _number(numerics, "residual_gate", "numerics", 1e-4)
 
     try:
         scenario = ScenarioConfig(
@@ -154,8 +158,10 @@ def load_config(path: str | Path) -> LoadedConfig:
             raise ConfigError("sweep must be an object")
         _require(sweep_spec, "vary", str, "sweep")
         grid = _require(sweep_spec, "grid", list, "sweep")
+        # checked now, not when the sweep runs; unlike math.isfinite, this
+        # is False without raising for an integer too large for a double
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in grid):
+                   and abs(v) <= sys.float_info.max for v in grid):
             raise ConfigError("sweep.grid must be a list of finite numbers")
 
     output = document.get("output", {})

@@ -85,6 +85,18 @@ class ScenarioConfig:
     quadrature_tol: float = 1e-12
 
     def __post_init__(self):
+        # NaN slips through every comparison below, and +inf through each
+        # lower bound, so finiteness is checked first
+        for name in ("L", "a", "t_a", "t_i", "mean_n", "theta0"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {value}")
+        if not 0 < self.quadrature_tol < math.inf:
+            raise ValidationError(f"quadrature_tol must be > 0 and finite, "
+                                  f"got {self.quadrature_tol}")
+        if (self.residual_gate is not None
+                and not 0 < self.residual_gate < math.inf):
+            raise ValidationError(f"residual_gate must be > 0 and finite, or "
+                                  f"None, got {self.residual_gate}")
         if self.t_a <= 0:
             raise ValidationError(f"t_a must be > 0, got {self.t_a}")
         if self.t_i < 0:
@@ -106,12 +118,6 @@ class ScenarioConfig:
             raise ValidationError(
                 f"need clock_mode + 4 <= n_max for a trusted interior block, "
                 f"got k={self.clock_mode}, n_max={self.n_max}")
-        if not self.quadrature_tol > 0:
-            raise ValidationError(
-                f"quadrature_tol must be > 0, got {self.quadrature_tol}")
-        if self.residual_gate is not None and not self.residual_gate > 0:
-            raise ValidationError(
-                f"residual_gate must be > 0 or None, got {self.residual_gate}")
         if self.h >= 2:
             raise HorizonError(
                 f"cavity intersects the Rindler horizon: h = {self.h:.6g} >= 2")

@@ -245,24 +245,3 @@ def extract_params(state: GaussianState) -> GaussianParams:
         raise ValidationError(fault[1])
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
     return GaussianParams(*map(float, vars(params).values()))
-
-
-def mean_photon_number(state: GaussianState) -> float:
-    """<N> of a single-mode state: tr sigma + q^2 + p^2 - 1/2."""
-    if state.mode_count != 1:
-        raise ValidationError("mean_photon_number expects a single-mode state")
-    q, p = state.first_moments
-    return float(state.covariance[0, 0] + state.covariance[1, 1]
-                 + q * q + p * p - 0.5)
-
-
-def uncertainty_defect(state: GaussianState) -> float:
-    """Smallest eigenvalue of sigma + (i/4) Omega; >= 0 for physical states
-    up to rounding."""
-    n = state.mode_count
-    omega = np.zeros((2 * n, 2 * n))
-    for m in range(n):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    eig = np.linalg.eigvalsh(state.covariance + 0.25j * omega)
-    return float(eig.min())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import UnboundedVarianceError, ValidationError
 from .gauss import GaussianParams
@@ -43,19 +42,3 @@ def qfi_change_pct(before: float, after: float) -> float:
     if before <= 0:
         raise ValidationError(f"reference qfi must be > 0, got {before}")
     return 100.0 * (after - before) / before
-
-
-@dataclass(frozen=True)
-class PrecisionReport:
-    """QFI, the matching Cramér-Rao bound, and the change vs a reference."""
-
-    qfi: float
-    bound: float
-    measurements: int
-    qfi_change_pct: float | None = None
-
-
-def precision_report(qfi: float, measurements: int,
-                     reference: float | None = None) -> PrecisionReport:
-    change = qfi_change_pct(reference, qfi) if reference is not None else None
-    return PrecisionReport(qfi, cramer_rao(qfi, measurements), measurements, change)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .constants import C
 from .errors import HorizonError, ValidationError
@@ -46,14 +45,6 @@ class Segment:
                 "inertial segment must have zero proper acceleration")
 
 
-def make_segment(kind: SegmentKind | str, proper_duration: float,
-                 proper_acceleration: float = 0.0) -> Segment:
-    """Validated Segment constructor; `kind` may be the enum or its value."""
-    if isinstance(kind, str):
-        kind = SegmentKind(kind.lower())
-    return Segment(kind, float(proper_duration), float(proper_acceleration))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """An ordered block of segments, repeated `repetitions` times."""
@@ -68,10 +59,6 @@ class Trajectory:
                 f"repetitions must be >= 1, got {self.repetitions}")
         if not self.segments:
             raise ValidationError("trajectory needs at least one segment")
-
-    @property
-    def total_segments(self) -> int:
-        return len(self.segments) * self.repetitions
 
     @property
     def proper_duration(self) -> float:
@@ -162,37 +149,8 @@ def final_kinematics(traj: Trajectory) -> tuple[float, float, float]:
     return t, x, w
 
 
-def is_closed(traj: Trajectory, rtol: float = 1e-12) -> bool:
-    """True if the trajectory returns to rest at its starting position.
-
-    Residuals are judged relative to the largest rapidity and displacement
-    excursions actually reached, so closure is meaningful even for
-    ultrarelativistic legs whose outbound terms cancel.
-    """
-    x = w = 0.0
-    w_scale = x_scale = 0.0
-    for _ in range(traj.repetitions):
-        for seg in traj.segments:
-            _, dx, dw = _propagate(w, seg)
-            x += dx
-            w += dw
-            w_scale = max(w_scale, abs(w))
-            x_scale = max(x_scale, abs(x), abs(dx))
-    w_ok = abs(w) <= rtol * max(w_scale, 1.0)
-    x_ok = abs(x) <= rtol * max(x_scale, 1.0)
-    return w_ok and x_ok
-
-
 def elapsed_times(traj: Trajectory) -> tuple[float, float]:
     """(tau_rob, tau_alice): proper time of the moving clock's center vs
     coordinate time of a stationary observer in the initial rest frame."""
     t, _, _ = final_kinematics(traj)
     return traj.proper_duration, t
-
-
-def concat(trajectories: Iterable[Trajectory]) -> Trajectory:
-    """Concatenate trajectories into one (repetition blocks expanded)."""
-    segs: list[Segment] = []
-    for tr in trajectories:
-        segs.extend(tr.segments * tr.repetitions)
-    return Trajectory(tuple(segs), 1)

@@ -132,6 +132,24 @@ class TestConfigLoading:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*_results.csv"))
 
+    @pytest.mark.parametrize("path", ["scenario.a_mps2", "state.mean_n",
+                                      "numerics.quadrature_tol", "sweep.grid"])
+    def test_integer_too_large_for_a_double_exit_code(self, tmp_path, path):
+        # json parses any integer literal; float() overflows on this one
+        huge = 10 ** 400
+        doc = base_config()
+        doc["sweep"] = {"vary": "L", "grid": [0.011]}
+        sections = {"scenario": doc["scenario"],
+                    "state": doc["scenario"]["state"],
+                    "numerics": doc["numerics"], "sweep": doc["sweep"]}
+        section, key = path.split(".")
+        sections[section][key] = [0.011, huge] if key == "grid" else huge
+        config = write_config(tmp_path, doc)
+        command = "sweep" if section == "sweep" else "twin"
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert not list(tmp_path.rglob("*_results.csv"))
+
     @pytest.mark.parametrize("key, value", [
         ("quadrature_tol", 0.0),
         ("quadrature_tol", -1e-12),

@@ -68,6 +68,16 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, mean_n=0.0)
 
+    @pytest.mark.parametrize("field", [
+        dict(t_a=math.nan), dict(t_i=math.nan), dict(t_i=math.inf),
+        dict(L=math.inf), dict(a=math.nan), dict(a=-math.inf),
+        dict(mean_n=math.inf), dict(theta0=math.nan),
+        dict(quadrature_tol=math.inf), dict(residual_gate=math.inf)])
+    def test_non_finite_numbers_rejected(self, field):
+        # NaN slips through every comparison, and +inf through "> 0"
+        with pytest.raises(ValidationError, match="finite"):
+            ScenarioConfig(**{**SQUID_DEFAULTS, **field}, repetitions=1)
+
     @pytest.mark.parametrize("field", [dict(quadrature_tol=0.0),
                                        dict(quadrature_tol=math.nan),
                                        dict(residual_gate=0.0),

@@ -4,8 +4,8 @@ import pytest
 
 from cavityclock import (GaussianParams, UnboundedVarianceError,
                          ValidationError, apply_reduced, coherent, cramer_rao,
-                         extract_params, phase_qfi, precision_report,
-                         qfi_change_pct, squeezed_vacuum)
+                         extract_params, phase_qfi, qfi_change_pct,
+                         squeezed_vacuum)
 from test_gauss import rotation_map
 
 
@@ -89,11 +89,3 @@ class TestQfiChangePct:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValidationError):
             qfi_change_pct(0.0, 1.0)
-
-
-class TestPrecisionReport:
-    def test_bound_consistency(self):
-        report = precision_report(16.0, 500, reference=16.0)
-        assert report.bound == 1.0 / math.sqrt(500 * 16.0)
-        assert report.qfi_change_pct == 0.0
-        assert report.measurements == 500

@@ -9,7 +9,7 @@ from kg_oracle import Mode, kg_inner_product, mode_value
 from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
                          Segment, SegmentKind, Trajectory, ValidationError,
                          apply_reduced, coherent, dump_map, free_phase_map,
-                         junction_map, load_map, rindler_geometry,
+                         junction_map, rindler_geometry,
                          symplectic_residual, trajectory_map)
 
 
@@ -159,6 +159,52 @@ class TestJunctionMap:
             junction_map(0.0, 4)
         with pytest.raises(ValidationError):
             junction_map(-0.1, 4)
+
+
+def first_order_junction(n_max):
+    """Oracle: the O(h) coefficients (A1, B1) of the junction map, alpha =
+    I + h A1 + O(h^2) and beta = h B1 + O(h^2) (Bruschi, Fuentes and Louko,
+    arXiv:1105.1875, in this package's conventions).  For m + n odd,
+    A1_mn = -2 sqrt(mn) / (pi^2 (m - n)^3) and
+    B1_mn = 2 sqrt(mn) / (pi^2 (m + n)^3); both vanish for m + n even."""
+    m, n = np.meshgrid(np.arange(1.0, n_max + 1), np.arange(1.0, n_max + 1),
+                       indexing="ij")
+    odd = (m + n) % 2 == 1
+    scale = 2.0 * np.sqrt(m * n) / math.pi**2
+    diff = np.where(odd, m - n, 1.0)  # m = n only where m + n is even
+    return (np.where(odd, -scale / diff**3, 0.0),
+            np.where(odd, scale / (m + n)**3, 0.0))
+
+
+class TestJunctionSmallH:
+    @pytest.mark.parametrize("n_max", [8, 16, 24])
+    def test_first_order_error_is_linear_in_h(self, n_max):
+        # the O(h^2) term: |(alpha - I)/h - A1| and |beta/h - B1| ~ c h
+        a1, b1 = first_order_junction(n_max)
+        hs = np.array([1e-3, 1e-4, 1e-5])
+        err_a, err_b = [], []
+        for h in hs:
+            jmap = junction_map(h, n_max)
+            err_a.append(np.max(np.abs((jmap.alpha - np.eye(n_max)) / h - a1)))
+            err_b.append(np.max(np.abs(jmap.beta / h - b1)))
+        for err in (err_a, err_b):
+            slope = np.polyfit(np.log(hs), np.log(err), 1)[0]
+            assert slope == pytest.approx(1.0, abs=0.05)
+
+    def test_first_order_symmetry(self):
+        a1, b1 = first_order_junction(24)
+        np.testing.assert_array_equal(a1, -a1.T)
+        np.testing.assert_array_equal(b1, b1.T)
+
+    @pytest.mark.parametrize("n_max", [8, 16, 24])
+    def test_absolute_floor_at_tiny_h(self, n_max):
+        # dividing by h is no test here: rounding in alpha and beta is
+        # ~1e-15 absolute, an error of ~1e-3 in beta/h at h = 1e-12
+        a1, b1 = first_order_junction(n_max)
+        for h in (1e-8, 1e-10, 1e-12):
+            jmap = junction_map(h, n_max)
+            assert np.max(np.abs(jmap.alpha - np.eye(n_max) - h * a1)) <= 1e-14
+            assert np.max(np.abs(jmap.beta - h * b1)) <= 1e-14
 
 
 class TestFreePhaseMap:
@@ -333,9 +379,13 @@ class TestDumpLoad:
         path = tmp_path / "map.txt"
         with open(path, "w") as fh:
             dump_map(bmap, fh, meta={"h": 0.1})
-        loaded = load_map(path.read_text().splitlines())
-        np.testing.assert_array_equal(loaded.alpha, bmap.alpha)
-        np.testing.assert_array_equal(loaded.beta, bmap.beta)
+        rows = np.loadtxt(path, comments="#")
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(1, 6), 5))
+        np.testing.assert_array_equal(rows[:, 1], np.tile(np.arange(1, 6), 5))
+        np.testing.assert_array_equal(rows[:, 2] + 1j * rows[:, 3],
+                                      bmap.alpha.ravel())
+        np.testing.assert_array_equal(rows[:, 4] + 1j * rows[:, 5],
+                                      bmap.beta.ravel())
 
     def test_dump_is_deterministic(self, tmp_path):
         bmap = junction_map(0.02, 6)
