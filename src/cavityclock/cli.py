@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +353,11 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    `main` call (parsing keeps no state in it); never built at import, so
+    importing the CLI stays cheap."""
     parser = argparse.ArgumentParser(
         prog="cavityclock",
         description="Relativistic cavity-clock simulations")

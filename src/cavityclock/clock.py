@@ -14,9 +14,12 @@ r = 1..M fill them and end at H = S_B^M, then one (2M x 2n) by (2n x 2n)
 product with H moves every lane forward by M repetitions.  Each lane's row
 pair carries the initial state, embedded at mode k of a vacuum register, to
 the clock mode's moments and covariance (`gauss.row_moments`), all that is
-kept per repetition; the readout runs vectorized once per span of them.  The
-residual gates and the mode-mixing-only rows use full maps (B and B^reps by
-squaring) and are done before the lanes start.
+kept per repetition; the readout runs vectorized once per span of them.
+Every span but the last reads only the phase (`_span_phase`): the
+physicality gate and clip warnings, then atan2(p, q) when every entry is
+displaced.  The last span also feeds qfi_after, so it reads every parameter.
+The residual gates and the mode-mixing-only rows use full maps (B and
+B^reps by squaring) and are done before the lanes start.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
@@ -29,6 +32,7 @@ truth for any configuration whose mixing corrections are perturbative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,9 +40,9 @@ import numpy as np
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
-from .gauss import (GaussianParams, GaussianState, _remainder, coherent,
-                    embed, extract_params, moment_params, row_moments,
-                    squeezed_vacuum, symplectic_matrix)
+from .gauss import (GaussianParams, GaussianState, _covariance_terms,
+                    _remainder, coherent, embed, extract_params, moment_params,
+                    row_moments, squeezed_vacuum, symplectic_matrix)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import _map_power, gated_residual, trajectory_map
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
@@ -86,15 +90,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # NaN slips through every comparison below, and +inf through each
-        # lower bound, so finiteness is checked first
+        # lower bound, so finiteness is checked first; unlike math.isfinite,
+        # comparing with the largest double never raises, not even for an
+        # integer too large for one
         for name in ("L", "a", "t_a", "t_i", "mean_n", "theta0"):
-            if not math.isfinite(value := getattr(self, name)):
+            if not abs(value := getattr(self, name)) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {value}")
-        if not 0 < self.quadrature_tol < math.inf:
+        if not 0 < self.quadrature_tol <= sys.float_info.max:
             raise ValidationError(f"quadrature_tol must be > 0 and finite, "
                                   f"got {self.quadrature_tol}")
         if (self.residual_gate is not None
-                and not 0 < self.residual_gate < math.inf):
+                and not 0 < self.residual_gate <= sys.float_info.max):
             raise ValidationError(f"residual_gate must be > 0 and finite, or "
                                   f"None, got {self.residual_gate}")
         if self.t_a <= 0:
@@ -176,19 +182,38 @@ def _unwrap(wrapped, anchor, period: float):
     return anchor + _remainder(wrapped - anchor, period)
 
 
-def _transported_params(moments: np.ndarray, cov: np.ndarray, first_rep: int,
-                        what: str) -> GaussianParams:
-    """Batched readout of the clock mode from its transported moments and
-    covariances (one per repetition, starting at `first_rep`).  A state
-    that breaks the uncertainty relation after transport is a truncation
-    artifact."""
-    params, fault = moment_params(moments, cov)
+def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
+    """A state that breaks the uncertainty relation after transport is a
+    truncation artifact: raise for the fault `moment_params` reported on a
+    batch whose entry 0 is repetition `first_rep`."""
     if fault is not None:
         index, message = fault
         raise TruncationError(
             f"{what} at repetition {first_rep + index}: {message}; "
             "truncation artifact, increase n_max")
+
+
+def _transported_params(moments: np.ndarray, cov: np.ndarray, first_rep: int,
+                        what: str) -> GaussianParams:
+    """Batched readout of the clock mode from its transported moments and
+    covariances (one per repetition, starting at `first_rep`)."""
+    params, fault = moment_params(moments, cov)
+    _gated(fault, first_rep, what)
     return params
+
+
+def _span_phase(moments: np.ndarray, cov: np.ndarray,
+                first_rep: int) -> np.ndarray:
+    """Wrapped clock phase of one span of transported states, equal to
+    `_read_phase(_transported_params(...))[0]` bit for bit, under the same
+    gate and clip warnings.  When every entry is displaced that phase is
+    atan2(p, q), and the squeeze magnitude and angle are not computed."""
+    q, p = moments[:, 0], moments[:, 1]
+    if not np.all(np.hypot(q, p) > 1e-12):
+        return _read_phase(_transported_params(
+            moments, cov, first_rep, "transported state"))[0]
+    _gated(_covariance_terms(cov)[1], first_rep, "transported state")
+    return np.arctan2(p, q)
 
 
 def _last(params: GaussianParams) -> GaussianParams:
@@ -254,11 +279,15 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
             rows = lanes[:count - offset]
             end = offset + len(rows)
             moments[offset:end], cov[offset:end] = row_moments(rows, embedded)
-        params = _transported_params(moments[:count], cov[:count], start + 1,
-                                     "transported state")
+        if start + count < reps:
+            wrapped = _span_phase(moments[:count], cov[:count], start + 1)
+        else:
+            # the last span also feeds qfi_after, so it reads every parameter
+            params = _transported_params(moments[:count], cov[:count],
+                                         start + 1, "transported state")
+            wrapped = _read_phase(params)[0]
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
-        theta = _unwrap(_read_phase(params)[0],
-                        theta_start + rep * anchor_block, period)
+        theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series[start:start + count] = theta_alice - theta
     theta_full = float(theta[-1])
@@ -344,7 +373,11 @@ def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:
     SweepPoint.exception instead of aborting the sweep.  Any other exception
     is a bug and propagates.
     """
-    values = [float(v) for v in grid]
+    try:
+        values = [float(v) for v in grid]
+    except OverflowError:
+        raise ValidationError(
+            "sweep grid values must fit in a double") from None
     if not values:
         raise ValidationError("sweep grid must be nonempty")
     if vary not in _SWEEP_FIELDS:

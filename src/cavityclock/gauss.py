@@ -188,21 +188,11 @@ class GaussianParams:
     purity: float
 
 
-def moment_params(moments: np.ndarray, cov: np.ndarray
-                  ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
-    """Parameters from single-mode moments (..., 2) and covariances
-    (..., 2, 2), elementwise over the leading axes; a covariance need be
-    symmetric only up to rounding (the off-diagonal entries are averaged).
-
-    Returns (params, None), or (None, (i, message)) naming the first entry i
-    (flat index) whose covariance is not positive definite or violates the
-    uncertainty relation (purity > 1 + 1e-9); the caller picks the error.
-    r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
-    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
-    eigenvalue split; arguments at the artanh boundary are logged as clip
-    events.
-    """
-    q, p = moments[..., 0], moments[..., 1]
+def _covariance_terms(cov: np.ndarray):
+    """The physicality gate and artanh-clip warning of `moment_params`, on
+    covariances (..., 2, 2) alone.  Returns ((s11, s22, s12, det, purity,
+    trace, split, squeezed), None), or (None, (i, message)) for the first
+    faulty entry; every clipped entry is logged once per call."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
@@ -217,8 +207,6 @@ def moment_params(moments: np.ndarray, cov: np.ndarray
         return None, (i, "covariance violates the uncertainty relation "
                          f"(purity {float(np.ravel(purity)[i])!r})")
 
-    displacement = np.hypot(q, p)
-    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
     trace = s11 + s22
     split = np.hypot(s11 - s22, 2.0 * s12)
     squeezed = split > 1e-14 * trace  # degenerate: angle undefined, report 0
@@ -226,6 +214,30 @@ def moment_params(moments: np.ndarray, cov: np.ndarray
     for ratio in np.ravel(split / trace)[clipped]:
         logger.warning("squeeze extraction at artanh boundary clipped: "
                        "s/T = %.17g", ratio)
+    return (s11, s22, s12, det, purity, trace, split, squeezed), None
+
+
+def moment_params(moments: np.ndarray, cov: np.ndarray
+                  ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
+    """Parameters from single-mode moments (..., 2) and covariances
+    (..., 2, 2), elementwise over the leading axes; a covariance need be
+    symmetric only up to rounding (the off-diagonal entries are averaged).
+
+    Returns (params, None), or (None, (i, message)) naming the first entry i
+    (flat index) whose covariance is not positive definite or violates the
+    uncertainty relation (purity > 1 + 1e-9); the caller picks the error.
+    r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
+    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
+    eigenvalue split; arguments at the artanh boundary are logged as clip
+    events.
+    """
+    terms, fault = _covariance_terms(cov)
+    if fault is not None:
+        return None, fault
+    s11, s22, s12, det, purity, trace, split, squeezed = terms
+    q, p = moments[..., 0], moments[..., 1]
+    displacement = np.hypot(q, p)
+    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
     r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
                  0.0)
     phi = np.where(squeezed,

@@ -15,6 +15,7 @@ Rindler horizon, i.e. h = |a| L / c^2 < 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,9 +38,14 @@ class Segment:
     proper_acceleration: float = 0.0
 
     def __post_init__(self):
-        if self.proper_duration < 0:
-            raise ValidationError(
-                f"proper_duration must be >= 0, got {self.proper_duration}")
+        # comparisons, unlike math.isfinite, are False for NaN and never
+        # raise for an integer too large for a double
+        if not 0 <= self.proper_duration <= sys.float_info.max:
+            raise ValidationError(f"proper_duration must be >= 0 and finite, "
+                                  f"got {self.proper_duration}")
+        if not abs(self.proper_acceleration) <= sys.float_info.max:
+            raise ValidationError(f"proper_acceleration must be finite, "
+                                  f"got {self.proper_acceleration}")
         if self.kind is SegmentKind.INERTIAL and self.proper_acceleration != 0.0:
             raise ValidationError(
                 "inertial segment must have zero proper acceleration")

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityclock
 import cavityclock.cli as cli
 from cavityclock import BogoliubovMap
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
@@ -413,3 +417,61 @@ class TestCheckCommand:
         config = write_config(tmp_path, base_config())
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert "junction map" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        # a fresh interpreter, so that no earlier call has built it
+        code = ("import argparse, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(None)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import cavityclock.cli as cli\n"
+                "print(len(built))\n"
+                "cli.build_parser()\n"
+                "print(len(built))\n")
+        src = Path(cavityclock.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        before, after = map(int, proc.stdout.split())
+        assert before == 0 and after > 0
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        config = write_config(tmp_path, base_config())
+        assert main(["qfi", "--config", str(config),
+                     "--measurements", "5"]) == EXIT_OK
+        first = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in first] == ["qfi", "bound"]
+        assert main(["qfi", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == first[:1]
+
+    def test_twin_then_sweep_on_other_configs(self, tmp_path, monkeypatch):
+        seen = []
+        execute = cli._execute
+        monkeypatch.setattr(cli, "_execute",
+                            lambda args: seen.append(vars(args).copy())
+                            or execute(args))
+        monkeypatch.chdir(tmp_path)
+        twin = write_config(tmp_path, base_config(), "twin.json")
+        doc = base_config(repetitions=2)
+        doc["sweep"] = {"vary": "L", "grid": [0.010, 0.012]}
+        doc["output"]["prefix"] = "swept"
+        swept = write_config(tmp_path, doc, "sweep.json")
+        assert main(["twin", "--config", str(twin), "--out", "a",
+                     "--threads", "3"]) == EXIT_OK
+        assert main(["sweep", "--config", str(swept)]) == EXIT_OK
+        assert seen[1] == {"command": "sweep", "config": str(swept),
+                           "out": ".", "threads": 0}
+        assert len(read_rows(tmp_path / "a" / "test_results.csv")) == 1
+        rows = read_rows(tmp_path / "swept_results.csv")
+        assert [(float(r["L_m"]), r["reps"]) for r in rows] == [
+            (0.010, "2"), (0.012, "2")]
+        assert {r["config_digest"] for r in rows} == {config_digest(doc)}

@@ -1,3 +1,4 @@
+import logging
 import math
 import threading
 
@@ -8,8 +9,10 @@ from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          TruncationError, ValidationError, apply_reduced,
                          classical_cavity_ratio, coherent, extract_params,
                          near_horizon_geometry, run_twin,
-                         schwarzschild_acceleration, sweep, trajectory_map)
-from cavityclock.clock import _last
+                         schwarzschild_acceleration, squeezed_vacuum, sweep,
+                         trajectory_map, vacuum)
+from cavityclock.clock import (_last, _read_phase, _span_phase,
+                               _transported_params)
 from cavityclock.gauss import moment_params
 from test_modes import twin_block
 
@@ -77,6 +80,15 @@ class TestScenarioConfig:
         # NaN slips through every comparison, and +inf through "> 0"
         with pytest.raises(ValidationError, match="finite"):
             ScenarioConfig(**{**SQUID_DEFAULTS, **field}, repetitions=1)
+
+    @pytest.mark.parametrize("name", ["L", "a", "t_a", "t_i", "mean_n",
+                                      "theta0", "quadrature_tol",
+                                      "residual_gate"])
+    def test_integer_too_large_for_a_double_rejected(self, name):
+        # math.isfinite(10**400) raises OverflowError instead of answering
+        with pytest.raises(ValidationError, match="finite"):
+            ScenarioConfig(**{**SQUID_DEFAULTS, name: 10**400},
+                           repetitions=1)
 
     @pytest.mark.parametrize("field", [dict(quadrature_tol=0.0),
                                        dict(quadrature_tol=math.nan),
@@ -203,6 +215,90 @@ class TestLastEntry:
         assert last.phase == math.atan2(-0.3, 0.2)
 
 
+def entry(moments, state):
+    """Single-mode (moments, covariance): `state`'s covariance, displaced to
+    `moments`."""
+    return np.array(moments, dtype=float), state.covariance
+
+
+# Displaced entries with ordinary, degenerate and artanh-clipped
+# covariances, and undisplaced ones; a displacement of at most 1e-12 counts
+# as none, and the clock is then read from the squeeze angle.
+DISPLACED = [entry([-1.27, 0.31], coherent(1.3)),
+             entry([0.4, -1.1], squeezed_vacuum(2.0, -0.6)),
+             entry([-2.0, 1e-3], squeezed_vacuum(1e8)),           # clipped
+             entry([1e-12, 1e-12], vacuum(1)),
+             entry([0.0, -0.7], squeezed_vacuum(1e8, math.pi))]  # clipped
+BARELY_DISPLACED = entry([1e-13, 0.0], squeezed_vacuum(0.5, 1.0))
+UNDISPLACED = [entry([0.0, 0.0], squeezed_vacuum(0.5, 3.0)),
+               BARELY_DISPLACED]
+NOT_POSITIVE_DEFINITE = np.array([[0.25, 0.3], [0.3, 0.25]])
+PURITY_ABOVE_ONE = 0.2 * np.eye(2)
+
+
+def span(entries):
+    return (np.array([m for m, _ in entries]),
+            np.array([c for _, c in entries]))
+
+
+# entries, how many of them are clipped, and whether the span needs every
+# parameter (it holds an undisplaced entry)
+SPANS = {"displaced": (DISPLACED * 3, 6, False),
+         "undisplaced": (DISPLACED + UNDISPLACED + DISPLACED, 4, True),
+         "barely displaced": (DISPLACED + [BARELY_DISPLACED] + DISPLACED, 4,
+                              True)}
+
+
+class TestSpanPhase:
+    """The phase-only span readout against the full parameter readout it
+    stands in for."""
+
+    @pytest.mark.parametrize("kind", list(SPANS))
+    def test_phase_is_bit_identical(self, kind, caplog, monkeypatch):
+        import cavityclock.clock as clock
+
+        entries, clipped, reads_all = SPANS[kind]
+        moments, cov = span(entries)
+        full = []
+        monkeypatch.setattr(clock, "moment_params",
+                            lambda *args: full.append(None)
+                            or moment_params(*args))
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            phase = _span_phase(moments, cov, 1)
+        span_clips = len(caplog.messages)
+        assert len(full) == reads_all
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            params, fault = moment_params(moments, cov)
+        assert fault is None
+        reference = _read_phase(params)[0]
+        assert phase.dtype == reference.dtype
+        assert phase.tobytes() == reference.tobytes()
+        # one warning per clipped entry, as the full readout logs
+        assert span_clips == len(caplog.messages) == clipped
+        assert all("artanh boundary" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize("kind", list(SPANS))
+    @pytest.mark.parametrize("faults", [
+        {4: NOT_POSITIVE_DEFINITE},
+        {4: PURITY_ABOVE_ONE},
+        {2: PURITY_ABOVE_ONE, 6: NOT_POSITIVE_DEFINITE},
+        {1: NOT_POSITIVE_DEFINITE, 9: PURITY_ABOVE_ONE}])
+    def test_first_fault_and_message_unchanged(self, kind, faults, caplog):
+        moments, cov = span(SPANS[kind][0])
+        for index, bad in faults.items():
+            cov[index] = bad
+        with pytest.raises(TruncationError) as expected:
+            _transported_params(moments, cov, 97, "transported state")
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            with pytest.raises(TruncationError) as raised:
+                _span_phase(moments, cov, 97)
+        assert str(raised.value) == str(expected.value)
+        assert f"at repetition {97 + min(faults)}: " in str(raised.value)
+        # the gate runs before the clip check, as in moment_params
+        assert caplog.messages == []
+
+
 class TestTruncationArtifact:
     def test_unphysical_transported_state_is_truncation_error(self):
         with pytest.raises(TruncationError,
@@ -241,6 +337,16 @@ class TestSweep:
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
         with pytest.raises(ValidationError):
             sweep(base, "chirality", [1.0])
+
+    def test_grid_value_too_large_for_a_double_rejected(self, monkeypatch):
+        import cavityclock.clock as clock
+
+        ran = []
+        monkeypatch.setattr(clock, "run_twin", ran.append)
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
+        with pytest.raises(ValidationError, match="double"):
+            sweep(base, "L", [0.011, 10**400])
+        assert ran == []
 
     def test_per_point_errors_collected(self):
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)

@@ -2,7 +2,9 @@
 `run_twin`, pinned against the full-map loop it replaced, and the residual
 growth that lets the final-map gate vouch for every repetition."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,17 +123,51 @@ class TestRowPathAgainstFullMapLoop:
 
     def test_one_readout_per_span(self, monkeypatch):
         # guards the span readout without timing anything: a readout per
-        # lane step or per repetition would make 4x to 96x more calls
-        calls = []
-        moment_params = clock.moment_params
+        # lane step or per repetition would make 4x to 96x more calls; and
+        # of a displaced state only the last span and the mode-mixing-only
+        # state read every parameter
+        calls, full = [], []
+        span_phase, moment_params = clock._span_phase, clock.moment_params
 
         def counting(*args):
             calls.append(None)
+            return span_phase(*args)
+
+        def counting_full(*args):
+            full.append(None)
             return moment_params(*args)
 
-        monkeypatch.setattr(clock, "moment_params", counting)
+        monkeypatch.setattr(clock, "_span_phase", counting)
+        monkeypatch.setattr(clock, "moment_params", counting_full)
         run_twin(lane_config(5000))
         assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
+        assert len(full) == 2
+
+
+class TestPeakAllocation:
+    def test_peak_does_not_grow_beyond_the_series(self):
+        # the lanes and span buffers are sized by _LANES and _SPAN, not by
+        # the repetition count: more round trips may add only their 8-byte
+        # series entries.  At these sizes the peak, about 205 KB, sits in
+        # trajectory_map.  A buffer sized by _SPAN is full from 192 round
+        # trips on, so it shows only against a run shorter than a span: a
+        # _SPAN x 2 x 2 n_max row buffer lifts the peak at 5000 round trips
+        # about 118 KB above the one at _LANES.
+        def peak(reps):
+            config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                    repetitions=reps, n_max=24)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_twin(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # fills the junction-table cache outside the traced calls
+        peaks = {reps: peak(reps) for reps in (_LANES, 500, 5000)}
+        for reps in (_LANES, 500):
+            assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
 
 
 class TestMapPower:

@@ -53,6 +53,19 @@ class TestMakeSegment:
         with pytest.raises(ValidationError):
             Segment(SegmentKind.INERTIAL, 1.0, 2.0)
 
+    @pytest.mark.parametrize("duration", [
+        math.nan, math.inf, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("kind", list(SegmentKind))
+    def test_non_finite_duration_rejected(self, kind, duration):
+        with pytest.raises(ValidationError, match="finite"):
+            Segment(kind, duration)
+
+    @pytest.mark.parametrize("acceleration", [
+        math.nan, math.inf, -math.inf, pytest.param(-10**400, id="-10**400")])
+    def test_non_finite_acceleration_rejected(self, acceleration):
+        with pytest.raises(ValidationError, match="finite"):
+            Segment(SegmentKind.ACCELERATED, 1.0, acceleration)
+
 
 class TestRindlerGeometry:
     def test_direct_arithmetic(self):
@@ -128,6 +141,16 @@ class TestBuildTwinTrajectory:
             build_twin_trajectory(1.0, -1.0, 1, 1.0)
         with pytest.raises(ValidationError):
             build_twin_trajectory(1.0, 0.0, 0, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0, 2, 1.7e15),
+                                      (1e-9, math.nan, 2, 1.7e15),
+                                      (1e-9, math.inf, 2, 1.7e15),
+                                      (1e-9, 0.0, 2, math.nan),
+                                      (math.inf, 0.0, 2, 1.7e15)])
+    def test_non_finite_parameters_rejected(self, args):
+        # each was accepted, and elapsed_times returned NaN or inf
+        with pytest.raises(ValidationError, match="finite"):
+            build_twin_trajectory(*args)
 
 
 def _alice_time_by_integration(traj: Trajectory) -> float:
