@@ -1,9 +1,9 @@
 """Twin-paradox scenario orchestration.
 
-Runs the full pipeline: build the round-trip trajectory, compose its
-Bogoliubov map, evolve the clock mode's Gaussian state, and compare the
-resulting clock time (phase / mode frequency) and precision (phase QFI)
-against the pointlike and classical extended-clock predictions.
+Runs the full pipeline: build the round-trip trajectory and its map, evolve
+the clock mode's Gaussian state, and compare the resulting clock time
+(phase / mode frequency) and precision (phase QFI) against the pointlike and
+classical extended-clock predictions.
 
 Repetitions: after r round trips the map is B^r for the one-block map B.
 Powers of one map commute, so the row pair of the clock mode k in the real
@@ -18,8 +18,11 @@ kept per repetition; the readout runs vectorized once per span of them.
 Every span but the last reads only the phase (`_span_phase`): the
 physicality gate and clip warnings, then atan2(p, q) when every entry is
 displaced.  The last span also feeds qfi_after, so it reads every parameter.
-The residual gates and the mode-mixing-only rows use full maps (B and
-B^reps by squaring) and are done before the lanes start.
+The map is built, powered and fed to the lanes as the real symplectic
+matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
+residual gates and the mode-mixing-only rows need (alpha, beta), recovered
+from S_B and S_B^reps before the lanes start; nothing calls
+`BogoliubovMap.compose`.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
@@ -42,9 +45,10 @@ from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
 from .gauss import (GaussianParams, GaussianState, _covariance_terms,
                     _remainder, coherent, embed, extract_params, moment_params,
-                    row_moments, squeezed_vacuum, symplectic_matrix)
+                    row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
-from .modes import _map_power, gated_residual, trajectory_map
+from .modes import (_block_symplectic, _bogoliubov, _map_power,
+                    gated_residual, symplectic_matrix)
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
     rindler_geometry
 
@@ -227,13 +231,13 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     n_max = config.n_max
     reps = config.repetitions
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
-    block_map = trajectory_map(block, config.L, n_max,
-                               tol=config.quadrature_tol)
-    gated_residual(block_map, k, config.residual_gate, "block-map")
+    s_block, product = _block_symplectic(block, config.L, n_max,
+                                         config.quadrature_tol)
+    gated_residual(_bogoliubov(s_block), k, config.residual_gate, "block-map")
     # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
     # and benchmark configs (tests/test_repetitions.py): the residual grows
     # with r, so gating the final map vouches for every repetition below.
-    final_map = _map_power(block_map, reps)
+    final_map = _bogoliubov(_map_power(s_block, reps, product))
     final_residual = gated_residual(final_map, k, config.residual_gate,
                                     "composed-map")
     # of B^reps only the mode-mixing-only rows are needed later; releasing it
@@ -259,7 +263,6 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     # 5000 round trips, n_max 24 and ten cavity lengths, qfi_after stayed
     # within 6e-13 relative of the full-map loop this way, 1.5e-12 with
     # squaring.
-    s_block = symplectic_matrix(block_map.alpha, block_map.beta)
     lanes = np.empty((min(_LANES, reps), 2, 2 * n_max))
     step = np.eye(2 * n_max)
     for lane in lanes:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .modes import BogoliubovMap, gated_residual
+from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -112,18 +112,6 @@ def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
     f[i:i + 2] = state.first_moments
     c[i:i + 2, i:i + 2] = state.covariance
     return GaussianState(f, c)
-
-
-def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real 2m x 2n matrix acting on quadratures (q1, p1, q2, p2, ...) for m
-    rows of a map's (alpha, beta); row pair k holds the M_kn blocks."""
-    amb, apb = alpha - beta, alpha + beta
-    s = np.empty((2 * alpha.shape[0], 2 * alpha.shape[1]))
-    s[0::2, 0::2] = amb.real
-    s[0::2, 1::2] = apb.imag
-    s[1::2, 0::2] = -amb.imag
-    s[1::2, 1::2] = apb.real
-    return s
 
 
 def row_moments(rows: np.ndarray,

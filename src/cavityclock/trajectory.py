@@ -80,6 +80,11 @@ def build_twin_trajectory(t_a: float, t_i: float, repetitions: int,
     composed trajectory is `repetitions` consecutive round trips.  Zero-length
     coasts are kept as explicit segments.
     """
+    # float() raises OverflowError for an integer too large for a double;
+    # this comparison is False for it, and for NaN and +-inf, instead
+    for name, value in (("t_a", t_a), ("t_i", t_i), ("a", a)):
+        if not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{name} must be finite, got {value}")
     if t_a <= 0:
         raise ValidationError(f"t_a must be > 0, got {t_a}")
     if t_i < 0:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from conftest import random_symplectic_map
 from kg_oracle import Mode, kg_inner_product, mode_value
+from map_oracle import compose_chain_map
 from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
                          Segment, SegmentKind, Trajectory, ValidationError,
                          apply_reduced, coherent, dump_map, free_phase_map,
@@ -346,6 +347,41 @@ class TestTrajectoryMap:
         mixing_scale = np.max(np.abs(single_mix))
         assert np.max(np.abs(off)) < 1e-2 * mixing_scale
         assert np.max(np.abs(undone.beta)) < 1e-2 * mixing_scale
+
+
+def reordered_block(t_a, t_i, a):
+    """Not a twin block: a coast first, both signs of a, one of them at two
+    durations, and an accelerated segment repeated after a coast."""
+    acc, iner = SegmentKind.ACCELERATED, SegmentKind.INERTIAL
+    return (Segment(iner, t_i), Segment(acc, 0.5 * t_a, -a),
+            Segment(acc, t_a, a), Segment(iner, 2 * t_i),
+            Segment(acc, 0.5 * t_a, -a), Segment(acc, 0.25 * t_a, a))
+
+
+class TestTrajectoryMapAgainstComposeChain:
+    @pytest.mark.parametrize("n_max", [8, 16, 24])
+    @pytest.mark.parametrize("repetitions", [1, 3, 7, 200])
+    @pytest.mark.parametrize("t_i", [0.0, 0.5e-9])
+    @pytest.mark.parametrize("a", [1.7e15, -1.7e15, 0.0])
+    def test_twin_block(self, a, t_i, repetitions, n_max):
+        traj = twin_block(1e-9, t_i, a, repetitions)
+        self.assert_matches(traj, 0.011, n_max)
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    @pytest.mark.parametrize("repetitions", [1, 7])
+    @pytest.mark.parametrize("a", [3e15, 0.0])
+    def test_other_segment_order(self, a, repetitions, n_max):
+        traj = Trajectory(reordered_block(1e-9, 0.3e-9, a), repetitions)
+        self.assert_matches(traj, 0.013, n_max)
+
+    @staticmethod
+    def assert_matches(traj, L, n_max):
+        tmap = trajectory_map(traj, L, n_max)
+        ref = compose_chain_map(traj, L, n_max)
+        np.testing.assert_allclose(tmap.alpha, ref.alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tmap.beta, ref.beta, rtol=0, atol=1e-12)
+        if all(s.proper_acceleration == 0.0 for s in traj.segments):
+            assert not tmap.beta.any()
 
 
 class TestSymplecticResidual:

@@ -5,6 +5,7 @@ growth that lets the final-map gate vouch for every repetition."""
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
                          phase_qfi, run_twin, symplectic_residual,
                          trajectory_map)
 from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
-from cavityclock.modes import BogoliubovMap, _map_power
+from cavityclock.modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
+                               _map_power)
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 
 
@@ -172,9 +174,25 @@ class TestPeakAllocation:
 
 class TestMapPower:
     @pytest.mark.parametrize("exponent", [1, 2, 3, 200, 5000])
-    def test_squarings_plus_products(self, exponent, monkeypatch):
-        block = trajectory_map(build_twin_trajectory(1e-9, 0.0, 1, 1.7e15),
-                               0.011, 8)
+    def test_squarings_plus_products(self, exponent):
+        block, product = _block_symplectic(
+            build_twin_trajectory(1e-9, 0.0, 1, 1.7e15), 0.011, 8, 1e-12)
+        assert product is np.matmul
+        calls = []
+
+        def counting(left, right):
+            calls.append(None)
+            return product(left, right)
+
+        power = _map_power(block, exponent, counting)
+        assert len(calls) == (exponent.bit_length() - 1
+                              + bin(exponent).count("1") - 1)
+        if exponent == 1:
+            assert power is block
+
+    def test_run_twin_composes_no_maps(self, monkeypatch):
+        # the pipeline multiplies symplectic matrices; BogoliubovMap.compose
+        # is left to the library surface and the oracles
         calls = []
         compose = BogoliubovMap.compose
 
@@ -183,11 +201,9 @@ class TestMapPower:
             return compose(self, first)
 
         monkeypatch.setattr(BogoliubovMap, "compose", counting)
-        power = _map_power(block, exponent)
-        assert len(calls) == (exponent.bit_length() - 1
-                              + bin(exponent).count("1") - 1)
-        if exponent == 1:
-            assert power is block
+        run_twin(lane_config(200))
+        run_twin(replace(lane_config(200), a=0.0))
+        assert calls == []
 
 
 class TestResidualGrowth:
@@ -197,24 +213,23 @@ class TestResidualGrowth:
         # twin-reps benchmark draws from: eps1 of B^r for r <= 2000 never
         # exceeds eps1 of B^2000, so gating the final map covers them all
         n_max, last = 24, 2000
-        block = trajectory_map(build_twin_trajectory(1e-9, 0.0, 1, 1.7e15),
-                               L, n_max)
-        # _map_power(B, r) composes the squares of B for the set bits of r,
-        # lowest first, so it equals squares[top] ∘ _map_power(B, r - 2^top)
+        block, _ = _block_symplectic(
+            build_twin_trajectory(1e-9, 0.0, 1, 1.7e15), L, n_max, 1e-12)
+        # _map_power(S, r) multiplies the squares of S for the set bits of
+        # r, lowest first, so it equals squares[top] @ _map_power(S, r - 2^top)
         squares = [block]
         while 1 << len(squares) <= last:
-            squares.append(squares[-1].compose(squares[-1]))
-        powers = [BogoliubovMap.identity(n_max)]
+            squares.append(squares[-1] @ squares[-1])
+        powers = [None]
         eps = [0.0]
         for r in range(1, last + 1):
             top = r.bit_length() - 1
-            power = squares[top].compose(powers[r - (1 << top)])
+            rest = r - (1 << top)
+            power = squares[top] @ powers[rest] if rest else squares[top]
             if r < 1 << (last.bit_length() - 1):
                 powers.append(power)
-            eps.append(symplectic_residual(power, 5)[0])
+            eps.append(symplectic_residual(_bogoliubov(power), 5)[0])
             if r in (1, 3, 1024, 1365, last):
-                direct = _map_power(block, r)
-                np.testing.assert_array_equal(power.alpha, direct.alpha)
-                np.testing.assert_array_equal(power.beta, direct.beta)
+                np.testing.assert_array_equal(power, _map_power(block, r))
         assert max(eps[1:last]) <= eps[last]
         assert eps[last] > 100 * eps[1]

@@ -152,6 +152,15 @@ class TestBuildTwinTrajectory:
         with pytest.raises(ValidationError, match="finite"):
             build_twin_trajectory(*args)
 
+    @pytest.mark.parametrize("args", [(10**400, 0.0, 1, 1.7e15),
+                                      (1e-9, 10**400, 1, 1.7e15),
+                                      (1e-9, 0.0, 1, 10**400),
+                                      (1e-9, 0.0, 1, -10**400)])
+    def test_integer_too_large_for_a_double_rejected(self, args):
+        # float() raised a bare OverflowError on each
+        with pytest.raises(ValidationError, match="must be finite"):
+            build_twin_trajectory(*args)
+
 
 def _alice_time_by_integration(traj: Trajectory) -> float:
     """Oracle: integrate dt = cosh(w(tau)) dtau over the rapidity profile."""
