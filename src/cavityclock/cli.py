@@ -33,9 +33,9 @@ from .constants import C
 from .errors import CavityClockError, ValidationError
 from .gauss import extract_params
 from .metrology import cramer_rao, phase_qfi
-from .modes import (BogoliubovMap, dump_map, free_phase_map, gated_residual,
-                    junction_map, symplectic_residual, trajectory_map,
-                    ModeBasis, BasisKind)
+from .modes import (BogoliubovMap, _trusted_interior, dump_map,
+                    free_phase_map, gated_residual, junction_map,
+                    symplectic_residual, trajectory_map, ModeBasis, BasisKind)
 from .trajectory import build_twin_trajectory
 
 EXIT_OK = 0
@@ -318,9 +318,10 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
         h = loaded.scenario.h or 0.01
         n_max = loaded.scenario.n_max
         gate = loaded.scenario.residual_gate or 1e-4
+        clock_mode = loaded.scenario.clock_mode
     else:
-        h, n_max, gate = 0.01, 20, 1e-4
-    interior = min(5, n_max)
+        h, n_max, gate, clock_mode = 0.01, 20, 1e-4, 1
+    interior = _trusted_interior(clock_mode, n_max)
     failures = 0
 
     def report(name: str, eps1: float, eps2: float, limit: float):

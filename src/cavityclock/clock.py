@@ -15,9 +15,9 @@ product with H moves every lane forward by M repetitions.  Each lane's row
 pair carries the initial state, embedded at mode k of a vacuum register, to
 the clock mode's moments and covariance (`gauss.row_moments`), all that is
 kept per repetition; the readout runs vectorized once per span of them.
-Every span but the last reads only the phase (`_span_phase`): the
-physicality gate and clip warnings, then atan2(p, q) when every entry is
-displaced.  The last span also feeds qfi_after, so it reads every parameter.
+Every span reads only the phase (`_span_phase`): the physicality gate and
+clip warnings, then atan2(p, q) when every entry is displaced; qfi_after
+comes from the covariance terms the last span was gated with.
 The map is built, powered and fed to the lanes as the real symplectic
 matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
 residual gates and the mode-mixing-only rows need (alpha, beta), recovered
@@ -44,8 +44,8 @@ from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
 from .gauss import (GaussianParams, GaussianState, _covariance_terms,
-                    _remainder, coherent, embed, extract_params, moment_params,
-                    row_moments, squeezed_vacuum)
+                    _parameters, _remainder, coherent, embed, extract_params,
+                    moment_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_block_symplectic, _bogoliubov, _map_power,
                     gated_residual, symplectic_matrix)
@@ -188,8 +188,8 @@ def _unwrap(wrapped, anchor, period: float):
 
 def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
     """A state that breaks the uncertainty relation after transport is a
-    truncation artifact: raise for the fault `moment_params` reported on a
-    batch whose entry 0 is repetition `first_rep`."""
+    truncation artifact: raise for the fault the physicality gate reported
+    on a batch whose entry 0 is repetition `first_rep`."""
     if fault is not None:
         index, message = fault
         raise TruncationError(
@@ -197,27 +197,18 @@ def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
             "truncation artifact, increase n_max")
 
 
-def _transported_params(moments: np.ndarray, cov: np.ndarray, first_rep: int,
-                        what: str) -> GaussianParams:
-    """Batched readout of the clock mode from its transported moments and
-    covariances (one per repetition, starting at `first_rep`)."""
-    params, fault = moment_params(moments, cov)
-    _gated(fault, first_rep, what)
-    return params
-
-
-def _span_phase(moments: np.ndarray, cov: np.ndarray,
-                first_rep: int) -> np.ndarray:
-    """Wrapped clock phase of one span of transported states, equal to
-    `_read_phase(_transported_params(...))[0]` bit for bit, under the same
-    gate and clip warnings.  When every entry is displaced that phase is
-    atan2(p, q), and the squeeze magnitude and angle are not computed."""
+def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int):
+    """(wrapped clock phase, gated covariance terms) of one span of
+    transported states, whose entry 0 is repetition `first_rep`.  The phase
+    equals `_read_phase` of `moment_params` bit for bit, under the same gate
+    and clip warnings; when every entry is displaced it is atan2(p, q), and
+    the squeeze magnitude and angle are not computed."""
+    terms, fault = _covariance_terms(cov)
+    _gated(fault, first_rep, "transported state")
     q, p = moments[:, 0], moments[:, 1]
     if not np.all(np.hypot(q, p) > 1e-12):
-        return _read_phase(_transported_params(
-            moments, cov, first_rep, "transported state"))[0]
-    _gated(_covariance_terms(cov)[1], first_rep, "transported state")
-    return np.arctan2(p, q)
+        return _read_phase(_parameters(moments, terms))[0], terms
+    return np.arctan2(p, q), terms
 
 
 def _last(params: GaussianParams) -> GaussianParams:
@@ -282,22 +273,17 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
             rows = lanes[:count - offset]
             end = offset + len(rows)
             moments[offset:end], cov[offset:end] = row_moments(rows, embedded)
-        if start + count < reps:
-            wrapped = _span_phase(moments[:count], cov[:count], start + 1)
-        else:
-            # the last span also feeds qfi_after, so it reads every parameter
-            params = _transported_params(moments[:count], cov[:count],
-                                         start + 1, "transported state")
-            wrapped = _read_phase(params)[0]
+        wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1)
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series[start:start + count] = theta_alice - theta
     theta_full = float(theta[-1])
-    qfi_after = phase_qfi(_last(params))
+    qfi_after = phase_qfi(_last(_parameters(moments[:count], terms)))
 
-    params_mm = _last(_transported_params(
-        *row_moments(mm_rows[None], embedded), reps, "mode-mixing-only state"))
+    params_mm, fault = moment_params(*row_moments(mm_rows[None], embedded))
+    _gated(fault, reps, "mode-mixing-only state")
+    params_mm = _last(params_mm)
     qfi_after_mm = phase_qfi(params_mm)
     theta_mm = float(_unwrap(_read_phase(params_mm)[0],
                              theta_start + reps * anchor_block, period))
@@ -309,10 +295,8 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
 
     pc_numerator = (theta_full - theta_mm) / (omega_k * C)
     denom = tau_alice - tau_point
-    if denom == 0.0:
-        pc_fraction = 0.0 if pc_numerator == 0.0 else math.inf
-    else:
-        pc_fraction = 100.0 * pc_numerator / denom
+    # without dilation there is nothing to attribute to particle creation
+    pc_fraction = 100.0 * pc_numerator / denom if denom else 0.0
 
     return ScenarioResult(
         h=config.h,
@@ -363,9 +347,7 @@ def _config_at(base: ScenarioConfig, vary: str, value: float) -> ScenarioConfig:
         return replace(base, a=sign * float(value) * C**2 / base.L)
     if vary == "mean_n":
         return replace(base, mean_n=float(value))
-    if vary == "theta0":
-        return replace(base, theta0=float(value))
-    raise ValidationError(f"vary must be one of {_SWEEP_FIELDS}, got {vary!r}")
+    return replace(base, theta0=float(value))
 
 
 def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:

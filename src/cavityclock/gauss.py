@@ -205,6 +205,22 @@ def _covariance_terms(cov: np.ndarray):
     return (s11, s22, s12, det, purity, trace, split, squeezed), None
 
 
+def _parameters(moments: np.ndarray, terms) -> GaussianParams:
+    """Parameters from moments (..., 2) and the covariance terms of
+    `_covariance_terms` that passed its gate, elementwise over the leading
+    axes."""
+    s11, s22, s12, det, purity, trace, split, squeezed = terms
+    q, p = moments[..., 0], moments[..., 1]
+    displacement = np.hypot(q, p)
+    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
+    r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
+                 0.0)
+    phi = np.where(squeezed,
+                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
+                   0.0)
+    return GaussianParams(displacement, theta, r, phi, np.minimum(purity, 1.0))
+
+
 def moment_params(moments: np.ndarray, cov: np.ndarray
                   ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
     """Parameters from single-mode moments (..., 2) and covariances
@@ -217,22 +233,13 @@ def moment_params(moments: np.ndarray, cov: np.ndarray
     r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
     cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
     eigenvalue split; arguments at the artanh boundary are logged as clip
-    events.
+    events.  The gate and the clip log are `_covariance_terms`, the formulas
+    `_parameters`.
     """
     terms, fault = _covariance_terms(cov)
     if fault is not None:
         return None, fault
-    s11, s22, s12, det, purity, trace, split, squeezed = terms
-    q, p = moments[..., 0], moments[..., 1]
-    displacement = np.hypot(q, p)
-    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
-    r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
-                 0.0)
-    phi = np.where(squeezed,
-                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
-                   0.0)
-    return GaussianParams(displacement, theta, r, phi,
-                          np.minimum(purity, 1.0)), None
+    return _parameters(moments, terms), None
 
 
 def extract_params(state: GaussianState) -> GaussianParams:

@@ -35,7 +35,7 @@ import numpy as np
 from .constants import C
 from .errors import (HorizonError, QuadratureError, TruncationError,
                      ValidationError)
-from .trajectory import SegmentKind, Trajectory
+from .trajectory import Trajectory
 
 
 class BasisKind(Enum):
@@ -292,7 +292,7 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     block = None
     for seg in traj.segments:
         a = seg.proper_acceleration
-        if seg.kind is SegmentKind.INERTIAL or a == 0.0:
+        if a == 0.0:
             phases = omegas * (C * seg.proper_duration)
             block = _rotate_rows(np.eye(2 * n_max) if block is None else block,
                                  np.cos(phases), np.sin(phases))
@@ -362,15 +362,21 @@ def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, floa
     return float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
 
 
+def _trusted_interior(clock_mode: int, n_max: int) -> int:
+    """The leading min(clock_mode + 4, n_max) modes are trusted for the
+    1-based `clock_mode`: the size of the block the residuals are read on."""
+    return min(clock_mode + 4, n_max)
+
+
 def gated_residual(bmap: BogoliubovMap, clock_mode: int, gate: float | None,
                    what: str) -> tuple[float, float]:
     """`symplectic_residual` on the interior block trusted for the 1-based
-    `clock_mode`: the leading min(clock_mode + 4, n_max) modes.
+    `clock_mode` (`_trusted_interior`).
 
     Raises TruncationError unless eps1 <= `gate`, so a NaN residual fails
     too (None disables the gate); `what` names the map in the message.
     """
-    interior = min(clock_mode + 4, bmap.n_max)
+    interior = _trusted_interior(clock_mode, bmap.n_max)
     eps1, eps2 = symplectic_residual(bmap, interior)
     if gate is not None and not eps1 <= gate:
         raise TruncationError(

@@ -134,7 +134,7 @@ def _propagate(w: float, seg: Segment) -> tuple[float, float, float]:
     starting at rapidity w, in the initial rest frame of the trajectory."""
     tau = seg.proper_duration
     a = seg.proper_acceleration
-    if seg.kind is SegmentKind.INERTIAL or a == 0.0:
+    if a == 0.0:
         return tau * math.cosh(w), C * tau * math.sinh(w), 0.0
     dw = a * tau / C
     if max(abs(w), abs(w + dw)) > _MAX_RAPIDITY:

@@ -418,6 +418,12 @@ class TestCheckCommand:
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert "junction map" in capsys.readouterr().out
 
+    def test_checks_the_block_the_pipeline_gates(self, tmp_path, capsys):
+        # clock_mode 3: twin gates the leading 7x7 block, so check must too
+        config = write_config(tmp_path, base_config(clock_mode=3))
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert "(7x7 interior)" in capsys.readouterr().out
+
 
 class TestParser:
     def test_one_parser_per_process(self):

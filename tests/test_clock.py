@@ -11,9 +11,9 @@ from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          near_horizon_geometry, run_twin,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
                          trajectory_map, vacuum)
-from cavityclock.clock import (_last, _read_phase, _span_phase,
-                               _transported_params)
-from cavityclock.gauss import moment_params
+import cavityclock.clock as clock
+from cavityclock.clock import _gated, _last, _read_phase, _span_phase
+from cavityclock.gauss import _covariance_terms, moment_params
 from test_modes import twin_block
 
 SQUID_DEFAULTS = dict(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15)
@@ -113,6 +113,15 @@ class TestRunTwinInertialLimit:
         assert res.phase_difference_vs_alice == pytest.approx(0.0, abs=1e-9)
         assert res.qfi_after == pytest.approx(res.qfi_before, rel=1e-12)
         assert res.pc_fraction == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_dilation_attributes_nothing_to_particle_creation(self):
+        # at a = 0 the lane phase and the mode-mixing-only phase differ here
+        # by a rounding (-2.8e-14 rad), which once gave pc_fraction = inf
+        res = run_twin(ScenarioConfig(t_a=1e-9, t_i=0.3e-9, L=0.1, a=0.0,
+                                      repetitions=4, n_max=8, mean_n=2.0,
+                                      theta0=0.3))
+        assert res.tau_alice == res.tau_rob_pointlike
+        assert res.pc_fraction == 0.0
 
     def test_small_acceleration_continuity(self):
         diffs = []
@@ -255,18 +264,20 @@ class TestSpanPhase:
 
     @pytest.mark.parametrize("kind", list(SPANS))
     def test_phase_is_bit_identical(self, kind, caplog, monkeypatch):
-        import cavityclock.clock as clock
-
         entries, clipped, reads_all = SPANS[kind]
         moments, cov = span(entries)
         full = []
-        monkeypatch.setattr(clock, "moment_params",
+        parameters = clock._parameters
+        monkeypatch.setattr(clock, "_parameters",
                             lambda *args: full.append(None)
-                            or moment_params(*args))
+                            or parameters(*args))
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            phase = _span_phase(moments, cov, 1)
+            phase, terms = _span_phase(moments, cov, 1)
         span_clips = len(caplog.messages)
         assert len(full) == reads_all
+        # the terms it gated with, for the caller's final readout
+        for got, want in zip(terms, _covariance_terms(cov)[0], strict=True):
+            assert got.tobytes() == want.tobytes()
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
             params, fault = moment_params(moments, cov)
@@ -289,7 +300,7 @@ class TestSpanPhase:
         for index, bad in faults.items():
             cov[index] = bad
         with pytest.raises(TruncationError) as expected:
-            _transported_params(moments, cov, 97, "transported state")
+            _gated(moment_params(moments, cov)[1], 97, "transported state")
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
             with pytest.raises(TruncationError) as raised:
                 _span_phase(moments, cov, 97)
@@ -297,6 +308,28 @@ class TestSpanPhase:
         assert f"at repetition {97 + min(faults)}: " in str(raised.value)
         # the gate runs before the clip check, as in moment_params
         assert caplog.messages == []
+
+
+class TestClipWarnings:
+    @pytest.mark.parametrize("state_kind", ["coherent", "squeezed_vacuum"])
+    @pytest.mark.parametrize("reps", [1, 8, 200, 385])
+    def test_one_warning_per_repetition_and_one_for_mode_mixing(
+            self, reps, state_kind, caplog, monkeypatch):
+        # every transported covariance clipped but physical: each repetition
+        # and the mode-mixing-only state log one clip, none is logged twice
+        clipped = squeezed_vacuum(1e8).covariance
+        row_moments = clock.row_moments
+
+        def clipping(rows, state):
+            moments, cov = row_moments(rows, state)
+            return moments, np.broadcast_to(clipped, cov.shape)
+
+        monkeypatch.setattr(clock, "row_moments", clipping)
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
+                                    n_max=12, state_kind=state_kind))
+        assert len(caplog.messages) == reps + 1
+        assert all("artanh boundary" in m for m in caplog.messages)
 
 
 class TestTruncationArtifact:
@@ -339,8 +372,6 @@ class TestSweep:
             sweep(base, "chirality", [1.0])
 
     def test_grid_value_too_large_for_a_double_rejected(self, monkeypatch):
-        import cavityclock.clock as clock
-
         ran = []
         monkeypatch.setattr(clock, "run_twin", ran.append)
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
@@ -356,8 +387,6 @@ class TestSweep:
         assert points[2].error is None
 
     def test_programming_errors_propagate(self, monkeypatch):
-        import cavityclock.clock as clock
-
         def broken(config):
             raise TypeError("a bug, not a failed point")
 
@@ -385,7 +414,6 @@ class TestSweep:
         assert max(nonzero) / min(nonzero) > 100
 
     def test_points_run_serially_on_calling_thread(self, monkeypatch):
-        import cavityclock.clock as clock
         calls = []
         real = clock.run_twin
 

@@ -126,8 +126,8 @@ class TestRowPathAgainstFullMapLoop:
     def test_one_readout_per_span(self, monkeypatch):
         # guards the span readout without timing anything: a readout per
         # lane step or per repetition would make 4x to 96x more calls; and
-        # of a displaced state only the last span and the mode-mixing-only
-        # state read every parameter
+        # of a displaced state only the mode-mixing-only state goes through
+        # moment_params, since the spans read the phase alone
         calls, full = [], []
         span_phase, moment_params = clock._span_phase, clock.moment_params
 
@@ -143,7 +143,7 @@ class TestRowPathAgainstFullMapLoop:
         monkeypatch.setattr(clock, "moment_params", counting_full)
         run_twin(lane_config(5000))
         assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
-        assert len(full) == 2
+        assert len(full) == 1
 
 
 class TestPeakAllocation:
