@@ -19,7 +19,7 @@ from .metrology import cramer_rao, phase_qfi, qfi_change_pct
 from .modes import (BasisKind, BogoliubovMap, ModeBasis, dump_map,
                     free_phase_map, junction_map, symplectic_residual,
                     trajectory_map)
-from .trajectory import (RindlerGeometry, Segment, SegmentKind, Trajectory,
+from .trajectory import (RindlerGeometry, Segment, Trajectory,
                          build_twin_trajectory, elapsed_times,
                          final_kinematics, rindler_geometry)
 
@@ -31,7 +31,7 @@ __all__ = [
     "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
     "TruncationError", "UnboundedVarianceError",
     # trajectory
-    "Segment", "SegmentKind", "Trajectory", "RindlerGeometry",
+    "Segment", "Trajectory", "RindlerGeometry",
     "build_twin_trajectory", "rindler_geometry", "elapsed_times",
     "final_kinematics",
     # modes

@@ -130,6 +130,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         theta_a = _number(sc, "theta_a_rad", "scenario")
         if a == 0:
             raise ConfigError("theta_a_rad needs a nonzero acceleration")
+        if clock_mode < 1:  # checked here too, since t_a divides by it
+            raise ConfigError("clock_mode must be >= 1")
         h = abs(a) * L / C**2
         if h >= 2:
             raise ConfigError(f"h = {h:.6g} >= 2")
@@ -388,16 +390,9 @@ def main(argv=None) -> int:
     return _execute(build_parser().parse_args(argv))
 
 
-def run(config_path: str | Path, out: str | Path = ".") -> int:
-    """Programmatic equivalent of `cavityclock twin --config ...`
-    (or `sweep` when the config carries a sweep section)."""
-    return _execute(argparse.Namespace(command=None, config=str(config_path),
-                                       out=str(out)))
-
-
 def _execute(args: argparse.Namespace) -> int:
     """Load the config once, run `args.command` and map errors to exit
-    codes.  A command of None picks `sweep` or `twin` from the config."""
+    codes."""
     try:
         loaded = load_config(args.config) if args.config else None
     except json.JSONDecodeError as exc:
@@ -410,24 +405,21 @@ def _execute(args: argparse.Namespace) -> int:
         print(f"config validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    command = args.command
     try:
-        if command == "check":
+        if args.command == "check":
             return _cmd_check(args, loaded)
         if loaded is None:
             print("this subcommand needs --config", file=sys.stderr)
             return EXIT_VALIDATION
-        if command is None:
-            command = "sweep" if loaded.sweep_spec is not None else "twin"
-        if command == "twin":
+        if args.command == "twin":
             return _cmd_twin(args, loaded)
-        if command == "sweep":
+        if args.command == "sweep":
             return _cmd_sweep(args, loaded)
-        if command == "qfi":
+        if args.command == "qfi":
             return _cmd_qfi(args, loaded)
-        if command == "bogo":
+        if args.command == "bogo":
             return _cmd_bogo(args, loaded)
-        raise AssertionError(f"unhandled command {command}")
+        raise AssertionError(f"unhandled command {args.command}")
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

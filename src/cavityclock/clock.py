@@ -47,8 +47,8 @@ from .gauss import (GaussianParams, GaussianState, _covariance_terms,
                     _parameters, _remainder, coherent, embed, extract_params,
                     moment_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
-from .modes import (_block_symplectic, _bogoliubov, _map_power,
-                    gated_residual, symplectic_matrix)
+from .modes import (_TRUSTED_MARGIN, _block_symplectic, _bogoliubov,
+                    _map_power, gated_residual, symplectic_matrix)
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
     rindler_geometry
 
@@ -124,10 +124,10 @@ class ScenarioConfig:
             raise ValidationError(f"unknown state kind {self.state_kind!r}")
         if self.clock_mode < 1:
             raise ValidationError("clock_mode must be >= 1")
-        if self.clock_mode + 4 > self.n_max:
+        if self.clock_mode + _TRUSTED_MARGIN > self.n_max:
             raise ValidationError(
-                f"need clock_mode + 4 <= n_max for a trusted interior block, "
-                f"got k={self.clock_mode}, n_max={self.n_max}")
+                f"need clock_mode + {_TRUSTED_MARGIN} <= n_max for a trusted "
+                f"interior block, got k={self.clock_mode}, n_max={self.n_max}")
         if self.h >= 2:
             raise HorizonError(
                 f"cavity intersects the Rindler horizon: h = {self.h:.6g} >= 2")

@@ -362,10 +362,13 @@ def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, floa
     return float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
 
 
+_TRUSTED_MARGIN = 4  # modes above the clock mode in its trusted block
+
+
 def _trusted_interior(clock_mode: int, n_max: int) -> int:
-    """The leading min(clock_mode + 4, n_max) modes are trusted for the
-    1-based `clock_mode`: the size of the block the residuals are read on."""
-    return min(clock_mode + 4, n_max)
+    """The leading min(clock_mode + _TRUSTED_MARGIN, n_max) modes are
+    trusted for the 1-based `clock_mode`: the block residuals are read on."""
+    return min(clock_mode + _TRUSTED_MARGIN, n_max)
 
 
 def gated_residual(bmap: BogoliubovMap, clock_mode: int, gate: float | None,

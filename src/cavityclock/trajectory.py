@@ -1,10 +1,10 @@
 """Piecewise clock trajectories and the Rindler geometry of a rigid cavity.
 
-A trajectory is an ordered list of segments, each either inertial or at
-constant proper acceleration, with durations given as proper time at the
-cavity center.  This module does purely classical special-relativistic
-bookkeeping in SI units (seconds, meters, m/s^2); the field-mode machinery
-lives in :mod:`cavityclock.modes`.
+A trajectory is an ordered list of segments, each at a constant proper
+acceleration (zero for an inertial coast), with durations given as proper
+time at the cavity center.  This module does purely classical
+special-relativistic bookkeeping in SI units (seconds, meters, m/s^2); the
+field-mode machinery lives in :mod:`cavityclock.modes`.
 
 Sign convention: proper_acceleration > 0 accelerates toward +x.  A rigid
 cavity of length L accelerating at a sits at Rindler coordinates
@@ -17,23 +17,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 from .constants import C
 from .errors import HorizonError, ValidationError
 
 
-class SegmentKind(Enum):
-    INERTIAL = "inertial"
-    ACCELERATED = "accelerated"
-
-
 @dataclass(frozen=True)
 class Segment:
     """One piece of a trajectory: proper duration at the cavity center (s)
-    and signed proper acceleration (m/s^2, zero for inertial segments)."""
+    and signed proper acceleration (m/s^2); it is inertial exactly when the
+    acceleration is zero."""
 
-    kind: SegmentKind
     proper_duration: float
     proper_acceleration: float = 0.0
 
@@ -46,9 +40,6 @@ class Segment:
         if not abs(self.proper_acceleration) <= sys.float_info.max:
             raise ValidationError(f"proper_acceleration must be finite, "
                                   f"got {self.proper_acceleration}")
-        if self.kind is SegmentKind.INERTIAL and self.proper_acceleration != 0.0:
-            raise ValidationError(
-                "inertial segment must have zero proper acceleration")
 
 
 @dataclass(frozen=True)
@@ -89,14 +80,13 @@ def build_twin_trajectory(t_a: float, t_i: float, repetitions: int,
         raise ValidationError(f"t_a must be > 0, got {t_a}")
     if t_i < 0:
         raise ValidationError(f"t_i must be >= 0, got {t_i}")
-    acc = SegmentKind.ACCELERATED
-    coast = Segment(SegmentKind.INERTIAL, float(t_i))
+    coast = Segment(float(t_i))
     block = (
-        Segment(acc, float(t_a), float(a)),
+        Segment(float(t_a), float(a)),
         coast,
-        Segment(acc, 2.0 * float(t_a), -float(a)),
+        Segment(2.0 * float(t_a), -float(a)),
         coast,
-        Segment(acc, float(t_a), float(a)),
+        Segment(float(t_a), float(a)),
     )
     return Trajectory(block, repetitions)
 

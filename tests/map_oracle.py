@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from cavityclock import (BasisKind, BogoliubovMap, C, ModeBasis, SegmentKind,
-                         Trajectory, free_phase_map, junction_map)
+from cavityclock import (BasisKind, BogoliubovMap, C, ModeBasis, Trajectory,
+                         free_phase_map, junction_map)
 
 
 def parity_conjugate(bmap: BogoliubovMap) -> BogoliubovMap:
@@ -42,7 +42,7 @@ def segment_map(seg, mink: ModeBasis, L: float, n_max: int, tol: float,
     """inverse(junction) ∘ rindler_free ∘ junction for an accelerated
     segment, Minkowski free evolution for an inertial one."""
     a = seg.proper_acceleration
-    if seg.kind is SegmentKind.INERTIAL or a == 0.0:
+    if a == 0.0:
         return free_phase_map(mink, C * seg.proper_duration)
     h = abs(a) * L / C**2
     junction = jcache.get(h)

@@ -12,8 +12,7 @@ import cavityclock
 import cavityclock.cli as cli
 from cavityclock import BogoliubovMap
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
-                             EXIT_VALIDATION, config_digest, load_config, main,
-                             run)
+                             EXIT_VALIDATION, config_digest, load_config, main)
 
 
 def base_config(**scenario_overrides):
@@ -180,6 +179,17 @@ class TestConfigLoading:
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert "must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clock_mode", [0, -2])
+    def test_theta_a_with_non_positive_clock_mode_exit_code(
+            self, tmp_path, capsys, clock_mode):
+        # t_a is derived by dividing by clock_mode
+        doc = base_config(clock_mode=clock_mode, theta_a_rad=1.0)
+        del doc["scenario"]["t_a_s"]
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "clock_mode must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("output", ["results", ["prefix"], 3])
     def test_non_object_output_exit_code(self, tmp_path, output):
         doc = base_config()
@@ -264,11 +274,6 @@ class TestTwinCommand:
                      "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert "increase n_max" in capsys.readouterr().err
 
-    def test_run_helper_dispatches_twin(self, tmp_path):
-        config = write_config(tmp_path, base_config())
-        assert run(config, out=tmp_path) == EXIT_OK
-        assert (tmp_path / "test_results.csv").exists()
-
     def test_run_helper_loads_config_once(self, tmp_path, monkeypatch):
         calls = []
         real = cli.load_config
@@ -280,7 +285,9 @@ class TestTwinCommand:
         monkeypatch.setattr(cli, "load_config", counting)
         doc = base_config()
         doc["sweep"] = {"vary": "L", "grid": [0.011]}
-        assert run(write_config(tmp_path, doc), out=tmp_path) == EXIT_OK
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 1
         assert len(read_rows(tmp_path / "test_results.csv")) == 1
 

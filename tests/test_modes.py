@@ -8,10 +8,9 @@ from conftest import random_symplectic_map
 from kg_oracle import Mode, kg_inner_product, mode_value
 from map_oracle import compose_chain_map
 from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
-                         Segment, SegmentKind, Trajectory, ValidationError,
-                         apply_reduced, coherent, dump_map, free_phase_map,
-                         junction_map, rindler_geometry,
-                         symplectic_residual, trajectory_map)
+                         Segment, Trajectory, ValidationError, apply_reduced,
+                         coherent, dump_map, free_phase_map, junction_map,
+                         rindler_geometry, symplectic_residual, trajectory_map)
 
 
 def minkowski_basis(L=1.0, n_max=8):
@@ -277,19 +276,18 @@ class TestComposeInverse:
 
 
 def twin_block(t_a, t_i, a, repetitions=1):
-    acc, iner = SegmentKind.ACCELERATED, SegmentKind.INERTIAL
     return Trajectory((
-        Segment(acc, t_a, a),
-        Segment(iner, t_i),
-        Segment(acc, 2 * t_a, -a),
-        Segment(iner, t_i),
-        Segment(acc, t_a, a),
+        Segment(t_a, a),
+        Segment(t_i),
+        Segment(2 * t_a, -a),
+        Segment(t_i),
+        Segment(t_a, a),
     ), repetitions)
 
 
 class TestTrajectoryMap:
     def test_all_inertial_equals_free_map(self):
-        traj = Trajectory((Segment(SegmentKind.INERTIAL, 2e-9),), 3)
+        traj = Trajectory((Segment(2e-9),), 3)
         tmap = trajectory_map(traj, 0.5, 6)
         free = free_phase_map(minkowski_basis(0.5, 6), C * 6e-9)
         assert np.max(np.abs(tmap.alpha - free.alpha)) < 1e-12
@@ -352,10 +350,9 @@ class TestTrajectoryMap:
 def reordered_block(t_a, t_i, a):
     """Not a twin block: a coast first, both signs of a, one of them at two
     durations, and an accelerated segment repeated after a coast."""
-    acc, iner = SegmentKind.ACCELERATED, SegmentKind.INERTIAL
-    return (Segment(iner, t_i), Segment(acc, 0.5 * t_a, -a),
-            Segment(acc, t_a, a), Segment(iner, 2 * t_i),
-            Segment(acc, 0.5 * t_a, -a), Segment(acc, 0.25 * t_a, a))
+    return (Segment(t_i), Segment(0.5 * t_a, -a),
+            Segment(t_a, a), Segment(2 * t_i),
+            Segment(0.5 * t_a, -a), Segment(0.25 * t_a, a))
 
 
 class TestTrajectoryMapAgainstComposeChain:

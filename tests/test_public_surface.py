@@ -1,4 +1,22 @@
 import cavityclock
+import cavityclock.cli as cli
+from cavityclock import Segment
+
+EXPORTS = [
+    "C", "G_NEWTON", "__version__",
+    "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
+    "TruncationError", "UnboundedVarianceError",
+    "Segment", "Trajectory", "RindlerGeometry", "build_twin_trajectory",
+    "rindler_geometry", "elapsed_times", "final_kinematics",
+    "BasisKind", "ModeBasis", "BogoliubovMap", "junction_map",
+    "free_phase_map", "trajectory_map", "symplectic_residual", "dump_map",
+    "GaussianState", "GaussianParams", "vacuum", "coherent",
+    "squeezed_vacuum", "embed", "apply_reduced", "apply_full",
+    "partial_trace", "extract_params",
+    "phase_qfi", "cramer_rao", "qfi_change_pct",
+    "ScenarioConfig", "ScenarioResult", "SweepPoint", "classical_cavity_ratio",
+    "run_twin", "sweep", "schwarzschild_acceleration", "near_horizon_geometry",
+]
 
 
 def test_star_import_resolves_every_export():
@@ -8,3 +26,18 @@ def test_star_import_resolves_every_export():
     assert len(exported) == len(set(exported))
     for name in exported:
         assert namespace[name] is getattr(cavityclock, name)
+
+
+def test_exports_are_exactly_the_pinned_list():
+    # a change to the public surface must show as a change to this list
+    assert cavityclock.__all__ == EXPORTS
+
+
+def test_cli_has_one_entry_point():
+    assert not hasattr(cli, "run")
+
+
+def test_segment_is_inertial_by_default():
+    seg = Segment(1e-9)
+    assert seg.proper_acceleration == 0.0
+    assert not hasattr(seg, "kind")
