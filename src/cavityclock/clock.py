@@ -11,13 +11,15 @@ symplectic matrix obeys S_k(r + m) = S_k(r) S_B^m for any m, and the
 clock-mode readout needs nothing else.  `run_twin` keeps the row pairs of
 M consecutive repetitions as lanes: the powers S_B^r = S_B^(r-1) S_B for
 r = 1..M fill them and end at H = S_B^M, then one (2M x 2n) by (2n x 2n)
-product with H moves every lane forward by M repetitions.  Each lane's row
-pair carries the initial state, embedded at mode k of a vacuum register, to
-the clock mode's moments and covariance (`gauss.row_moments`), all that is
-kept per repetition; the readout runs vectorized once per span of them.
-Every span reads only the phase (`_span_phase`): the physicality gate and
-clip warnings, then atan2(p, q) when every entry is displaced; qfi_after
-comes from the covariance terms the last span was gated with.
+product with H, written into a second lane buffer, moves every lane forward
+by M repetitions.  Each lane's row pair carries the initial state, placed at
+mode k of a vacuum register, to the clock mode's moments and covariance
+(`gauss.row_moments`, which never builds the 2n x 2n vacuum covariance),
+written straight into the span buffers: all that is kept per repetition.
+The readout runs vectorized once per span of them.  Every span reads only
+the phase (`_span_phase`): the physicality gate and clip warnings, then
+atan2(p, q) when every entry is displaced; qfi_after comes from the last
+entry of the covariance terms the last span was gated with.
 The map is built, powered and fed to the lanes as the real symplectic
 matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
 residual gates and the mode-mixing-only rows need (alpha, beta), recovered
@@ -44,7 +46,7 @@ from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
 from .gauss import (GaussianParams, GaussianState, _covariance_terms,
-                    _parameters, _remainder, coherent, embed, extract_params,
+                    _parameters, _remainder, coherent, extract_params,
                     moment_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _block_symplectic, _bogoliubov,
@@ -122,6 +124,14 @@ class ScenarioConfig:
                 f"information), got {self.mean_n}")
         if self.state_kind not in ("coherent", "squeezed_vacuum"):
             raise ValidationError(f"unknown state kind {self.state_kind!r}")
+        # the initial state's phase QFI (`phase_qfi`'s anchors) must be
+        # finite; below that bound the state itself is finite too
+        n = self.mean_n
+        qfi = 4.0 * n if self.state_kind == "coherent" else 8.0 * n * (n + 1.0)
+        if not qfi <= sys.float_info.max:
+            raise ValidationError(
+                f"mean_n {n!r} gives a {self.state_kind} state whose phase "
+                f"QFI is not finite")
         if self.clock_mode < 1:
             raise ValidationError("clock_mode must be >= 1")
         if self.clock_mode + _TRUSTED_MARGIN > self.n_max:
@@ -167,10 +177,13 @@ class ScenarioResult:
 
 # Lanes advanced per matrix product, and repetitions per vectorized
 # readout; _SPAN is a multiple of _LANES so every span ends on a lane step.
-# The buffers stay _LANES x 2 x 2 n_max and _SPAN x 6 floats whatever the
-# repetition count.
+# The buffers stay two lane buffers and one work buffer of _LANES x 2 x
+# 2 n_max floats, and span buffers of _SPAN x 6 floats, whatever the
+# repetition count.  336 is the widest multiple of _LANES whose readout
+# stays below the peak allocation of the junction quadrature, for a
+# coherent state at n_max 24: 360 would raise the peak of a call.
 _LANES = 24
-_SPAN = 192
+_SPAN = 336
 
 
 def _read_phase(params: GaussianParams):
@@ -255,12 +268,13 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     # within 6e-13 relative of the full-map loop this way, 1.5e-12 with
     # squaring.
     lanes = np.empty((min(_LANES, reps), 2, 2 * n_max))
-    step = np.eye(2 * n_max)
-    for lane in lanes:
+    step = s_block
+    lanes[0] = step[2 * k - 2:2 * k]
+    for lane in lanes[1:]:
         step = step @ s_block
         lane[...] = step[2 * k - 2:2 * k]
     del s_block
-    embedded = embed(state0, n_max, k)
+    ahead, work = np.empty_like(lanes), np.empty_like(lanes)
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
     series = np.empty(reps)
@@ -268,20 +282,25 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         count = min(_SPAN, reps - start)
         for offset in range(0, count, len(lanes)):
             if start or offset:
-                lanes = (lanes.reshape(-1, 2 * n_max) @ step).reshape(
-                    lanes.shape)
-            rows = lanes[:count - offset]
-            end = offset + len(rows)
-            moments[offset:end], cov[offset:end] = row_moments(rows, embedded)
+                np.matmul(lanes.reshape(-1, 2 * n_max), step,
+                          out=ahead.reshape(-1, 2 * n_max))
+                lanes, ahead = ahead, lanes
+            end = min(offset + len(lanes), count)
+            row_moments(lanes[:end - offset], state0, k,
+                        out=(moments[offset:end], cov[offset:end]),
+                        work=work[:end - offset])
         wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1)
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series[start:start + count] = theta_alice - theta
+    del lanes, ahead, work, step
     theta_full = float(theta[-1])
-    qfi_after = phase_qfi(_last(_parameters(moments[:count], terms)))
+    # qfi_after reads the last of the span's count entries alone
+    qfi_after = phase_qfi(_last(_parameters(
+        moments[count - 1:count], [term[-1:] for term in terms])))
 
-    params_mm, fault = moment_params(*row_moments(mm_rows[None], embedded))
+    params_mm, fault = moment_params(*row_moments(mm_rows[None], state0, k))
     _gated(fault, reps, "mode-mixing-only state")
     params_mm = _last(params_mm)
     qfi_after_mm = phase_qfi(params_mm)

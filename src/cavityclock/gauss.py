@@ -5,9 +5,11 @@ Quadratures are X_{2n-1} = (a_n + a_n†)/2 and X_{2n} = -i(a_n - a_n†)/2, so
 the vacuum covariance is I/4 and moments are ordered (q1, p1, q2, p2, ...).
 One mode is transported by its row pair R of the real symplectic matrix:
 its moments after the map are R f and R sigma Rᵀ for the multimode state
-(f, sigma) before it (`row_moments`).  `apply_reduced` embeds a single-mode
-state at the tracked mode of a vacuum register (`embed`); use `apply_full` +
-`partial_trace` when the other modes do not start in vacuum.
+(f, sigma) before it (`row_moments`).  `row_moments` and `apply_reduced`
+take a single-mode state at the tracked mode k of a vacuum register, whose
+covariance is I/4 outside mode k's 2 x 2 block, so R sigma is R/4 with two
+columns replaced and the 2N x 2N covariance is never built; use
+`apply_full` + `partial_trace` when the other modes do not start in vacuum.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 logger = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+_VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
 
 
 def _remainder(x, y: float):
@@ -99,13 +102,17 @@ def squeezed_vacuum(mean_n: float, angle: float = 0.0) -> GaussianState:
     return GaussianState(np.zeros(2), cov)
 
 
-def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
-    """Place a single-mode state at mode k (1-based) of an otherwise vacuum
-    `mode_count`-mode register."""
+def _check_embedding(state: GaussianState, mode_count: int, k: int) -> None:
     if state.mode_count != 1:
         raise ValidationError("embed expects a single-mode state")
     if not 1 <= k <= mode_count:
         raise ValidationError(f"mode index {k} outside [1, {mode_count}]")
+
+
+def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
+    """Place a single-mode state at mode k (1-based) of an otherwise vacuum
+    `mode_count`-mode register."""
+    _check_embedding(state, mode_count, k)
     f = np.zeros(2 * mode_count)
     c = 0.25 * np.eye(2 * mode_count)
     i = 2 * (k - 1)
@@ -114,32 +121,53 @@ def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
     return GaussianState(f, c)
 
 
-def row_moments(rows: np.ndarray,
-                state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
+                work: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Moments of one mode after maps whose row pairs of the symplectic
-    matrix are `rows` (shape (..., 2, 2N)), applied to the N-mode `state`:
-    moments' = R f and sigma' = R sigma Rᵀ, over any leading batch axes.
+    matrix are `rows` (shape (..., 2, 2N)), applied to the single-mode
+    `state` placed at mode k (1-based) of an N-mode vacuum register (f,
+    sigma): moments' = R f and sigma' = R sigma Rᵀ, over any leading batch
+    axes.  R sigma is R/4 with mode k's two columns replaced by R_k sigma_k
+    (nothing to replace when sigma_k is the vacuum's I/4), entry for entry
+    the dense product, so sigma is never built.
+
+    `out` = (moments, cov), contiguous buffers of shapes (..., 2) and
+    (..., 2, 2), and `work`, shaped like `rows` (it holds R sigma), are
+    written in place like numpy's out=; each is allocated when not given.
     sigma' is symmetric up to rounding; its consumers (`GaussianState`,
     `moment_params`) symmetrize."""
+    i = 2 * k - 2
     flat = rows.reshape(-1, rows.shape[-1])
-    moments = (flat @ state.first_moments).reshape(rows.shape[:-1])
-    half = (flat @ state.covariance).reshape(rows.shape)
-    return moments, half @ np.swapaxes(rows, -1, -2)
+    moments, cov = out if out is not None else (
+        np.empty(rows.shape[:-1]), np.empty(rows.shape[:-1] + (2,)))
+    # R f over all 2N columns: from R_k f_k alone the sum rounds differently
+    f = np.zeros(rows.shape[-1])
+    f[i:i + 2] = state.first_moments
+    np.matmul(flat, f, out=moments.reshape(-1))
+    work = np.multiply(rows, 0.25, out=work)
+    # a coherent state's sigma_k is I/4, and R/4 already holds R_k sigma_k
+    if state.covariance.tolist() != _VACUUM_COVARIANCE:
+        np.matmul(flat[:, i:i + 2], state.covariance,
+                  out=work.reshape(flat.shape)[:, i:i + 2])
+    # work and rows are separate buffers: numpy would route rows @ rowsᵀ to
+    # a symmetric rank-k update, whose rounding differs
+    return moments, np.matmul(work, rows.swapaxes(-1, -2), out=cov)
 
 
 def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
                   residual_gate: float | None = 1e-4) -> GaussianState:
     """Evolution of mode k (1-based) with all other modes in vacuum: row
-    pair k of the map applied to `state` embedded at mode k (`row_moments`).
-    When `residual_gate` is set, the map must pass `gated_residual` for mode
-    k (truncation would silently corrupt the vacuum noise); None skips the
-    residual entirely.
+    pair k of the map applied to the single-mode `state` placed at mode k
+    (`row_moments`).  When `residual_gate` is set, the map must pass
+    `gated_residual` for mode k (truncation would silently corrupt the
+    vacuum noise); None skips the residual entirely.
     """
-    embedded = embed(state, bmap.n_max, k)
+    _check_embedding(state, bmap.n_max, k)
     if residual_gate is not None:
         gated_residual(bmap, k, residual_gate, "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
-    return GaussianState(*row_moments(rows, embedded))
+    return GaussianState(*row_moments(rows, state, k))
 
 
 def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
@@ -184,10 +212,11 @@ def _covariance_terms(cov: np.ndarray):
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
-    not_pd = (s11 <= 0) | (s22 <= 0) | (det <= 0)
+    # negated comparisons, so that a NaN entry fails the gate
+    not_pd = ~(s11 > 0) | ~(s22 > 0) | ~(det > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         purity = 1.0 / (4.0 * np.sqrt(det))
-    bad = np.flatnonzero(not_pd | (purity > 1.0 + 1e-9))
+    bad = np.flatnonzero(not_pd | ~(purity <= 1.0 + 1e-9))
     if bad.size:
         i = int(bad[0])
         if np.ravel(not_pd)[i]:

@@ -282,7 +282,8 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     An accelerated segment is S_J^-1 rot(Omega eta) S_J for the junction
     S_J at its h, in the segment's instantaneous rest frame; a coast turns
     the row pairs of the running product, which starts from the first
-    segment.  Each distinct accelerated segment is built once per call.
+    segment, and a zero-length coast after the first segment is skipped.
+    Each distinct accelerated segment is built once per call.
     """
     if L <= 0:
         raise ValidationError(f"cavity length must be > 0, got {L}")
@@ -293,6 +294,8 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     for seg in traj.segments:
         a = seg.proper_acceleration
         if a == 0.0:
+            if seg.proper_duration == 0.0 and block is not None:
+                continue  # a turn by cos 0 and sin 0 changes nothing
             phases = omegas * (C * seg.proper_duration)
             block = _rotate_rows(np.eye(2 * n_max) if block is None else block,
                                  np.cos(phases), np.sin(phases))

@@ -190,6 +190,22 @@ class TestConfigLoading:
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert "clock_mode must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, mean_n", [("coherent", 1e308),
+                                              ("squeezed_vacuum", 1e200),
+                                              ("squeezed_vacuum", 1e308)])
+    def test_state_without_finite_qfi_exit_code(self, tmp_path, capsys, kind,
+                                                mean_n):
+        # finite mean_n, but an inf or NaN QFI, or an OverflowError while
+        # the squeezed state is built
+        doc = base_config()
+        doc["scenario"]["state"] = {"kind": kind, "mean_n": mean_n,
+                                    "theta0_rad": 0.0}
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "QFI is not finite" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_results.csv"))
+
     @pytest.mark.parametrize("output", ["results", ["prefix"], 3])
     def test_non_object_output_exit_code(self, tmp_path, output):
         doc = base_config()

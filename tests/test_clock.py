@@ -8,7 +8,7 @@ import pytest
 from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          TruncationError, ValidationError, apply_reduced,
                          classical_cavity_ratio, coherent, extract_params,
-                         near_horizon_geometry, run_twin,
+                         near_horizon_geometry, phase_qfi, run_twin,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
                          trajectory_map, vacuum)
 import cavityclock.clock as clock
@@ -70,6 +70,24 @@ class TestScenarioConfig:
     def test_zero_energy_clock_rejected(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, mean_n=0.0)
+
+    @pytest.mark.parametrize("kind, mean_n", [("coherent", 1e308),
+                                              ("squeezed_vacuum", 1e200),
+                                              ("squeezed_vacuum", 1e308)])
+    def test_state_without_finite_qfi_rejected(self, kind, mean_n):
+        # finite inputs whose state overflows: an inf or NaN QFI, or an
+        # OverflowError while the squeezed state is built
+        with pytest.raises(ValidationError, match="QFI is not finite"):
+            ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, state_kind=kind,
+                           mean_n=mean_n)
+
+    @pytest.mark.parametrize("kind, mean_n", [("coherent", 4e307),
+                                              ("squeezed_vacuum", 1e150)])
+    def test_largest_states_with_finite_qfi_accepted(self, kind, mean_n):
+        config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1,
+                                state_kind=kind, mean_n=mean_n)
+        qfi = phase_qfi(extract_params(config.initial_state()))
+        assert math.isfinite(qfi)
 
     @pytest.mark.parametrize("field", [
         dict(t_a=math.nan), dict(t_i=math.nan), dict(t_i=math.inf),
@@ -309,6 +327,34 @@ class TestSpanPhase:
         # the gate runs before the clip check, as in moment_params
         assert caplog.messages == []
 
+    @pytest.mark.parametrize("kind", list(SPANS))
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+    def test_nan_covariance_fails_the_gate(self, kind, entry):
+        # every comparison with NaN is False, so the gate must fail closed
+        moments, cov = span(SPANS[kind][0])
+        cov[5][entry] = math.nan
+        with pytest.raises(TruncationError,
+                           match="repetition 102: .*not positive definite"):
+            _span_phase(moments, cov, 97)
+        assert moment_params(moments, cov)[1][0] == 5
+
+
+class TestQfiAfter:
+    @pytest.mark.parametrize("reps", [1, 25, 600])
+    def test_reads_the_last_entry_alone(self, reps, monkeypatch):
+        # of a displaced state the spans read only the phase, so the one
+        # full parameter readout is qfi_after's, on the last entry alone
+        sizes = []
+        parameters = clock._parameters
+
+        def recording(moments, terms):
+            sizes.append((len(moments), {len(term) for term in terms}))
+            return parameters(moments, terms)
+
+        monkeypatch.setattr(clock, "_parameters", recording)
+        run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps, n_max=12))
+        assert sizes == [(1, {1})]
+
 
 class TestClipWarnings:
     @pytest.mark.parametrize("state_kind", ["coherent", "squeezed_vacuum"])
@@ -320,9 +366,10 @@ class TestClipWarnings:
         clipped = squeezed_vacuum(1e8).covariance
         row_moments = clock.row_moments
 
-        def clipping(rows, state):
-            moments, cov = row_moments(rows, state)
-            return moments, np.broadcast_to(clipped, cov.shape)
+        def clipping(rows, state, k, out=None, work=None):
+            moments, cov = row_moments(rows, state, k, out=out, work=work)
+            cov[...] = clipped  # the caller reads its out buffers
+            return moments, cov
 
         monkeypatch.setattr(clock, "row_moments", clipping)
         with caplog.at_level(logging.WARNING, logger="cavityclock"):

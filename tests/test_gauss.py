@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_passive_map, random_symplectic_map
+from transport_oracle import dense_row_moments
 from cavityclock import (BasisKind, BogoliubovMap, ModeBasis, TruncationError,
                          ValidationError, apply_full, apply_reduced, coherent,
                          embed, extract_params, free_phase_map, junction_map,
                          partial_trace, squeezed_vacuum, vacuum)
 from cavityclock.gauss import GaussianParams, GaussianState, _remainder, \
-    moment_params
+    moment_params, row_moments
 
 
 def mean_photon_number(state: GaussianState) -> float:
@@ -212,6 +213,42 @@ class TestRemainder:
             [0.0, -0.0, period, -period, 0.5 * period, 1.5 * period]])
         expected = [math.remainder(v, period) for v in x]
         np.testing.assert_array_equal(_remainder(x, period), expected)
+
+
+class TestRowMoments:
+    """The sparse transport against the dense one it replaced."""
+
+    @pytest.mark.parametrize("state", [coherent(1.7, -2.1),
+                                       squeezed_vacuum(3.0, 0.4),
+                                       squeezed_vacuum(0.2, -2.9)])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (3, 4, 2)])
+    def test_bit_identical_to_dense_transport(self, state, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        for n, k in [(6, 1), (6, 6), (24, 1), (24, 9)]:
+            # rows spanning many magnitudes, as repeated maps produce
+            rows = rng.normal(size=shape + (2 * n,)) * 10.0 ** rng.uniform(
+                -4, 4, size=shape + (2 * n,))
+            want = dense_row_moments(rows, state, k)
+            got = row_moments(rows, state, k)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_writes_into_given_buffers(self):
+        rng = np.random.default_rng(3)
+        state = squeezed_vacuum(2.0, 1.1)
+        rows = rng.normal(size=(5, 2, 16))
+        moments, cov = np.full((8, 2), np.nan), np.full((8, 2, 2), np.nan)
+        work = np.empty((8, 2, 16))
+        got = row_moments(rows, state, 3, out=(moments[2:7], cov[2:7]),
+                          work=work[:5])
+        assert got[0].base is moments and got[1].base is cov
+        want = dense_row_moments(rows, state, 3)
+        assert moments[2:7].tobytes() == want[0].tobytes()
+        assert cov[2:7].tobytes() == want[1].tobytes()
+        # entries outside the given slices stay untouched
+        assert np.isnan(moments[[0, 1, 7]]).all()
+        assert np.isnan(cov[[0, 1, 7]]).all()
 
 
 class TestApplyReduced:

@@ -11,6 +11,7 @@ from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
                          Segment, Trajectory, ValidationError, apply_reduced,
                          coherent, dump_map, free_phase_map, junction_map,
                          rindler_geometry, symplectic_residual, trajectory_map)
+import cavityclock.modes as modes
 
 
 def minkowski_basis(L=1.0, n_max=8):
@@ -283,6 +284,29 @@ def twin_block(t_a, t_i, a, repetitions=1):
         Segment(t_i),
         Segment(t_a, a),
     ), repetitions)
+
+
+class TestZeroLengthCoast:
+    def test_skipped_after_the_first_segment(self, monkeypatch):
+        # a t_i = 0 coast would turn every row pair by cos 0 and sin 0
+        calls = []
+        rotate = modes._rotate_rows
+        monkeypatch.setattr(modes, "_rotate_rows",
+                            lambda *args: calls.append(None) or rotate(*args))
+        s_b, _ = modes._block_symplectic(twin_block(1e-9, 0.0, 1.7e15),
+                                         0.011, 12, 1e-12)
+        # one Rindler turn per distinct accelerated segment, none for coasts
+        assert len(calls) == 2
+        without = Trajectory((Segment(1e-9, 1.7e15), Segment(2e-9, -1.7e15),
+                              Segment(1e-9, 1.7e15)), 1)
+        s_ref, _ = modes._block_symplectic(without, 0.011, 12, 1e-12)
+        assert s_b.tobytes() == s_ref.tobytes()
+
+    def test_leading_zero_coast_starts_the_block(self):
+        traj = Trajectory((Segment(0.0), Segment(1e-9)), 1)
+        s, _ = modes._block_symplectic(traj, 0.5, 4, 1e-12)
+        free = free_phase_map(minkowski_basis(0.5, 4), C * 1e-9)
+        assert np.max(np.abs(modes._bogoliubov(s).alpha - free.alpha)) < 1e-15
 
 
 class TestTrajectoryMap:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cavityclock.clock as clock
+import cavityclock.gauss as gauss
 from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
                          apply_full, embed, extract_params, partial_trace,
                          phase_qfi, run_twin, symplectic_residual,
@@ -19,6 +20,7 @@ from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
 from cavityclock.modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
                                _map_power)
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
+from transport_oracle import dense_row_moments
 
 
 def full_transport(bmap: BogoliubovMap, state0, k: int):
@@ -80,9 +82,11 @@ def full_map_loop(config: ScenarioConfig) -> dict:
 
 
 # Repetition counts at the edges of the first lane fill, of a lane step and
-# of a readout span, a few interior counts, and one long run.
+# of a readout span, a few interior counts (191 to 193 and 411 end a span
+# mid-way, on and next to a lane step), and one long run.
 LANE_EDGES = [1, _LANES - 1, _LANES, _LANES + 1, _SPAN - 1, _SPAN, _SPAN + 1,
-              2 * _SPAN + _LANES + 3, 2000, 63, 64, 65, 131]
+              2 * _SPAN + _LANES + 3, 2000, 63, 64, 65, 131, 191, 192, 193,
+              411]
 
 
 def lane_config(reps: int, kind: str = "coherent") -> ScenarioConfig:
@@ -146,15 +150,50 @@ class TestRowPathAgainstFullMapLoop:
         assert len(full) == 1
 
 
+class TestLanesAgainstDenseTransport:
+    @pytest.mark.parametrize("reps", LANE_EDGES)
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
+    def test_moments_bit_identical(self, kind, reps, monkeypatch):
+        # every lane step's moments and covariances, as written into the
+        # span buffers, against the dense transport of the same rows
+        seen = []
+        row_moments = clock.row_moments
+
+        def recording(rows, state, k, out=None, work=None):
+            got = row_moments(rows, state, k, out=out, work=work)
+            seen.append((rows.copy(), state, k, got[0].copy(), got[1].copy()))
+            return got
+
+        monkeypatch.setattr(clock, "row_moments", recording)
+        run_twin(lane_config(reps, kind))
+        # one row pair per repetition, and the mode-mixing-only rows
+        assert sum(len(rows) for rows, *_ in seen) == reps + 1
+        for rows, state, k, moments, cov in seen:
+            want_moments, want_cov = dense_row_moments(rows, state, k)
+            assert moments.tobytes() == want_moments.tobytes()
+            assert cov.tobytes() == want_cov.tobytes()
+
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
+    def test_no_register_is_embedded(self, kind, monkeypatch):
+        # the 2n x 2n vacuum covariance is never built
+        calls = []
+        embed = gauss.embed
+        for module in (gauss, clock):
+            monkeypatch.setattr(module, "embed", lambda *args: calls.append(
+                args) or embed(*args), raising=False)
+        run_twin(lane_config(2 * _SPAN + 1, kind))
+        assert calls == []
+
+
 class TestPeakAllocation:
     def test_peak_does_not_grow_beyond_the_series(self):
         # the lanes and span buffers are sized by _LANES and _SPAN, not by
         # the repetition count: more round trips may add only their 8-byte
-        # series entries.  At these sizes the peak, about 205 KB, sits in
-        # trajectory_map.  A buffer sized by _SPAN is full from 192 round
+        # series entries.  At these sizes the peak sits in the junction
+        # quadrature.  A buffer sized by _SPAN is full from _SPAN round
         # trips on, so it shows only against a run shorter than a span: a
-        # _SPAN x 2 x 2 n_max row buffer lifts the peak at 5000 round trips
-        # about 118 KB above the one at _LANES.
+        # _SPAN x 2 x 2 n_max row buffer would lift the peak at 5000 round
+        # trips well above the one at _LANES.
         def peak(reps):
             config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
                                     repetitions=reps, n_max=24)
