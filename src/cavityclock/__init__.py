@@ -16,9 +16,8 @@ from .gauss import (GaussianParams, GaussianState, apply_full, apply_reduced,
                     coherent, embed, extract_params, partial_trace,
                     squeezed_vacuum, vacuum)
 from .metrology import cramer_rao, phase_qfi, qfi_change_pct
-from .modes import (BasisKind, BogoliubovMap, ModeBasis, dump_map,
-                    free_phase_map, junction_map, symplectic_residual,
-                    trajectory_map)
+from .modes import (BogoliubovMap, dump_map, junction_map,
+                    symplectic_residual, trajectory_map)
 from .trajectory import (RindlerGeometry, Segment, Trajectory,
                          build_twin_trajectory, elapsed_times,
                          final_kinematics, rindler_geometry)
@@ -35,8 +34,8 @@ __all__ = [
     "build_twin_trajectory", "rindler_geometry", "elapsed_times",
     "final_kinematics",
     # modes
-    "BasisKind", "ModeBasis", "BogoliubovMap", "junction_map",
-    "free_phase_map", "trajectory_map", "symplectic_residual", "dump_map",
+    "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
+    "dump_map",
     # gauss
     "GaussianState", "GaussianParams", "vacuum", "coherent",
     "squeezed_vacuum", "embed", "apply_reduced", "apply_full",

@@ -3,9 +3,9 @@ analysis-ready CSV/manifest emission.
 
 Subcommands: `twin` (one scenario), `sweep` (parameter grid), `qfi`
 (initial-state Fisher information), `bogo` (dump the trajectory's Bogoliubov
-map), `check` (invariant self-tests).  Configuration is a single JSON
-document (schema 1, SI units at this boundary); see README for the full
-schema and the fixed CSV column order.
+map), `check` (self-tests of the maps `twin` builds).  Configuration is a
+single JSON document (schema 1, SI units at this boundary); see README for
+the full schema and the fixed CSV column order.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
 4 numerical gate failure.
@@ -33,9 +33,9 @@ from .constants import C
 from .errors import CavityClockError, ValidationError
 from .gauss import extract_params
 from .metrology import cramer_rao, phase_qfi
-from .modes import (BogoliubovMap, _trusted_interior, dump_map,
-                    free_phase_map, gated_residual, junction_map,
-                    symplectic_residual, trajectory_map, ModeBasis, BasisKind)
+from .modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
+                    _junction_pair, _map_power, _trusted_interior, dump_map,
+                    gated_residual, symplectic_residual, trajectory_map)
 from .trajectory import build_twin_trajectory
 
 EXIT_OK = 0
@@ -316,13 +316,15 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
 
 
 def _cmd_check(args, loaded: LoadedConfig | None) -> int:
-    if loaded is not None:
-        h = loaded.scenario.h or 0.01
-        n_max = loaded.scenario.n_max
-        gate = loaded.scenario.residual_gate or 1e-4
-        clock_mode = loaded.scenario.clock_mode
+    """Self-tests of the maps `twin` builds, through the helpers it calls:
+    the junction pair (S_J, S_J^-1) at the config's h and `quadrature_tol`
+    and, with a config, the block map S_B and S_B^reps."""
+    c = loaded.scenario if loaded is not None else None
+    if c is not None:
+        h, n_max, tol = c.h or 0.01, c.n_max, c.quadrature_tol
+        gate, clock_mode = c.residual_gate or 1e-4, c.clock_mode
     else:
-        h, n_max, gate, clock_mode = 0.01, 20, 1e-4, 1
+        h, n_max, tol, gate, clock_mode = 0.01, 20, 1e-12, 1e-4, 1
     interior = _trusted_interior(clock_mode, n_max)
     failures = 0
 
@@ -336,22 +338,30 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     ident = BogoliubovMap.identity(n_max)
     report("identity map", *symplectic_residual(ident, interior), 0.0)
 
-    basis = ModeBasis(BasisKind.MINKOWSKI, 0.0, 1.0, n_max)
-    free = free_phase_map(basis, 0.37)
-    report("free phase map", *symplectic_residual(free, interior), 1e-15)
+    s_j, s_j_inv = _junction_pair(h, n_max, tol)
+    eps = symplectic_residual(_bogoliubov(s_j), interior)
+    report(f"junction map (h={h:g})", *eps, gate)
 
-    junction = junction_map(h, n_max)
-    report(f"junction map (h={h:g})",
-           *symplectic_residual(junction, interior), gate)
-
-    roundtrip = junction.inverse().compose(junction)
-    block = np.s_[:interior, :interior]
-    dev = float(np.max(np.abs(roundtrip.alpha[block] - np.eye(interior)))
-                + np.max(np.abs(roundtrip.beta[block])))
-    ok = dev <= max(10 * gate, 1e-8)
+    # S_J^-1 S_J = I up to the truncation the junction's residual shows
+    block = np.s_[:2 * interior, :2 * interior]
+    dev = float(np.max(np.abs((s_j_inv @ s_j)[block]
+                              - np.eye(2 * interior))))
+    limit = 2 * max(eps) + 1e-14
+    ok = dev <= limit
     failures += 0 if ok else 1
     print(f"{'PASS' if ok else 'FAIL'} junction inverse roundtrip "
-          f"({interior}x{interior} interior): deviation={dev:.3e}")
+          f"({interior}x{interior} interior): deviation={dev:.3e} "
+          f"(limit {limit:.1e})")
+
+    if c is not None:
+        # the residuals `run_twin` gates, on maps built the way it builds them
+        traj = build_twin_trajectory(c.t_a, c.t_i, 1, c.a)
+        s_block, product = _block_symplectic(traj, c.L, n_max, tol)
+        s_final = _map_power(s_block, c.repetitions, product)
+        for name, s in (("block map S_B", s_block),
+                        (f"composed map S_B^{c.repetitions}", s_final)):
+            report(name, *gated_residual(_bogoliubov(s), clock_mode, None,
+                                         name), gate)
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

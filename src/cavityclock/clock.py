@@ -23,8 +23,7 @@ entry of the covariance terms the last span was gated with.
 The map is built, powered and fed to the lanes as the real symplectic
 matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
 residual gates and the mode-mixing-only rows need (alpha, beta), recovered
-from S_B and S_B^reps before the lanes start; nothing calls
-`BogoliubovMap.compose`.
+from S_B and S_B^reps before the lanes start.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation

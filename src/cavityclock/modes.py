@@ -1,4 +1,4 @@
-"""Cavity mode bases and Bogoliubov maps.
+"""Cavity-mode Bogoliubov maps.
 
 Conventions (fixed here, used everywhere downstream):
 
@@ -17,16 +17,15 @@ Conventions (fixed here, used everywhere downstream):
   truncation error on a leading interior block.
 * `BogoliubovMap` holds (alpha, beta) and is what the library hands out, but
   the pipeline does its map arithmetic on the real 2n x 2n symplectic matrix
-  S (`symplectic_matrix`), multiplied right to left like `compose`: one real
-  product per step instead of four complex ones, and coasts as elementwise
-  turns of row pairs.  `trajectory_map` converts S back once.
+  S (`symplectic_matrix`), multiplied right to left (`S_second @ S_first`):
+  one real product per step, and coasts as elementwise turns of row pairs.
+  `trajectory_map` converts S back once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import IO, Callable
 
@@ -36,52 +35,6 @@ from .constants import C
 from .errors import (HorizonError, QuadratureError, TruncationError,
                      ValidationError)
 from .trajectory import Trajectory
-
-
-class BasisKind(Enum):
-    MINKOWSKI = "minkowski"
-    RINDLER = "rindler"
-
-
-@dataclass(frozen=True)
-class ModeBasis:
-    """Dirichlet mode basis of a cavity, truncated at n_max modes."""
-
-    kind: BasisKind
-    x1: float
-    x2: float
-    n_max: int
-
-    def __post_init__(self):
-        if self.x2 <= self.x1:
-            raise ValidationError("basis needs x2 > x1")
-        if self.kind is BasisKind.RINDLER and self.x1 <= 0:
-            raise ValidationError("Rindler basis needs x1 > 0 (horizon at chi = 0)")
-        if self.n_max < 1:
-            raise ValidationError("n_max must be >= 1")
-
-    @property
-    def length(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def log_ratio(self) -> float:
-        """u_max = ln(x2/x1); the Rindler conformal length."""
-        return math.log(self.x2 / self.x1)
-
-    def frequency(self, n: int) -> float:
-        """w_n (per meter of ct) or Omega_n (per unit eta)."""
-        if not 1 <= n <= self.n_max:
-            raise ValidationError(f"mode index {n} outside [1, {self.n_max}]")
-        if self.kind is BasisKind.MINKOWSKI:
-            return n * math.pi / self.length
-        return n * math.pi / self.log_ratio
-
-    def frequencies(self) -> np.ndarray:
-        n = np.arange(1, self.n_max + 1)
-        if self.kind is BasisKind.MINKOWSKI:
-            return n * (np.pi / self.length)
-        return n * (np.pi / self.log_ratio)
 
 
 # Panel budget of the composite quadrature: doubling stops beyond it.
@@ -127,34 +80,11 @@ class BogoliubovMap:
     def identity(cls, n_max: int) -> "BogoliubovMap":
         return cls(np.eye(n_max, dtype=complex), np.zeros((n_max, n_max), complex))
 
-    def compose(self, first: "BogoliubovMap") -> "BogoliubovMap":
-        """self ∘ first: apply `first`, then this map."""
-        if first.n_max != self.n_max:
-            raise ValidationError(
-                f"cannot compose maps of size {self.n_max} and {first.n_max}")
-        a2, b2 = self.alpha, self.beta
-        a1, b1 = first.alpha, first.beta
-        return BogoliubovMap(a2 @ a1 + b2 @ np.conj(b1),
-                             a2 @ b1 + b2 @ np.conj(a1))
-
-    def inverse(self) -> "BogoliubovMap":
-        """Symplectic inverse: alpha -> alpha†, beta -> -betaᵀ."""
-        return BogoliubovMap(self.alpha.conj().T, -self.beta.T)
-
     def passive_part(self) -> "BogoliubovMap":
         """Mode-mixing-only map: beta zeroed, alpha re-unitarized by polar
         decomposition (the particle-creation content is discarded)."""
         u, _, vh = np.linalg.svd(self.alpha)
         return BogoliubovMap(u @ vh, np.zeros_like(self.beta))
-
-
-def free_phase_map(basis: ModeBasis, duration: float) -> BogoliubovMap:
-    """Free evolution for `duration` of the basis' own time coordinate
-    (meters of ct for Minkowski, Rindler time eta for Rindler)."""
-    if duration < 0:
-        raise ValidationError(f"duration must be >= 0, got {duration}")
-    phases = np.exp(-1j * basis.frequencies() * duration)
-    return BogoliubovMap(np.diag(phases), np.zeros((basis.n_max,) * 2, complex))
 
 
 def _atanh_minus_z(z: float) -> float:
@@ -287,7 +217,9 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     """
     if L <= 0:
         raise ValidationError(f"cavity length must be > 0, got {L}")
-    omegas = ModeBasis(BasisKind.MINKOWSKI, 0.0, L, n_max).frequencies()
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    omegas = np.arange(1, n_max + 1) * (np.pi / L)
     junctions: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     segments: dict[tuple[float, float], np.ndarray] = {}
     block = None
@@ -309,6 +241,15 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     return block, np.matmul if segments else _rotation_product
 
 
+def _junction_pair(h: float, n_max: int,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(S_J, S_J^-1) of `junction_map(h, n_max, tol)`: the symplectic
+    inverse (alpha†, -betaᵀ) is S_J's entries rearranged."""
+    jmap = junction_map(h, n_max, tol)
+    return (symplectic_matrix(jmap.alpha, jmap.beta),
+            symplectic_matrix(jmap.alpha.conj().T, -jmap.beta.T))
+
+
 def _accelerated_segment(a: float, duration: float, L: float, n_max: int,
                          tol: float, junctions: dict) -> np.ndarray:
     """S of one segment at proper acceleration `a` for `duration` seconds;
@@ -316,11 +257,7 @@ def _accelerated_segment(a: float, duration: float, L: float, n_max: int,
     h = abs(a) * L / C**2
     pair = junctions.get(h)
     if pair is None:
-        jmap = junction_map(h, n_max, tol)
-        # the symplectic inverse (alpha†, -betaᵀ): S_J's entries rearranged
-        pair = junctions[h] = (symplectic_matrix(jmap.alpha, jmap.beta),
-                               symplectic_matrix(jmap.alpha.conj().T,
-                                                 -jmap.beta.T))
+        pair = junctions[h] = _junction_pair(h, n_max, tol)
     s_j, s_j_inv = pair
     # Omega_n from u_max = 2 artanh(h/2) directly: the boundary-ratio route
     # log(chi2/chi1) loses ~1e-9 relative precision once h ~ 1e-7
@@ -340,9 +277,10 @@ def trajectory_map(traj: Trajectory, L: float, n_max: int,
                    tol: float = 1e-12) -> BogoliubovMap:
     """Whole-trajectory Bogoliubov map in the co-moving Minkowski basis.
 
-    Each accelerated segment contributes inverse(junction) ∘ rindler_free ∘
-    junction evaluated in the segment's instantaneous rest frame; inertial
-    segments contribute Minkowski free evolution for their proper duration.
+    Each accelerated segment contributes S_J^-1 rot(Omega eta) S_J for the
+    junction S_J (`_junction_pair`) in the segment's instantaneous rest
+    frame; inertial segments contribute Minkowski free evolution for their
+    proper duration.
     The arithmetic runs on the real symplectic matrix (`_block_symplectic`),
     converted to (alpha, beta) once at the end.  Repetitions are expanded
     by squaring the block's matrix, so 500 repetitions cost 13 products.

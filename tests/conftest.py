@@ -3,6 +3,7 @@
 import numpy as np
 
 from cavityclock import BogoliubovMap
+from map_oracle import compose
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -28,5 +29,6 @@ def random_symplectic_map(rng: np.random.Generator, n: int,
                           r_max: float = 1.0) -> BogoliubovMap:
     """Bloch-Messiah form: passive . squeeze . passive; exactly symplectic
     up to rounding."""
-    return random_passive_map(rng, n).compose(
-        random_squeeze_map(rng, n, r_max).compose(random_passive_map(rng, n)))
+    return compose(random_passive_map(rng, n),
+                   compose(random_squeeze_map(rng, n, r_max),
+                           random_passive_map(rng, n)))

@@ -1,15 +1,62 @@
-"""Klein-Gordon overlap oracle for the junction map: cavity mode functions
-evaluated pointwise and their inner products on the matching slice, by the
-composite quadrature `junction_map` uses, but integrated in the cavity
-coordinate chi instead of the log coordinate u."""
+"""Klein-Gordon overlap oracle for the junction map: cavity mode bases,
+mode functions evaluated pointwise and their inner products on the matching
+slice, by the composite quadrature `junction_map` uses, but integrated in the
+cavity coordinate chi instead of the log coordinate u."""
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from cavityclock import BasisKind, ModeBasis, QuadratureError, ValidationError
+from cavityclock import QuadratureError, ValidationError
 from cavityclock.modes import _MAX_PANELS, _composite_nodes
+
+
+class BasisKind(Enum):
+    MINKOWSKI = "minkowski"
+    RINDLER = "rindler"
+
+
+@dataclass(frozen=True)
+class ModeBasis:
+    """Dirichlet mode basis of a cavity, truncated at n_max modes."""
+
+    kind: BasisKind
+    x1: float
+    x2: float
+    n_max: int
+
+    def __post_init__(self):
+        if self.x2 <= self.x1:
+            raise ValidationError("basis needs x2 > x1")
+        if self.kind is BasisKind.RINDLER and self.x1 <= 0:
+            raise ValidationError("Rindler basis needs x1 > 0 (horizon at chi = 0)")
+        if self.n_max < 1:
+            raise ValidationError("n_max must be >= 1")
+
+    @property
+    def length(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def log_ratio(self) -> float:
+        """u_max = ln(x2/x1); the Rindler conformal length."""
+        return math.log(self.x2 / self.x1)
+
+    def frequency(self, n: int) -> float:
+        """w_n (per meter of ct) or Omega_n (per unit eta)."""
+        if not 1 <= n <= self.n_max:
+            raise ValidationError(f"mode index {n} outside [1, {self.n_max}]")
+        if self.kind is BasisKind.MINKOWSKI:
+            return n * math.pi / self.length
+        return n * math.pi / self.log_ratio
+
+    def frequencies(self) -> np.ndarray:
+        n = np.arange(1, self.n_max + 1)
+        if self.kind is BasisKind.MINKOWSKI:
+            return n * (np.pi / self.length)
+        return n * (np.pi / self.log_ratio)
 
 
 @dataclass(frozen=True)

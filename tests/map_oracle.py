@@ -1,15 +1,42 @@
 """Compose-chain oracle for `trajectory_map`: the whole-trajectory map built
-on complex (alpha, beta) pairs with `BogoliubovMap.compose`, segment by
-segment, and powered by composing squares.  The library builds the same map
-on the real symplectic matrix instead, so the two share only `junction_map`
-and the map algebra's conventions."""
+on complex (alpha, beta) pairs with `compose`, segment by segment, and
+powered by composing squares.  The library builds the same map on the real
+symplectic matrix instead, so the two share only `junction_map` and the map
+algebra's conventions: maps compose right to left, `compose(second, first)`.
+"""
 
 import math
 
 import numpy as np
 
-from cavityclock import (BasisKind, BogoliubovMap, C, ModeBasis, Trajectory,
-                         free_phase_map, junction_map)
+from cavityclock import (BogoliubovMap, C, Trajectory, ValidationError,
+                         junction_map)
+from kg_oracle import BasisKind, ModeBasis
+
+
+def compose(second: BogoliubovMap, first: BogoliubovMap) -> BogoliubovMap:
+    """second ∘ first: apply `first`, then `second`."""
+    if first.n_max != second.n_max:
+        raise ValidationError(
+            f"cannot compose maps of size {second.n_max} and {first.n_max}")
+    a2, b2 = second.alpha, second.beta
+    a1, b1 = first.alpha, first.beta
+    return BogoliubovMap(a2 @ a1 + b2 @ np.conj(b1),
+                         a2 @ b1 + b2 @ np.conj(a1))
+
+
+def inverse(bmap: BogoliubovMap) -> BogoliubovMap:
+    """Symplectic inverse: alpha -> alpha†, beta -> -betaᵀ."""
+    return BogoliubovMap(bmap.alpha.conj().T, -bmap.beta.T)
+
+
+def free_phase_map(basis: ModeBasis, duration: float) -> BogoliubovMap:
+    """Free evolution for `duration` of the basis' own time coordinate
+    (meters of ct for Minkowski, Rindler time eta for Rindler)."""
+    if duration < 0:
+        raise ValidationError(f"duration must be >= 0, got {duration}")
+    phases = np.exp(-1j * basis.frequencies() * duration)
+    return BogoliubovMap(np.diag(phases), np.zeros((basis.n_max,) * 2, complex))
 
 
 def parity_conjugate(bmap: BogoliubovMap) -> BogoliubovMap:
@@ -30,11 +57,11 @@ def compose_power(block: BogoliubovMap, exponent: int) -> BogoliubovMap:
     base = block
     while True:
         if exponent & 1:
-            result = base if result is None else base.compose(result)
+            result = base if result is None else compose(base, result)
         exponent >>= 1
         if not exponent:
             return result
-        base = base.compose(base)
+        base = compose(base, base)
 
 
 def segment_map(seg, mink: ModeBasis, L: float, n_max: int, tol: float,
@@ -53,7 +80,7 @@ def segment_map(seg, mink: ModeBasis, L: float, n_max: int, tol: float,
     eta = abs(a) * seg.proper_duration / C
     rindler_free = BogoliubovMap(np.diag(np.exp(-1j * omegas * eta)),
                                  np.zeros((n_max, n_max), complex))
-    segment = junction.inverse().compose(rindler_free.compose(junction))
+    segment = compose(inverse(junction), compose(rindler_free, junction))
     if a < 0:
         segment = parity_conjugate(segment)
     return segment
@@ -67,5 +94,5 @@ def compose_chain_map(traj: Trajectory, L: float, n_max: int,
     jcache: dict[float, BogoliubovMap] = {}
     block = BogoliubovMap.identity(n_max)
     for seg in traj.segments:
-        block = segment_map(seg, mink, L, n_max, tol, jcache).compose(block)
+        block = compose(segment_map(seg, mink, L, n_max, tol, jcache), block)
     return compose_power(block, traj.repetitions)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import cavityclock
 import cavityclock.cli as cli
-from cavityclock import BogoliubovMap
+import cavityclock.modes as modes
+from cavityclock import BogoliubovMap, junction_map
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main)
 
@@ -446,6 +448,45 @@ class TestCheckCommand:
         config = write_config(tmp_path, base_config(clock_mode=3))
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert "(7x7 interior)" in capsys.readouterr().out
+
+    def test_junction_built_at_the_config_tolerance(self, tmp_path,
+                                                    monkeypatch):
+        tols = []
+
+        def recording(h, n_max, tol=1e-12):
+            tols.append(tol)
+            return junction_map(h, n_max, tol)
+
+        monkeypatch.setattr(modes, "junction_map", recording)
+        doc = base_config()
+        doc["numerics"]["quadrature_tol"] = 1e-8
+        config = write_config(tmp_path, doc)
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert tols and set(tols) == {1e-8}
+
+    def test_wrong_inverse_sign_fails(self, tmp_path, capsys, monkeypatch):
+        # S_J^-1 with +betaᵀ: the S_B residual does not see it
+        def wrong_sign(h, n_max, tol):
+            jmap = junction_map(h, n_max, tol)
+            return (modes.symplectic_matrix(jmap.alpha, jmap.beta),
+                    modes.symplectic_matrix(jmap.alpha.conj().T, jmap.beta.T))
+
+        monkeypatch.setattr(modes, "_junction_pair", wrong_sign)
+        monkeypatch.setattr(cli, "_junction_pair", wrong_sign)
+        config = write_config(tmp_path, base_config())
+        assert main(["check", "--config", str(config)]) == EXIT_NUMERICAL
+        assert "FAIL junction inverse roundtrip" in capsys.readouterr().out
+
+    def test_reports_the_residual_twin_gates(self, tmp_path, capsys):
+        config = write_config(tmp_path, base_config())
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+        capsys.readouterr()
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        out = capsys.readouterr().out
+        printed = re.search(r"PASS composed map S_B\^3: eps1=(\S+)", out)
+        assert printed.group(1) == f"{manifest['residual_eps1']:.3e}"
 
 
 class TestParser:

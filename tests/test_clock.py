@@ -14,6 +14,7 @@ from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
 import cavityclock.clock as clock
 from cavityclock.clock import _gated, _last, _read_phase, _span_phase
 from cavityclock.gauss import _covariance_terms, moment_params
+from map_oracle import compose, inverse
 from test_modes import twin_block
 
 SQUID_DEFAULTS = dict(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15)
@@ -194,7 +195,7 @@ class TestTimeReversal:
         # the free-evolution phase of the null net evolution, i.e. theta0
         block = twin_block(1e-9, 0.5e-9, 3e15)
         bmap = trajectory_map(block, 0.011, 16)
-        undone = bmap.inverse().compose(bmap)
+        undone = compose(inverse(bmap), bmap)
         state = apply_reduced(undone, 1, coherent(1.0, 0.25),
                               residual_gate=None)
         params = extract_params(state)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_passive_map, random_symplectic_map
+from kg_oracle import BasisKind, ModeBasis
+from map_oracle import compose, free_phase_map, inverse
 from transport_oracle import dense_row_moments
-from cavityclock import (BasisKind, BogoliubovMap, ModeBasis, TruncationError,
-                         ValidationError, apply_full, apply_reduced, coherent,
-                         embed, extract_params, free_phase_map, junction_map,
-                         partial_trace, squeezed_vacuum, vacuum)
+from cavityclock import (BogoliubovMap, TruncationError, ValidationError,
+                         apply_full, apply_reduced, coherent, embed,
+                         extract_params, junction_map, partial_trace,
+                         squeezed_vacuum, vacuum)
 from cavityclock.gauss import GaussianParams, GaussianState, _remainder, \
     moment_params, row_moments
 
@@ -278,8 +280,8 @@ class TestApplyReduced:
 
     def test_junction_sandwich_decoheres(self):
         jmap = junction_map(0.3, 12)
-        block = jmap.inverse().compose(
-            rotation_map(12, 1, 1.0).compose(jmap))
+        block = compose(inverse(jmap),
+                        compose(rotation_map(12, 1, 1.0), jmap))
         out = apply_reduced(block, 1, coherent(1.0, 0.0), residual_gate=None)
         assert extract_params(out).purity < 1.0
 

@@ -5,12 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_symplectic_map
-from kg_oracle import Mode, kg_inner_product, mode_value
-from map_oracle import compose_chain_map
-from cavityclock import (BasisKind, BogoliubovMap, C, HorizonError, ModeBasis,
-                         Segment, Trajectory, ValidationError, apply_reduced,
-                         coherent, dump_map, free_phase_map, junction_map,
-                         rindler_geometry, symplectic_residual, trajectory_map)
+from kg_oracle import BasisKind, Mode, ModeBasis, kg_inner_product, mode_value
+from map_oracle import compose, compose_chain_map, free_phase_map, inverse
+from cavityclock import (BogoliubovMap, C, HorizonError, Segment, Trajectory,
+                         ValidationError, apply_reduced, coherent, dump_map,
+                         junction_map, rindler_geometry, symplectic_residual,
+                         trajectory_map)
 import cavityclock.modes as modes
 
 
@@ -148,7 +148,7 @@ class TestJunctionMap:
     def test_inverse_roundtrip_within_truncation(self):
         # high rows are truncation-limited, so certify the interior block
         jmap = junction_map(0.05, 16)
-        back = jmap.compose(jmap.inverse())
+        back = compose(jmap, inverse(jmap))
         interior = np.s_[:5, :5]
         assert np.max(np.abs(back.alpha[interior] - np.eye(5))) < 1e-8
         assert np.max(np.abs(back.beta[interior])) < 1e-8
@@ -236,26 +236,26 @@ class TestComposeInverse:
         rng = np.random.default_rng(11)
         bmap = random_symplectic_map(rng, 6)
         ident = BogoliubovMap.identity(6)
-        assert np.array_equal(bmap.compose(ident).alpha, bmap.alpha)
-        assert np.array_equal(ident.compose(bmap).beta, bmap.beta)
+        assert np.array_equal(compose(bmap, ident).alpha, bmap.alpha)
+        assert np.array_equal(compose(ident, bmap).beta, bmap.beta)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(12)
         bmap = random_symplectic_map(rng, 6)
-        round1 = bmap.inverse().compose(bmap)
+        round1 = compose(inverse(bmap), bmap)
         assert np.max(np.abs(round1.alpha - np.eye(6))) < 1e-13
         assert np.max(np.abs(round1.beta)) < 1e-13
 
     def test_double_inverse_is_original(self):
         rng = np.random.default_rng(13)
         bmap = random_symplectic_map(rng, 5)
-        twice = bmap.inverse().inverse()
+        twice = inverse(inverse(bmap))
         assert np.array_equal(twice.alpha, bmap.alpha)
         assert np.array_equal(twice.beta, bmap.beta)
 
     def test_free_phases_add(self):
         basis = minkowski_basis(2.0, 6)
-        combined = free_phase_map(basis, 0.7).compose(free_phase_map(basis, 1.1))
+        combined = compose(free_phase_map(basis, 0.7), free_phase_map(basis, 1.1))
         direct = free_phase_map(basis, 1.8)
         assert np.max(np.abs(combined.alpha - direct.alpha)) < 1e-15
 
@@ -265,15 +265,15 @@ class TestComposeInverse:
             b1 = random_symplectic_map(rng, 6)
             b2 = random_symplectic_map(rng, 6)
             b3 = random_symplectic_map(rng, 6)
-            left = b3.compose(b2).compose(b1)
-            right = b3.compose(b2.compose(b1))
+            left = compose(compose(b3, b2), b1)
+            right = compose(b3, compose(b2, b1))
             scale = np.max(np.abs(left.alpha))
             assert np.max(np.abs(left.alpha - right.alpha)) < 1e-13 * scale
             assert np.max(np.abs(left.beta - right.beta)) < 1e-13 * scale
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            BogoliubovMap.identity(4).compose(BogoliubovMap.identity(5))
+            compose(BogoliubovMap.identity(4), BogoliubovMap.identity(5))
 
 
 def twin_block(t_a, t_i, a, repetitions=1):
@@ -317,6 +317,12 @@ class TestTrajectoryMap:
         assert np.max(np.abs(tmap.alpha - free.alpha)) < 1e-12
         assert not tmap.beta.any()
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_inertial_trajectory_needs_a_mode(self, n_max):
+        # no junction is built here to reject the truncation
+        with pytest.raises(ValidationError, match="n_max must be >= 1"):
+            trajectory_map(Trajectory((Segment(2e-9),), 3), 0.011, n_max)
+
     def test_small_acceleration_limit_is_pure_phase(self):
         betas = []
         for a in (1e13, 1e12, 1e11):
@@ -341,7 +347,7 @@ class TestTrajectoryMap:
         single = trajectory_map(block, 0.011, 8)
         sequential = BogoliubovMap.identity(8)
         for _ in range(7):
-            sequential = single.compose(sequential)
+            sequential = compose(single, sequential)
         assert np.max(np.abs(repeated.alpha - sequential.alpha)) < 1e-12
         assert np.max(np.abs(repeated.beta - sequential.beta)) < 1e-12
 
@@ -361,7 +367,7 @@ class TestTrajectoryMap:
         # the time-reversed (backwards-run) block undoes the motion: only
         # truncation residue survives off the diagonal
         tmap = trajectory_map(twin_block(1e-9, 0.5e-9, 3e15), 0.011, 16)
-        undone = tmap.inverse().compose(tmap)
+        undone = compose(inverse(tmap), tmap)
         off = np.array(undone.alpha).copy()
         np.fill_diagonal(off, 0.0)
         single_mix = np.array(tmap.alpha).copy()

@@ -1,6 +1,7 @@
 import cavityclock
 import cavityclock.cli as cli
-from cavityclock import Segment
+import cavityclock.modes as modes
+from cavityclock import BogoliubovMap, Segment
 
 EXPORTS = [
     "C", "G_NEWTON", "__version__",
@@ -8,8 +9,8 @@ EXPORTS = [
     "TruncationError", "UnboundedVarianceError",
     "Segment", "Trajectory", "RindlerGeometry", "build_twin_trajectory",
     "rindler_geometry", "elapsed_times", "final_kinematics",
-    "BasisKind", "ModeBasis", "BogoliubovMap", "junction_map",
-    "free_phase_map", "trajectory_map", "symplectic_residual", "dump_map",
+    "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
+    "dump_map",
     "GaussianState", "GaussianParams", "vacuum", "coherent",
     "squeezed_vacuum", "embed", "apply_reduced", "apply_full",
     "partial_trace", "extract_params",
@@ -31,6 +32,15 @@ def test_star_import_resolves_every_export():
 def test_exports_are_exactly_the_pinned_list():
     # a change to the public surface must show as a change to this list
     assert cavityclock.__all__ == EXPORTS
+
+
+def test_test_only_map_algebra_is_not_in_the_library():
+    # the compose chain, the free map and the mode bases are test oracles
+    # (tests/map_oracle.py, tests/kg_oracle.py)
+    for attr in ("compose", "inverse"):
+        assert not hasattr(BogoliubovMap, attr)
+    for name in ("ModeBasis", "BasisKind", "free_phase_map"):
+        assert not hasattr(modes, name)
 
 
 def test_cli_has_one_entry_point():
