@@ -12,9 +12,8 @@ from .clock import (ScenarioConfig, ScenarioResult, SweepPoint,
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, QuadratureError,
                      TruncationError, UnboundedVarianceError, ValidationError)
-from .gauss import (GaussianParams, GaussianState, apply_full, apply_reduced,
-                    coherent, embed, extract_params, partial_trace,
-                    squeezed_vacuum, vacuum)
+from .gauss import (GaussianParams, GaussianState, apply_reduced, coherent,
+                    extract_params, squeezed_vacuum)
 from .metrology import cramer_rao, phase_qfi, qfi_change_pct
 from .modes import (BogoliubovMap, dump_map, junction_map,
                     symplectic_residual, trajectory_map)
@@ -37,9 +36,8 @@ __all__ = [
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
     "dump_map",
     # gauss
-    "GaussianState", "GaussianParams", "vacuum", "coherent",
-    "squeezed_vacuum", "embed", "apply_reduced", "apply_full",
-    "partial_trace", "extract_params",
+    "GaussianState", "GaussianParams", "coherent", "squeezed_vacuum",
+    "apply_reduced", "extract_params",
     # metrology
     "phase_qfi", "cramer_rao", "qfi_change_pct",
     # clock

@@ -18,8 +18,11 @@ mode k of a vacuum register, to the clock mode's moments and covariance
 written straight into the span buffers: all that is kept per repetition.
 The readout runs vectorized once per span of them.  Every span reads only
 the phase (`_span_phase`): the physicality gate and clip warnings, then
-atan2(p, q) when every entry is displaced; qfi_after comes from the last
-entry of the covariance terms the last span was gated with.
+atan2(p, q) when every entry is displaced; qfi_after is read from the last
+entry alone, with the covariance terms the last span was gated with
+(`_last_qfi`).  The mode-mixing-only state, the same transport by the rows
+of the passive part of B^reps, is read the same way as a one-entry span at
+repetition reps.
 The map is built, powered and fed to the lanes as the real symplectic
 matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
 residual gates and the mode-mixing-only rows need (alpha, beta), recovered
@@ -36,6 +39,7 @@ truth for any configuration whose mixing corrections are perturbative.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +50,7 @@ from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
 from .gauss import (GaussianParams, GaussianState, _covariance_terms,
                     _parameters, _remainder, coherent, extract_params,
-                    moment_params, row_moments, squeezed_vacuum)
+                    row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _block_symplectic, _bogoliubov,
                     _map_power, gated_residual, symplectic_matrix)
@@ -101,6 +105,12 @@ class ScenarioConfig:
         for name in ("L", "a", "t_a", "t_i", "mean_n", "theta0"):
             if not abs(value := getattr(self, name)) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {value}")
+        for name in ("repetitions", "clock_mode", "n_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValidationError(
+                    f"{name} must be an integer, got {value!r}")
         if not 0 < self.quadrature_tol <= sys.float_info.max:
             raise ValidationError(f"quadrature_tol must be > 0 and finite, "
                                   f"got {self.quadrature_tol}")
@@ -108,12 +118,13 @@ class ScenarioConfig:
                 and not 0 < self.residual_gate <= sys.float_info.max):
             raise ValidationError(f"residual_gate must be > 0 and finite, or "
                                   f"None, got {self.residual_gate}")
+        # L first: under theta_a_rad the CLI derives t_a from L
+        if self.L <= 0:
+            raise ValidationError(f"L must be > 0, got {self.L}")
         if self.t_a <= 0:
             raise ValidationError(f"t_a must be > 0, got {self.t_a}")
         if self.t_i < 0:
             raise ValidationError(f"t_i must be >= 0, got {self.t_i}")
-        if self.L <= 0:
-            raise ValidationError(f"L must be > 0, got {self.L}")
         if self.repetitions < 1:
             raise ValidationError(
                 f"repetitions must be >= 1, got {self.repetitions}")
@@ -209,23 +220,29 @@ def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
             "truncation artifact, increase n_max")
 
 
-def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int):
+def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int,
+                what: str):
     """(wrapped clock phase, gated covariance terms) of one span of
-    transported states, whose entry 0 is repetition `first_rep`.  The phase
-    equals `_read_phase` of `moment_params` bit for bit, under the same gate
-    and clip warnings; when every entry is displaced it is atan2(p, q), and
-    the squeeze magnitude and angle are not computed."""
+    transported states, whose entry 0 is repetition `first_rep`; `what`
+    names the state in the gate's error.  The phase equals `_read_phase` of
+    the full parameter readout bit for bit; when every entry is displaced
+    it is atan2(p, q), and the squeeze magnitude and angle are not
+    computed."""
     terms, fault = _covariance_terms(cov)
-    _gated(fault, first_rep, "transported state")
+    _gated(fault, first_rep, what)
     q, p = moments[:, 0], moments[:, 1]
     if not np.all(np.hypot(q, p) > 1e-12):
         return _read_phase(_parameters(moments, terms))[0], terms
     return np.arctan2(p, q), terms
 
 
-def _last(params: GaussianParams) -> GaussianParams:
+def _last_qfi(moments: np.ndarray, terms) -> float:
+    """Phase QFI of a span's last entry alone, read from the covariance
+    terms that entry was gated with (`_span_phase`)."""
+    params = _parameters(moments[-1:], [term[-1:] for term in terms])
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
-    return GaussianParams(*(float(v[-1]) for v in vars(params).values()))
+    return phase_qfi(GaussianParams(*(float(v[0])
+                                      for v in vars(params).values())))
 
 
 def run_twin(config: ScenarioConfig) -> ScenarioResult:
@@ -288,23 +305,23 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
             row_moments(lanes[:end - offset], state0, k,
                         out=(moments[offset:end], cov[offset:end]),
                         work=work[:end - offset])
-        wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1)
+        wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1,
+                                     "transported state")
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series[start:start + count] = theta_alice - theta
     del lanes, ahead, work, step
     theta_full = float(theta[-1])
-    # qfi_after reads the last of the span's count entries alone
-    qfi_after = phase_qfi(_last(_parameters(
-        moments[count - 1:count], [term[-1:] for term in terms])))
+    qfi_after = _last_qfi(moments[:count], terms)
 
-    params_mm, fault = moment_params(*row_moments(mm_rows[None], state0, k))
-    _gated(fault, reps, "mode-mixing-only state")
-    params_mm = _last(params_mm)
-    qfi_after_mm = phase_qfi(params_mm)
-    theta_mm = float(_unwrap(_read_phase(params_mm)[0],
-                             theta_start + reps * anchor_block, period))
+    # the mode-mixing-only state, read as a one-entry span at repetition reps
+    moments_mm, cov_mm = row_moments(mm_rows[None], state0, k)
+    wrapped, terms = _span_phase(moments_mm, cov_mm, reps,
+                                 "mode-mixing-only state")
+    qfi_after_mm = _last_qfi(moments_mm, terms)
+    theta_mm = float(_unwrap(wrapped[0], theta_start + reps * anchor_block,
+                             period))
 
     tau_alice = reps * tau_alice_block
     tau_point = reps * (tau_acc_block + tau_coast_block)

@@ -8,8 +8,7 @@ its moments after the map are R f and R sigma Rᵀ for the multimode state
 (f, sigma) before it (`row_moments`).  `row_moments` and `apply_reduced`
 take a single-mode state at the tracked mode k of a vacuum register, whose
 covariance is I/4 outside mode k's 2 x 2 block, so R sigma is R/4 with two
-columns replaced and the 2N x 2N covariance is never built; use
-`apply_full` + `partial_trace` when the other modes do not start in vacuum.
+columns replaced and the 2N x 2N covariance is never built.
 """
 
 from __future__ import annotations
@@ -73,11 +72,6 @@ class GaussianState:
         return self.first_moments.size // 2
 
 
-def vacuum(mode_count: int = 1) -> GaussianState:
-    return GaussianState(np.zeros(2 * mode_count),
-                         0.25 * np.eye(2 * mode_count))
-
-
 def coherent(amplitude: float, phase: float = 0.0) -> GaussianState:
     """Single-mode coherent state: <a> = amplitude * exp(i phase)."""
     if amplitude < 0:
@@ -102,25 +96,6 @@ def squeezed_vacuum(mean_n: float, angle: float = 0.0) -> GaussianState:
     return GaussianState(np.zeros(2), cov)
 
 
-def _check_embedding(state: GaussianState, mode_count: int, k: int) -> None:
-    if state.mode_count != 1:
-        raise ValidationError("embed expects a single-mode state")
-    if not 1 <= k <= mode_count:
-        raise ValidationError(f"mode index {k} outside [1, {mode_count}]")
-
-
-def embed(state: GaussianState, mode_count: int, k: int) -> GaussianState:
-    """Place a single-mode state at mode k (1-based) of an otherwise vacuum
-    `mode_count`-mode register."""
-    _check_embedding(state, mode_count, k)
-    f = np.zeros(2 * mode_count)
-    c = 0.25 * np.eye(2 * mode_count)
-    i = 2 * (k - 1)
-    f[i:i + 2] = state.first_moments
-    c[i:i + 2, i:i + 2] = state.covariance
-    return GaussianState(f, c)
-
-
 def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
                 work: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +111,7 @@ def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
     (..., 2, 2), and `work`, shaped like `rows` (it holds R sigma), are
     written in place like numpy's out=; each is allocated when not given.
     sigma' is symmetric up to rounding; its consumers (`GaussianState`,
-    `moment_params`) symmetrize."""
+    `_covariance_terms`) symmetrize."""
     i = 2 * k - 2
     flat = rows.reshape(-1, rows.shape[-1])
     moments, cov = out if out is not None else (
@@ -163,39 +138,21 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
     `gated_residual` for mode k (truncation would silently corrupt the
     vacuum noise); None skips the residual entirely.
     """
-    _check_embedding(state, bmap.n_max, k)
+    if state.mode_count != 1:
+        raise ValidationError("apply_reduced expects a single-mode state")
+    if not 1 <= k <= bmap.n_max:
+        raise ValidationError(f"mode index {k} outside [1, {bmap.n_max}]")
     if residual_gate is not None:
         gated_residual(bmap, k, residual_gate, "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
     return GaussianState(*row_moments(rows, state, k))
 
 
-def apply_full(bmap: BogoliubovMap, state: GaussianState) -> GaussianState:
-    """Full multimode symplectic action on all 2N moments."""
-    n = state.mode_count
-    if bmap.n_max != n:
-        raise ValidationError(
-            f"map size {bmap.n_max} does not match state with {n} modes")
-    s = symplectic_matrix(bmap.alpha, bmap.beta)
-    cov = s @ state.covariance @ s.T
-    return GaussianState(s @ state.first_moments, 0.5 * (cov + cov.T))
-
-
-def partial_trace(state: GaussianState, keep: int) -> GaussianState:
-    """Discard all modes but `keep` (1-based): row/column deletion."""
-    if not 1 <= keep <= state.mode_count:
-        raise ValidationError(f"mode index {keep} outside [1, {state.mode_count}]")
-    i = 2 * (keep - 1)
-    idx = [i, i + 1]
-    return GaussianState(state.first_moments[idx],
-                         state.covariance[np.ix_(idx, idx)])
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Single-mode parameters: displacement alpha >= 0, phase theta, squeezing
     xi = r exp(i phi), and purity P, all on canonical branches.  Fields are
-    floats, or equal-shape arrays for a batch from `moment_params`."""
+    floats, or equal-shape arrays for a batch from `_parameters`."""
 
     displacement: float
     phase: float
@@ -205,10 +162,14 @@ class GaussianParams:
 
 
 def _covariance_terms(cov: np.ndarray):
-    """The physicality gate and artanh-clip warning of `moment_params`, on
-    covariances (..., 2, 2) alone.  Returns ((s11, s22, s12, det, purity,
-    trace, split, squeezed), None), or (None, (i, message)) for the first
-    faulty entry; every clipped entry is logged once per call."""
+    """The physicality gate and artanh-clip warning of the parameter
+    readout, on single-mode covariances (..., 2, 2); a covariance need be
+    symmetric only up to rounding (the off-diagonal entries are averaged).
+    Returns ((s11, s22, s12, det, purity, trace, split, squeezed), None), or
+    (None, (i, message)) naming the first entry i (flat index) whose
+    covariance is not positive definite or violates the uncertainty relation
+    (purity > 1 + 1e-9); the caller picks the error.  Every clipped entry is
+    logged once per call."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
@@ -237,7 +198,9 @@ def _covariance_terms(cov: np.ndarray):
 def _parameters(moments: np.ndarray, terms) -> GaussianParams:
     """Parameters from moments (..., 2) and the covariance terms of
     `_covariance_terms` that passed its gate, elementwise over the leading
-    axes."""
+    axes.  r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
+    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
+    eigenvalue split."""
     s11, s22, s12, det, purity, trace, split, squeezed = terms
     q, p = moments[..., 0], moments[..., 1]
     displacement = np.hypot(q, p)
@@ -250,34 +213,15 @@ def _parameters(moments: np.ndarray, terms) -> GaussianParams:
     return GaussianParams(displacement, theta, r, phi, np.minimum(purity, 1.0))
 
 
-def moment_params(moments: np.ndarray, cov: np.ndarray
-                  ) -> tuple[GaussianParams | None, tuple[int, str] | None]:
-    """Parameters from single-mode moments (..., 2) and covariances
-    (..., 2, 2), elementwise over the leading axes; a covariance need be
-    symmetric only up to rounding (the off-diagonal entries are averaged).
-
-    Returns (params, None), or (None, (i, message)) naming the first entry i
-    (flat index) whose covariance is not positive definite or violates the
-    uncertainty relation (purity > 1 + 1e-9); the caller picks the error.
-    r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
-    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
-    eigenvalue split; arguments at the artanh boundary are logged as clip
-    events.  The gate and the clip log are `_covariance_terms`, the formulas
-    `_parameters`.
-    """
-    terms, fault = _covariance_terms(cov)
-    if fault is not None:
-        return None, fault
-    return _parameters(moments, terms), None
-
-
 def extract_params(state: GaussianState) -> GaussianParams:
     """Parameters from the first and second moments of a single-mode state
-    (see `moment_params`); an unphysical state raises ValidationError."""
+    (`_covariance_terms`, then `_parameters`); an unphysical state raises
+    ValidationError."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
-    params, fault = moment_params(state.first_moments, state.covariance)
+    terms, fault = _covariance_terms(state.covariance)
     if fault is not None:
         raise ValidationError(fault[1])
+    params = _parameters(state.first_moments, terms)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
     return GaussianParams(*map(float, vars(params).values()))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from cavityclock import BogoliubovMap
+from cavityclock.gauss import _covariance_terms, _parameters
 from map_oracle import compose
 
 
@@ -32,3 +33,9 @@ def random_symplectic_map(rng: np.random.Generator, n: int,
     return compose(random_passive_map(rng, n),
                    compose(random_squeeze_map(rng, n, r_max),
                            random_passive_map(rng, n)))
+
+
+def moment_params(moments, cov):
+    """(params, None) or (None, fault): the gate, then the formulas."""
+    terms, fault = _covariance_terms(cov)
+    return (None, fault) if fault else (_parameters(moments, terms), None)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import random_symplectic_map
+from transport_oracle import apply_full, embed, partial_trace
 from cavityclock import (BogoliubovMap, C, G_NEWTON, HorizonError,
-                         ScenarioConfig, apply_full, apply_reduced,
-                         classical_cavity_ratio, coherent, embed,
-                         extract_params, junction_map, partial_trace,
-                         phase_qfi, run_twin, schwarzschild_acceleration,
-                         squeezed_vacuum, symplectic_residual)
+                         ScenarioConfig, apply_reduced,
+                         classical_cavity_ratio, coherent, extract_params,
+                         junction_map, phase_qfi, run_twin,
+                         schwarzschild_acceleration, squeezed_vacuum,
+                         symplectic_residual)
 from cavityclock.cli import main
 
 

@@ -192,6 +192,19 @@ class TestConfigLoading:
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert "clock_mode must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [0.0, -0.01])
+    def test_theta_a_with_non_positive_length_exit_code(
+            self, tmp_path, capsys, length):
+        # t_a is derived from L, so the fault is L's, not t_a's
+        doc = base_config(L_m=length, theta_a_rad=1.0)
+        del doc["scenario"]["t_a_s"]
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"L must be > 0, got {length}" in err
+        assert "t_a" not in err
+
     @pytest.mark.parametrize("kind, mean_n", [("coherent", 1e308),
                                               ("squeezed_vacuum", 1e200),
                                               ("squeezed_vacuum", 1e308)])

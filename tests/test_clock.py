@@ -10,10 +10,12 @@ from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          classical_cavity_ratio, coherent, extract_params,
                          near_horizon_geometry, phase_qfi, run_twin,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
-                         trajectory_map, vacuum)
+                         trajectory_map)
 import cavityclock.clock as clock
-from cavityclock.clock import _gated, _last, _read_phase, _span_phase
-from cavityclock.gauss import _covariance_terms, moment_params
+from cavityclock.clock import _gated, _last_qfi, _read_phase, _span_phase
+from cavityclock.gauss import GaussianState, _covariance_terms
+from conftest import moment_params
+from transport_oracle import vacuum
 from map_oracle import compose, inverse
 from test_modes import twin_block
 
@@ -108,6 +110,24 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError, match="finite"):
             ScenarioConfig(**{**SQUID_DEFAULTS, name: 10**400},
                            repetitions=1)
+
+    @pytest.mark.parametrize("field", [dict(n_max=24.0), dict(repetitions=2.5),
+                                       dict(clock_mode=1.0),
+                                       dict(repetitions=True)])
+    def test_counts_must_be_integers(self, field):
+        # a float or bool count used to raise TypeError inside run_twin
+        with pytest.raises(ValidationError, match="must be an integer"):
+            ScenarioConfig(**{**SQUID_DEFAULTS, "repetitions": 1, **field})
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = dict(repetitions=3, clock_mode=1, n_max=12)
+        plain = ScenarioConfig(**SQUID_DEFAULTS, **counts)
+        numpy = ScenarioConfig(**SQUID_DEFAULTS, **{
+            name: np.int64(value) for name, value in counts.items()})
+        got, want = run_twin(numpy), run_twin(plain)
+        for name, value in vars(want).items():
+            if name != "config":
+                np.testing.assert_array_equal(getattr(got, name), value)
 
     @pytest.mark.parametrize("field", [dict(quadrature_tol=0.0),
                                        dict(quadrature_tol=math.nan),
@@ -235,12 +255,16 @@ TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
 
 class TestLastEntry:
     def test_fields_are_plain_floats(self):
-        batch, fault = moment_params(np.array([[1.0, 0.5], [0.2, -0.3]]),
-                                     np.stack([0.25 * np.eye(2)] * 2))
+        # the first entry's terms are unphysical: only the last one is read
+        cov = np.stack([0.25 * np.eye(2)] * 2)
+        terms, fault = _covariance_terms(cov)
         assert fault is None
-        last = _last(batch)
-        assert all(type(v) is float for v in vars(last).values())
-        assert last.phase == math.atan2(-0.3, 0.2)
+        terms = [np.array([math.nan, term[-1]], dtype=term.dtype)
+                 for term in terms]
+        qfi = _last_qfi(np.array([[math.nan, 0.5], [0.2, -0.3]]), terms)
+        assert type(qfi) is float
+        assert qfi == phase_qfi(extract_params(
+            GaussianState([0.2, -0.3], 0.25 * np.eye(2))))
 
 
 def entry(moments, state):
@@ -291,7 +315,7 @@ class TestSpanPhase:
                             lambda *args: full.append(None)
                             or parameters(*args))
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            phase, terms = _span_phase(moments, cov, 1)
+            phase, terms = _span_phase(moments, cov, 1, "transported state")
         span_clips = len(caplog.messages)
         assert len(full) == reads_all
         # the terms it gated with, for the caller's final readout
@@ -322,7 +346,7 @@ class TestSpanPhase:
             _gated(moment_params(moments, cov)[1], 97, "transported state")
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
             with pytest.raises(TruncationError) as raised:
-                _span_phase(moments, cov, 97)
+                _span_phase(moments, cov, 97, "transported state")
         assert str(raised.value) == str(expected.value)
         assert f"at repetition {97 + min(faults)}: " in str(raised.value)
         # the gate runs before the clip check, as in moment_params
@@ -336,15 +360,16 @@ class TestSpanPhase:
         cov[5][entry] = math.nan
         with pytest.raises(TruncationError,
                            match="repetition 102: .*not positive definite"):
-            _span_phase(moments, cov, 97)
+            _span_phase(moments, cov, 97, "transported state")
         assert moment_params(moments, cov)[1][0] == 5
 
 
 class TestQfiAfter:
     @pytest.mark.parametrize("reps", [1, 25, 600])
     def test_reads_the_last_entry_alone(self, reps, monkeypatch):
-        # of a displaced state the spans read only the phase, so the one
-        # full parameter readout is qfi_after's, on the last entry alone
+        # of a displaced state the spans read only the phase, so the full
+        # parameter readouts are qfi_after's and qfi_after_mm's, each on the
+        # last entry alone
         sizes = []
         parameters = clock._parameters
 
@@ -354,7 +379,7 @@ class TestQfiAfter:
 
         monkeypatch.setattr(clock, "_parameters", recording)
         run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps, n_max=12))
-        assert sizes == [(1, {1})]
+        assert sizes == [(1, {1})] * 2
 
 
 class TestClipWarnings:
@@ -386,6 +411,29 @@ class TestTruncationArtifact:
                            match=r"repetition \d+: .*uncertainty relation.*"
                                  r"increase n_max"):
             run_twin(ScenarioConfig(**TRUNCATION_ARTIFACT))
+
+    @pytest.mark.parametrize("reps", [1, 25, 337])
+    def test_unphysical_mode_mixing_only_state(self, reps, monkeypatch):
+        # the mode-mixing-only state is the one row_moments call that
+        # writes into no span buffer
+        row_moments = clock.row_moments
+
+        def breaking(rows, state, k, out=None, work=None):
+            moments, cov = row_moments(rows, state, k, out=out, work=work)
+            if out is None:
+                assert len(rows) == 1
+                cov[...] = PURITY_ABOVE_ONE
+            return moments, cov
+
+        monkeypatch.setattr(clock, "row_moments", breaking)
+        with pytest.raises(TruncationError) as raised:
+            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
+                                    n_max=12))
+        message = str(raised.value)
+        assert message.startswith(
+            f"mode-mixing-only state at repetition {reps}: covariance "
+            "violates the uncertainty relation (purity ")
+        assert message.endswith("; truncation artifact, increase n_max")
 
     def test_larger_truncation_reads_out(self):
         res = run_twin(ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": 48}))

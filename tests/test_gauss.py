@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_passive_map, random_symplectic_map
+from conftest import moment_params, random_passive_map, random_symplectic_map
 from kg_oracle import BasisKind, ModeBasis
 from map_oracle import compose, free_phase_map, inverse
-from transport_oracle import dense_row_moments
+from transport_oracle import (apply_full, dense_row_moments, embed,
+                              partial_trace, vacuum)
 from cavityclock import (BogoliubovMap, TruncationError, ValidationError,
-                         apply_full, apply_reduced, coherent, embed,
-                         extract_params, junction_map, partial_trace,
-                         squeezed_vacuum, vacuum)
+                         apply_reduced, coherent, extract_params,
+                         junction_map, squeezed_vacuum)
 from cavityclock.gauss import GaussianParams, GaussianState, _remainder, \
-    moment_params, row_moments
+    row_moments
 
 
 def mean_photon_number(state: GaussianState) -> float:

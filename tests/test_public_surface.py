@@ -1,5 +1,7 @@
 import cavityclock
 import cavityclock.cli as cli
+import cavityclock.clock as clock
+import cavityclock.gauss as gauss
 import cavityclock.modes as modes
 from cavityclock import BogoliubovMap, Segment
 
@@ -11,9 +13,8 @@ EXPORTS = [
     "rindler_geometry", "elapsed_times", "final_kinematics",
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
     "dump_map",
-    "GaussianState", "GaussianParams", "vacuum", "coherent",
-    "squeezed_vacuum", "embed", "apply_reduced", "apply_full",
-    "partial_trace", "extract_params",
+    "GaussianState", "GaussianParams", "coherent", "squeezed_vacuum",
+    "apply_reduced", "extract_params",
     "phase_qfi", "cramer_rao", "qfi_change_pct",
     "ScenarioConfig", "ScenarioResult", "SweepPoint", "classical_cavity_ratio",
     "run_twin", "sweep", "schwarzschild_acceleration", "near_horizon_geometry",
@@ -41,6 +42,16 @@ def test_test_only_map_algebra_is_not_in_the_library():
         assert not hasattr(BogoliubovMap, attr)
     for name in ("ModeBasis", "BasisKind", "free_phase_map"):
         assert not hasattr(modes, name)
+
+
+def test_one_transport_and_one_readout():
+    # the dense multimode transport is a test oracle
+    # (tests/transport_oracle.py), and the mode-mixing-only state is read
+    # like every span
+    for name in ("vacuum", "embed", "apply_full", "partial_trace",
+                 "moment_params"):
+        assert not hasattr(gauss, name)
+    assert not hasattr(clock, "_last")
 
 
 def test_cli_has_one_entry_point():

@@ -13,16 +13,16 @@ import pytest
 import cavityclock.clock as clock
 import cavityclock.gauss as gauss
 from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
-                         apply_full, embed, extract_params, partial_trace,
-                         phase_qfi, run_twin, symplectic_residual,
-                         trajectory_map)
+                         extract_params, phase_qfi, run_twin,
+                         symplectic_residual, trajectory_map)
 from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
 from cavityclock.modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
                                _map_power)
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
 from map_oracle import compose
-from transport_oracle import dense_row_moments
+from transport_oracle import (apply_full, dense_row_moments, embed,
+                              partial_trace)
 
 
 def full_transport(bmap: BogoliubovMap, state0, k: int):
@@ -132,24 +132,19 @@ class TestRowPathAgainstFullMapLoop:
     def test_one_readout_per_span(self, monkeypatch):
         # guards the span readout without timing anything: a readout per
         # lane step or per repetition would make 4x to 96x more calls; and
-        # of a displaced state only the mode-mixing-only state goes through
-        # moment_params, since the spans read the phase alone
-        calls, full = [], []
-        span_phase, moment_params = clock._span_phase, clock.moment_params
+        # the mode-mixing-only state is read last, as a one-entry span at
+        # repetition reps
+        calls = []
+        span_phase = clock._span_phase
 
         def counting(*args):
-            calls.append(None)
+            calls.append((len(args[0]), *args[2:]))
             return span_phase(*args)
 
-        def counting_full(*args):
-            full.append(None)
-            return moment_params(*args)
-
         monkeypatch.setattr(clock, "_span_phase", counting)
-        monkeypatch.setattr(clock, "moment_params", counting_full)
         run_twin(lane_config(5000))
         assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
-        assert len(full) == 1
+        assert calls[-1] == (1, 5000, "mode-mixing-only state")
 
 
 class TestLanesAgainstDenseTransport:
@@ -179,7 +174,6 @@ class TestLanesAgainstDenseTransport:
     def test_no_register_is_embedded(self, kind, monkeypatch):
         # the 2n x 2n vacuum covariance is never built
         calls = []
-        embed = gauss.embed
         for module in (gauss, clock):
             monkeypatch.setattr(module, "embed", lambda *args: calls.append(
                 args) or embed(*args), raising=False)
