@@ -14,11 +14,11 @@ Exit codes: 0 success, 2 config parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -199,13 +199,27 @@ def _result_row(res: ScenarioResult, digest: str) -> list[str]:
     return [_fmt(v) for v in values]
 
 
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One record as `csv.writer(fh, lineterminator="\\n")` writes it, for
+    fields that need no quoting: column names, repr floats, ints and a hex
+    digest.  A field that would need quoting raises ValueError.  No
+    `csv.writer`: it allocates a record buffer of about 128 KB on its first
+    row, on top of the results it writes."""
+    for value in fields:
+        if _NEEDS_QUOTING.search(value):
+            raise ValueError(f"CSV field needs quoting: {value!r}")
+    return ",".join(fields) + "\n"
+
+
 def write_results_csv(path: Path, results: list[ScenarioResult],
                       digest: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        fh.write(_csv_line(CSV_COLUMNS))
         for res in results:
-            writer.writerow(_result_row(res, digest))
+            fh.write(_csv_line(_result_row(res, digest)))
 
 
 def write_manifest(path: Path, command: str, loaded: LoadedConfig,

@@ -48,9 +48,9 @@ import numpy as np
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      ValidationError)
-from .gauss import (GaussianParams, GaussianState, _covariance_terms,
-                    _parameters, _remainder, coherent, extract_params,
-                    row_moments, squeezed_vacuum)
+from .gauss import (GaussianParams, GaussianState, _angles,
+                    _covariance_terms, _parameters, _remainder, coherent,
+                    extract_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _block_symplectic, _bogoliubov,
                     _map_power, gated_residual, symplectic_matrix)
@@ -187,26 +187,31 @@ class ScenarioResult:
 
 # Lanes advanced per matrix product, and repetitions per vectorized
 # readout; _SPAN is a multiple of _LANES so every span ends on a lane step.
-# The buffers stay two lane buffers and one work buffer of _LANES x 2 x
-# 2 n_max floats, and span buffers of _SPAN x 6 floats, whatever the
-# repetition count.  336 is the widest multiple of _LANES whose readout
-# stays below the peak allocation of the junction quadrature, for a
-# coherent state at n_max 24: 360 would raise the peak of a call.
+# The buffers stay two lane buffers of _LANES x 2 x 2 n_max floats (the
+# idle one is row_moments' work buffer) and span buffers of _SPAN x 6
+# floats, whatever the repetition count.  For a coherent state at n_max 24
+# a call peaks in the junction quadrature, with the map stage and the lane
+# phase just below it; 336 is the widest multiple of _LANES whose lane
+# phase stays there: 360 would raise the peak of a call.
 _LANES = 24
 _SPAN = 336
 
 
-def _read_phase(params: GaussianParams):
-    """(wrapped phase, wrap period) for the clock readout, elementwise for
-    batched params: the displacement phase, or half the squeeze angle at
-    zero displacement."""
-    displaced = params.displacement > 1e-12
-    return (np.where(displaced, params.phase, 0.5 * params.squeeze_angle),
+def _read_phase(displacement, phase, squeeze_angle):
+    """(wrapped phase, wrap period) for the clock readout, elementwise over
+    batched parameters (`gauss._angles`): the displacement phase, or half
+    the squeeze angle at zero displacement."""
+    displaced = displacement > 1e-12
+    return (np.where(displaced, phase, 0.5 * squeeze_angle),
             np.where(displaced, 2.0 * math.pi, math.pi))
 
 
-def _unwrap(wrapped, anchor, period: float):
-    return anchor + _remainder(wrapped - anchor, period)
+def _unwrap(wrapped: np.ndarray, anchor, period: float) -> np.ndarray:
+    """anchor + remainder(wrapped - anchor, period), written over
+    `wrapped`."""
+    np.subtract(wrapped, anchor, out=wrapped)
+    return np.add(anchor, _remainder(wrapped, period, out=wrapped),
+                  out=wrapped)
 
 
 def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
@@ -225,14 +230,14 @@ def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int,
     """(wrapped clock phase, gated covariance terms) of one span of
     transported states, whose entry 0 is repetition `first_rep`; `what`
     names the state in the gate's error.  The phase equals `_read_phase` of
-    the full parameter readout bit for bit; when every entry is displaced
-    it is atan2(p, q), and the squeeze magnitude and angle are not
-    computed."""
+    the full parameter readout bit for bit: when every entry is displaced
+    it is atan2(p, q), and the squeeze angle is not computed; the squeeze
+    magnitude and purity never are."""
     terms, fault = _covariance_terms(cov)
     _gated(fault, first_rep, what)
     q, p = moments[:, 0], moments[:, 1]
     if not np.all(np.hypot(q, p) > 1e-12):
-        return _read_phase(_parameters(moments, terms))[0], terms
+        return _read_phase(*_angles(moments, terms))[0], terms
     return np.arctan2(p, q), terms
 
 
@@ -247,9 +252,10 @@ def _last_qfi(moments: np.ndarray, terms) -> float:
 
 def run_twin(config: ScenarioConfig) -> ScenarioResult:
     """Run the twin-paradox scenario and collect the full decomposition."""
-    k = config.clock_mode
-    n_max = config.n_max
-    reps = config.repetitions
+    # plain ints: an np.int64 count would make the time fields numpy scalars
+    k = int(config.clock_mode)
+    n_max = int(config.n_max)
+    reps = int(config.repetitions)
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     s_block, product = _block_symplectic(block, config.L, n_max,
                                          config.quadrature_tol)
@@ -269,7 +275,8 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     state0 = config.initial_state()
     params0 = extract_params(state0)
     qfi_before = phase_qfi(params0)
-    theta_start, period = map(float, _read_phase(params0))
+    theta_start, period = map(float, _read_phase(
+        params0.displacement, params0.phase, params0.squeeze_angle))
 
     omega_k = k * math.pi / config.L
     ratio = classical_cavity_ratio(config.h)
@@ -290,7 +297,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         step = step @ s_block
         lane[...] = step[2 * k - 2:2 * k]
     del s_block
-    ahead, work = np.empty_like(lanes), np.empty_like(lanes)
+    ahead = np.empty_like(lanes)
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
     series = np.empty(reps)
@@ -302,26 +309,31 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
                           out=ahead.reshape(-1, 2 * n_max))
                 lanes, ahead = ahead, lanes
             end = min(offset + len(lanes), count)
+            # ahead is idle until the next lane step overwrites it
             row_moments(lanes[:end - offset], state0, k,
                         out=(moments[offset:end], cov[offset:end]),
-                        work=work[:end - offset])
+                        work=ahead[:end - offset])
         wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1,
                                      "transported state")
+        if start + count == reps:
+            qfi_after = _last_qfi(moments[:count], terms)
+        del terms
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
+        theta_full = float(theta[-1])
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
-        series[start:start + count] = theta_alice - theta
-    del lanes, ahead, work, step
-    theta_full = float(theta[-1])
-    qfi_after = _last_qfi(moments[:count], terms)
+        np.subtract(theta_alice, theta, out=series[start:start + count])
+        # nothing of this span may outlive it into the next span's readout
+        del wrapped, theta, rep, theta_alice
+    del lanes, ahead, step
 
     # the mode-mixing-only state, read as a one-entry span at repetition reps
     moments_mm, cov_mm = row_moments(mm_rows[None], state0, k)
     wrapped, terms = _span_phase(moments_mm, cov_mm, reps,
                                  "mode-mixing-only state")
     qfi_after_mm = _last_qfi(moments_mm, terms)
-    theta_mm = float(_unwrap(wrapped[0], theta_start + reps * anchor_block,
-                             period))
+    theta_mm = float(_unwrap(wrapped, theta_start + reps * anchor_block,
+                             period)[0])
 
     tau_alice = reps * tau_alice_block
     tau_point = reps * (tau_acc_block + tau_coast_block)

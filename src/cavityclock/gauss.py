@@ -28,15 +28,17 @@ _TWO_PI = 2.0 * math.pi
 _VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
 
 
-def _remainder(x, y: float):
+def _remainder(x, y: float, out: np.ndarray | None = None) -> np.ndarray:
     """`math.remainder(x, y)` elementwise for y > 0, exact like the IEEE
-    operation (ties to the even quotient)."""
+    operation (ties to the even quotient), as an array; written into `out`
+    when given, which may be `x`."""
     # fmod by 2y is exact and keeps the quotient's parity; every later
     # subtraction is exact by Sterbenz' lemma
-    r = np.fmod(x, 2.0 * y)
+    r = np.asarray(np.fmod(x, 2.0 * y, out=out))
     a = np.abs(r)
     step = np.where(a - y < 0.5 * y, y, 2.0 * y)
-    return np.where(a <= 0.5 * y, r, r - np.copysign(step, r))
+    return np.subtract(r, np.copysign(step, r, out=step), out=r,
+                       where=a > 0.5 * y)
 
 
 def _wrap_angle(x):
@@ -195,21 +197,29 @@ def _covariance_terms(cov: np.ndarray):
     return (s11, s22, s12, det, purity, trace, split, squeezed), None
 
 
+def _angles(moments: np.ndarray, terms):
+    """(displacement, phase theta, squeeze angle phi) of `_parameters`,
+    without the squeeze magnitude and purity."""
+    s11, s22, s12, _, _, _, _, squeezed = terms
+    q, p = moments[..., 0], moments[..., 1]
+    displacement = np.hypot(q, p)
+    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
+    phi = np.where(squeezed,
+                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
+                   0.0)
+    return displacement, theta, phi
+
+
 def _parameters(moments: np.ndarray, terms) -> GaussianParams:
     """Parameters from moments (..., 2) and the covariance terms of
     `_covariance_terms` that passed its gate, elementwise over the leading
     axes.  r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
     cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
     eigenvalue split."""
-    s11, s22, s12, det, purity, trace, split, squeezed = terms
-    q, p = moments[..., 0], moments[..., 1]
-    displacement = np.hypot(q, p)
-    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
+    _, _, _, det, purity, trace, split, squeezed = terms
+    displacement, theta, phi = _angles(moments, terms)
     r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
                  0.0)
-    phi = np.where(squeezed,
-                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
-                   0.0)
     return GaussianParams(displacement, theta, r, phi, np.minimum(purity, 1.0))
 
 

@@ -122,32 +122,54 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     # d = chi1 - 1/u_max, the O(1) remainder of two ~1/h terms
     d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
     n = np.arange(1.0, n_max + 1.0)
-    inv_s = 1.0 / np.sqrt(np.outer(n, n))
-    sum_nm = (n[:, None] + n[None, :]) / u_max
-    dif_nm = (n[None, :] - n[:, None]) / u_max
 
     def level(panels: int) -> tuple[np.ndarray, np.ndarray]:
+        """The raw overlap sums (a0, a1) on `panels` panels.  The n_max x
+        nodes tables are built in place: a broadcast product would add a
+        numpy iterator buffer of their size on top of its output."""
         u, w = _composite_nodes(0.0, u_max, panels)
         xi = chi1 * np.expm1(u)
-        rind = np.sin(np.pi * np.outer(n, u) / u_max)
-        mink = np.sin(np.pi * np.outer(n, xi))
-        a0 = (rind * w) @ mink.T
-        a1 = (rind * (w * (d + xi))) @ mink.T
-        base = n[None, :] * a1
-        return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
+        rind = np.einsum("i,j->ij", n, u)
+        np.multiply(np.pi, rind, out=rind)
+        np.divide(rind, u_max, out=rind)
+        np.sin(rind, out=rind)
+        mink = np.einsum("i,j->ij", n, xi)
+        np.multiply(np.pi, mink, out=mink)
+        np.sin(mink, out=mink)
+        weighted = np.einsum("ij,j->ij", rind, w)
+        a0 = weighted @ mink.T
+        np.einsum("ij,j->ij", rind, w * (d + xi), out=weighted)
+        return a0, weighted @ mink.T
 
     panels = max(2, n_max // 8)
-    alpha, beta = level(panels)
+    coarse = level(panels)
+    tables = None
     estimate = math.inf
     while panels <= _MAX_PANELS:
         panels *= 2
-        alpha2, beta2 = level(panels)
+        fine = level(panels)
+        if tables is None:
+            # built once, after the first finer level: alive through it, the
+            # combination tables would add to its peak allocation
+            tables = (1.0 / np.sqrt(np.outer(n, n)),
+                      (n[:, None] + n[None, :]) / u_max,
+                      (n[None, :] - n[:, None]) / u_max)
+            alpha, beta = _junction_entries(*coarse, n, *tables)
+        alpha2, beta2 = _junction_entries(*fine, n, *tables)
         estimate = max(float(np.max(np.abs(alpha2 - alpha))),
                        float(np.max(np.abs(beta2 - beta))))
         if estimate <= tol:
             return BogoliubovMap(alpha2, beta2)
         alpha, beta = alpha2, beta2
     raise QuadratureError("junction_map quadrature did not converge", estimate)
+
+
+def _junction_entries(a0: np.ndarray, a1: np.ndarray, n: np.ndarray,
+                      inv_s: np.ndarray, sum_nm: np.ndarray,
+                      dif_nm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of `junction_map` from one level's raw sums."""
+    base = n[None, :] * a1
+    return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
 
 
 def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

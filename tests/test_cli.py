@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ import pytest
 import cavityclock
 import cavityclock.cli as cli
 import cavityclock.modes as modes
-from cavityclock import BogoliubovMap, junction_map
+from cavityclock import BogoliubovMap, ScenarioConfig, junction_map, run_twin
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main)
+from peak import peak_bytes
 
 
 def base_config(**scenario_overrides):
@@ -321,6 +324,45 @@ class TestTwinCommand:
                      "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 1
         assert len(read_rows(tmp_path / "test_results.csv")) == 1
+
+
+class TestResultsCsv:
+    DIGEST = hashlib.sha256(b"cavityclock").hexdigest()
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_twin(ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                       repetitions=3, n_max=12))
+
+    def test_bytes_match_csv_writer(self, result, tmp_path):
+        # repr floats at the edges of the double range, with the digest
+        edges = replace(result, tau_alice=math.nan, theta_full=math.inf,
+                        theta_mm_only=-math.inf, pc_fraction=-0.0,
+                        qfi_after=5e-324, qfi_before=1.7976931348623157e308)
+        results = [result, edges]
+        cli.write_results_csv(tmp_path / "lines.csv", results, self.DIGEST)
+        with open(tmp_path / "writer.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for res in results:
+                writer.writerow(cli._result_row(res, self.DIGEST))
+        written = (tmp_path / "lines.csv").read_bytes()
+        assert written == (tmp_path / "writer.csv").read_bytes()
+        fields = written.decode().splitlines()[-1].split(",")
+        assert {"nan", "inf", "-inf", "-0.0", "5e-324",
+                "1.7976931348623157e+308", self.DIGEST} <= set(fields)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_field_that_needs_quoting_raises(self, char):
+        with pytest.raises(ValueError, match="needs quoting"):
+            cli._csv_line(["h", f"L{char}m"])
+
+    def test_peak_allocation(self, result, tmp_path):
+        # csv.writer allocates a record buffer of about 128 KB on its first
+        # row
+        assert peak_bytes(lambda: cli.write_results_csv(
+            tmp_path / "r.csv", [result], self.DIGEST)) < 16_384
 
 
 class TestSweepCommand:

@@ -128,6 +128,8 @@ class TestScenarioConfig:
         for name, value in vars(want).items():
             if name != "config":
                 np.testing.assert_array_equal(getattr(got, name), value)
+        # plain floats, not numpy scalars, in the time fields and pc_fraction
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("field", [dict(quadrature_tol=0.0),
                                        dict(quadrature_tol=math.nan),
@@ -293,8 +295,8 @@ def span(entries):
             np.array([c for _, c in entries]))
 
 
-# entries, how many of them are clipped, and whether the span needs every
-# parameter (it holds an undisplaced entry)
+# entries, how many of them are clipped, and whether the span reads the
+# squeeze angle (it holds an undisplaced entry)
 SPANS = {"displaced": (DISPLACED * 3, 6, False),
          "undisplaced": (DISPLACED + UNDISPLACED + DISPLACED, 4, True),
          "barely displaced": (DISPLACED + [BARELY_DISPLACED] + DISPLACED, 4,
@@ -307,17 +309,20 @@ class TestSpanPhase:
 
     @pytest.mark.parametrize("kind", list(SPANS))
     def test_phase_is_bit_identical(self, kind, caplog, monkeypatch):
-        entries, clipped, reads_all = SPANS[kind]
+        entries, clipped, reads_angle = SPANS[kind]
         moments, cov = span(entries)
-        full = []
-        parameters = clock._parameters
-        monkeypatch.setattr(clock, "_parameters",
-                            lambda *args: full.append(None)
-                            or parameters(*args))
+        calls = {"_parameters": [], "_angles": []}
+        for name, log in calls.items():
+            real = getattr(clock, name)
+            monkeypatch.setattr(clock, name,
+                                lambda *args, log=log, real=real:
+                                log.append(None) or real(*args))
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
             phase, terms = _span_phase(moments, cov, 1, "transported state")
         span_clips = len(caplog.messages)
-        assert len(full) == reads_all
+        # no squeeze magnitude or purity, and the angle only when read
+        assert len(calls["_parameters"]) == 0
+        assert len(calls["_angles"]) == reads_angle
         # the terms it gated with, for the caller's final readout
         for got, want in zip(terms, _covariance_terms(cov)[0], strict=True):
             assert got.tobytes() == want.tobytes()
@@ -325,7 +330,8 @@ class TestSpanPhase:
         with caplog.at_level(logging.WARNING, logger="cavityclock"):
             params, fault = moment_params(moments, cov)
         assert fault is None
-        reference = _read_phase(params)[0]
+        reference = _read_phase(params.displacement, params.phase,
+                                params.squeeze_angle)[0]
         assert phase.dtype == reference.dtype
         assert phase.tobytes() == reference.tobytes()
         # one warning per clipped entry, as the full readout logs

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from conftest import random_symplectic_map
 from kg_oracle import BasisKind, Mode, ModeBasis, kg_inner_product, mode_value
 from map_oracle import compose, compose_chain_map, free_phase_map, inverse
+from peak import peak_bytes
 from cavityclock import (BogoliubovMap, C, HorizonError, Segment, Trajectory,
                          ValidationError, apply_reduced, coherent, dump_map,
                          junction_map, rindler_geometry, symplectic_residual,
@@ -152,6 +153,13 @@ class TestJunctionMap:
         interior = np.s_[:5, :5]
         assert np.max(np.abs(back.alpha[interior] - np.eye(5))) < 1e-8
         assert np.max(np.abs(back.beta[interior])) < 1e-8
+
+    def test_peak_allocation(self):
+        # three 24 x 192 node tables (37 KB each) are needed at once; a
+        # broadcast product adds a numpy iterator buffer of a table's size
+        # on top of its output, as the combination tables would if they
+        # were alive through the finer level
+        assert peak_bytes(lambda: junction_map(2.1e-4, 24)) <= 140_000
 
     def test_horizon_and_domain_errors(self):
         with pytest.raises(HorizonError):

@@ -2,9 +2,7 @@
 `run_twin`, pinned against the full-map loop it replaced, and the residual
 growth that lets the final-map gate vouch for every repetition."""
 
-import gc
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +19,7 @@ from cavityclock.modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
 from map_oracle import compose
+from peak import peak_bytes
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace)
 
@@ -182,29 +181,30 @@ class TestLanesAgainstDenseTransport:
 
 
 class TestPeakAllocation:
+    @staticmethod
+    def peak(reps):
+        config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                repetitions=reps, n_max=24)
+        return peak_bytes(lambda: run_twin(config))
+
     def test_peak_does_not_grow_beyond_the_series(self):
         # the lanes and span buffers are sized by _LANES and _SPAN, not by
         # the repetition count: more round trips may add only their 8-byte
-        # series entries.  At these sizes the peak sits in the junction
-        # quadrature.  A buffer sized by _SPAN is full from _SPAN round
+        # series entries.  A buffer sized by _SPAN is full from _SPAN round
         # trips on, so it shows only against a run shorter than a span: a
         # _SPAN x 2 x 2 n_max row buffer would lift the peak at 5000 round
         # trips well above the one at _LANES.
-        def peak(reps):
-            config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
-                                    repetitions=reps, n_max=24)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                run_twin(config)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(10)  # fills the junction-table cache outside the traced calls
-        peaks = {reps: peak(reps) for reps in (_LANES, 500, 5000)}
+        peaks = {reps: self.peak(reps) for reps in (_LANES, 500, 5000)}
         for reps in (_LANES, 500):
             assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
+
+    def test_peak_at_5000_round_trips(self):
+        # the call peaks in the junction quadrature (about 139 KB), and the
+        # lane phase, with the 40 KB series, two lane buffers, H = S_B^24
+        # and the span buffers, stays just below it; a third lane-sized
+        # buffer, or a span's readout arrays kept alive into the next
+        # span's readout, would lift the peak above 150 KB
+        assert self.peak(5000) <= 150_000
 
 
 class TestMapPower:
