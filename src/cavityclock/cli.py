@@ -33,8 +33,8 @@ from .constants import C
 from .errors import CavityClockError, ValidationError
 from .gauss import extract_params
 from .metrology import cramer_rao, phase_qfi
-from .modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
-                    _junction_pair, _map_power, _trusted_interior, dump_map,
+from .modes import (BogoliubovMap, _block_symplectic, _coefficients,
+                    _junction_blocks, _map_power, _trusted_interior, dump_map,
                     gated_residual, symplectic_residual, trajectory_map)
 from .trajectory import build_twin_trajectory
 
@@ -315,8 +315,8 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
     c = loaded.scenario
     traj = build_twin_trajectory(c.t_a, c.t_i, c.repetitions, c.a)
     bmap = trajectory_map(traj, c.L, c.n_max, tol=c.quadrature_tol)
-    eps1, eps2 = gated_residual(bmap, c.clock_mode, c.residual_gate,
-                                "trajectory-map")
+    eps1, eps2 = gated_residual(bmap.alpha, bmap.beta, c.clock_mode,
+                                c.residual_gate, "trajectory-map")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{loaded.prefix}_bogomap.txt"
@@ -331,8 +331,8 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
 
 def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     """Self-tests of the maps `twin` builds, through the helpers it calls:
-    the junction pair (S_J, S_J^-1) at the config's h and `quadrature_tol`
-    and, with a config, the block map S_B and S_B^reps."""
+    the junction's blocks and its inverse's (`_junction_blocks`) at the
+    config's h and `quadrature_tol` and, with a config, S_B and S_B^reps."""
     c = loaded.scenario if loaded is not None else None
     if c is not None:
         h, n_max, tol = c.h or 0.01, c.n_max, c.quadrature_tol
@@ -342,30 +342,26 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     interior = _trusted_interior(clock_mode, n_max)
     failures = 0
 
-    def report(name: str, eps1: float, eps2: float, limit: float):
+    def report(name: str, values, limit: float, keys=("eps1", "eps2")):
         nonlocal failures
-        ok = eps1 <= limit and eps2 <= limit
+        ok = all(v <= limit for v in values)
         failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name}: eps1={eps1:.3e} "
-              f"eps2={eps2:.3e} (limit {limit:.1e})")
+        found = " ".join(f"{key}={v:.3e}" for key, v in zip(keys, values))
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {found} (limit {limit:.1e})")
 
     ident = BogoliubovMap.identity(n_max)
-    report("identity map", *symplectic_residual(ident, interior), 0.0)
+    report("identity map", symplectic_residual(ident, interior), 0.0)
 
-    s_j, s_j_inv = _junction_pair(h, n_max, tol)
-    eps = symplectic_residual(_bogoliubov(s_j), interior)
-    report(f"junction map (h={h:g})", *eps, gate)
-
-    # S_J^-1 S_J = I up to the truncation the junction's residual shows
-    block = np.s_[:2 * interior, :2 * interior]
-    dev = float(np.max(np.abs((s_j_inv @ s_j)[block]
-                              - np.eye(2 * interior))))
-    limit = 2 * max(eps) + 1e-14
-    ok = dev <= limit
-    failures += 0 if ok else 1
-    print(f"{'PASS' if ok else 'FAIL'} junction inverse roundtrip "
-          f"({interior}x{interior} interior): deviation={dev:.3e} "
-          f"(limit {limit:.1e})")
+    (x, y), inverse = _junction_blocks(h, n_max, tol)
+    eps = symplectic_residual(BogoliubovMap(0.5 * (x + y), 0.5 * (y - x)),
+                              interior)
+    report(f"junction map (h={h:g})", eps, gate)
+    # S_J^-1 S_J = diag(YᵀX, XᵀY) = I up to the truncation eps shows
+    dev = max(float(np.max(np.abs(inv[:interior] @ blk[:, :interior]
+                                  - np.eye(interior))))
+              for inv, blk in zip(inverse, (x, y)))
+    report(f"junction inverse roundtrip ({interior}x{interior} interior)",
+           (dev,), 2 * max(eps) + 1e-14, ("deviation",))
 
     if c is not None:
         # the residuals `run_twin` gates, on maps built the way it builds them
@@ -374,8 +370,8 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
         s_final = _map_power(s_block, c.repetitions, product)
         for name, s in (("block map S_B", s_block),
                         (f"composed map S_B^{c.repetitions}", s_final)):
-            report(name, *gated_residual(_bogoliubov(s), clock_mode, None,
-                                         name), gate)
+            report(name, gated_residual(*_coefficients(s[:2 * interior]),
+                                        clock_mode, None, name), gate)
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
@@ -435,15 +431,8 @@ def _execute(args: argparse.Namespace) -> int:
         if loaded is None:
             print("this subcommand needs --config", file=sys.stderr)
             return EXIT_VALIDATION
-        if args.command == "twin":
-            return _cmd_twin(args, loaded)
-        if args.command == "sweep":
-            return _cmd_sweep(args, loaded)
-        if args.command == "qfi":
-            return _cmd_qfi(args, loaded)
-        if args.command == "bogo":
-            return _cmd_bogo(args, loaded)
-        raise AssertionError(f"unhandled command {args.command}")
+        return {"twin": _cmd_twin, "sweep": _cmd_sweep, "qfi": _cmd_qfi,
+                "bogo": _cmd_bogo}[args.command](args, loaded)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

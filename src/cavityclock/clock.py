@@ -5,28 +5,20 @@ the clock mode's Gaussian state, and compare the resulting clock time
 (phase / mode frequency) and precision (phase QFI) against the pointlike and
 classical extended-clock predictions.
 
-Repetitions: after r round trips the map is B^r for the one-block map B.
-Powers of one map commute, so the row pair of the clock mode k in the real
-symplectic matrix obeys S_k(r + m) = S_k(r) S_B^m for any m, and the
-clock-mode readout needs nothing else.  `run_twin` keeps the row pairs of
-M consecutive repetitions as lanes: the powers S_B^r = S_B^(r-1) S_B for
-r = 1..M fill them and end at H = S_B^M, then one (2M x 2n) by (2n x 2n)
-product with H, written into a second lane buffer, moves every lane forward
-by M repetitions.  Each lane's row pair carries the initial state, placed at
-mode k of a vacuum register, to the clock mode's moments and covariance
-(`gauss.row_moments`, which never builds the 2n x 2n vacuum covariance),
-written straight into the span buffers: all that is kept per repetition.
-The readout runs vectorized once per span of them.  Every span reads only
-the phase (`_span_phase`): the physicality gate and clip warnings, then
-atan2(p, q) when every entry is displaced; qfi_after is read from the last
-entry alone, with the covariance terms the last span was gated with
-(`_last_qfi`).  The mode-mixing-only state, the same transport by the rows
-of the passive part of B^reps, is read the same way as a one-entry span at
-repetition reps.
-The map is built, powered and fed to the lanes as the real symplectic
-matrix: S_B from `modes._block_symplectic`, S_B^reps by squaring.  The
-residual gates and the mode-mixing-only rows need (alpha, beta), recovered
-from S_B and S_B^reps before the lanes start.
+Repetitions: after r round trips the map is B^r for the one-block map B,
+and the clock mode k's row pair in the real symplectic matrix obeys
+S_k(r + m) = S_k(r) S_B^m.  `run_twin` keeps the row pairs of M consecutive
+repetitions as lanes: S_B^r = S_B^(r-1) S_B for r = 1..M fill them and end
+at H = S_B^M, then one (2M x 2n) by (2n x 2n) product with H, written into a
+second lane buffer, moves every lane M repetitions on.  Each lane carries
+the initial state, at mode k of a vacuum register, to the clock mode's
+moments and covariance (`gauss.row_moments`), written straight into the span
+buffers.  Every span reads only the phase (`_span_phase`), and qfi_after is
+read from the last entry alone (`_last_qfi`).  The mode-mixing-only state,
+transported by the rows of the passive part of B^reps, is read as a
+one-entry span.  The map stage converts S back only where it is read: the
+residual gates take (alpha, beta) of the trusted rows of S_B and S_B^reps,
+and the passive part takes alpha of S_B^reps.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
@@ -52,8 +44,9 @@ from .gauss import (GaussianParams, GaussianState, _angles,
                     _covariance_terms, _parameters, _remainder, coherent,
                     extract_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
-from .modes import (_TRUSTED_MARGIN, _block_symplectic, _bogoliubov,
-                    _map_power, gated_residual, symplectic_matrix)
+from .modes import (_TRUSTED_MARGIN, _alpha, _block_symplectic, _coefficients,
+                    _map_power, _trusted_interior, gated_residual,
+                    symplectic_matrix)
 from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
     rindler_geometry
 
@@ -186,13 +179,11 @@ class ScenarioResult:
 
 
 # Lanes advanced per matrix product, and repetitions per vectorized
-# readout; _SPAN is a multiple of _LANES so every span ends on a lane step.
-# The buffers stay two lane buffers of _LANES x 2 x 2 n_max floats (the
-# idle one is row_moments' work buffer) and span buffers of _SPAN x 6
-# floats, whatever the repetition count.  For a coherent state at n_max 24
-# a call peaks in the junction quadrature, with the map stage and the lane
-# phase just below it; 336 is the widest multiple of _LANES whose lane
-# phase stays there: 360 would raise the peak of a call.
+# readout, a multiple of _LANES so every span ends on a lane step.  The
+# buffers stay two lane buffers of _LANES x 2 x 2 n_max floats (the idle one
+# is row_moments' work buffer, freed for the span's readout) and span
+# buffers of _SPAN x 6 floats, whatever the repetition count.  At n_max 24
+# a 5000-round-trip call peaks in its lane phase, at about 120 KB.
 _LANES = 24
 _SPAN = 336
 
@@ -259,18 +250,21 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     s_block, product = _block_symplectic(block, config.L, n_max,
                                          config.quadrature_tol)
-    gated_residual(_bogoliubov(s_block), k, config.residual_gate, "block-map")
+    trusted = np.s_[:2 * _trusted_interior(k, n_max)]  # the gates' rows
+    gated_residual(*_coefficients(s_block[trusted]), k, config.residual_gate,
+                   "block-map")
     # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
     # and benchmark configs (tests/test_repetitions.py): the residual grows
     # with r, so gating the final map vouches for every repetition below.
-    final_map = _bogoliubov(_map_power(s_block, reps, product))
-    final_residual = gated_residual(final_map, k, config.residual_gate,
-                                    "composed-map")
-    # of B^reps only the mode-mixing-only rows are needed later; releasing it
-    # before the lanes start keeps the peak allocation of a call down
-    mm_map = final_map.passive_part()
-    mm_rows = symplectic_matrix(mm_map.alpha[k - 1:k], mm_map.beta[k - 1:k])
-    del final_map, mm_map
+    s_final = _map_power(s_block, reps, product)
+    final_residual = gated_residual(*_coefficients(s_final[trusted]), k,
+                                    config.residual_gate, "composed-map")
+    # only row k of the passive part of S_B^reps is read later (alpha's polar
+    # factor, beta zeroed); S_B^reps and the SVD are freed before the lanes
+    u, _, vh = np.linalg.svd(_alpha(s_final))
+    mm_alpha = (u @ vh)[k - 1:k]
+    mm_rows = symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha))
+    del s_final, u, vh, mm_alpha
 
     state0 = config.initial_state()
     params0 = extract_params(state0)
@@ -293,16 +287,16 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     lanes = np.empty((min(_LANES, reps), 2, 2 * n_max))
     step = s_block
     lanes[0] = step[2 * k - 2:2 * k]
-    for lane in lanes[1:]:
+    for r in range(1, len(lanes)):  # a loop view would pin a lane buffer
         step = step @ s_block
-        lane[...] = step[2 * k - 2:2 * k]
+        lanes[r] = step[2 * k - 2:2 * k]
     del s_block
-    ahead = np.empty_like(lanes)
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
     series = np.empty(reps)
     for start in range(0, reps, _SPAN):
         count = min(_SPAN, reps - start)
+        ahead = np.empty_like(lanes)  # freed for the span's readout below
         for offset in range(0, count, len(lanes)):
             if start or offset:
                 np.matmul(lanes.reshape(-1, 2 * n_max), step,
@@ -313,6 +307,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
             row_moments(lanes[:end - offset], state0, k,
                         out=(moments[offset:end], cov[offset:end]),
                         work=ahead[:end - offset])
+        del ahead
         wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1,
                                      "transported state")
         if start + count == reps:
@@ -325,7 +320,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         np.subtract(theta_alice, theta, out=series[start:start + count])
         # nothing of this span may outlive it into the next span's readout
         del wrapped, theta, rep, theta_alice
-    del lanes, ahead, step
+    del lanes, step
 
     # the mode-mixing-only state, read as a one-entry span at repetition reps
     moments_mm, cov_mm = row_moments(mm_rows[None], state0, k)

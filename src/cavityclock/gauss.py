@@ -145,7 +145,8 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
     if not 1 <= k <= bmap.n_max:
         raise ValidationError(f"mode index {k} outside [1, {bmap.n_max}]")
     if residual_gate is not None:
-        gated_residual(bmap, k, residual_gate, "transport-map")
+        gated_residual(bmap.alpha, bmap.beta, k, residual_gate,
+                       "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
     return GaussianState(*row_moments(rows, state, k))
 

@@ -17,9 +17,9 @@ Conventions (fixed here, used everywhere downstream):
   truncation error on a leading interior block.
 * `BogoliubovMap` holds (alpha, beta) and is what the library hands out, but
   the pipeline does its map arithmetic on the real 2n x 2n symplectic matrix
-  S (`symplectic_matrix`), multiplied right to left (`S_second @ S_first`):
-  one real product per step, and coasts as elementwise turns of row pairs.
-  `trajectory_map` converts S back once.
+  S (`symplectic_matrix`), multiplied right to left (`S_second @ S_first`),
+  and converts back only the rows it reads (`_coefficients`); the junction
+  is real (`_junction_blocks`), and coasts turn row pairs elementwise.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class BogoliubovMap:
     def identity(cls, n_max: int) -> "BogoliubovMap":
         return cls(np.eye(n_max, dtype=complex), np.zeros((n_max, n_max), complex))
 
-    def passive_part(self) -> "BogoliubovMap":
-        """Mode-mixing-only map: beta zeroed, alpha re-unitarized by polar
-        decomposition (the particle-creation content is discarded)."""
-        u, _, vh = np.linalg.svd(self.alpha)
-        return BogoliubovMap(u @ vh, np.zeros_like(self.beta))
-
 
 def _atanh_minus_z(z: float) -> float:
     """artanh(z) - z without cancellation for small z."""
@@ -123,53 +117,66 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
     n = np.arange(1.0, n_max + 1.0)
 
-    def level(panels: int) -> tuple[np.ndarray, np.ndarray]:
-        """The raw overlap sums (a0, a1) on `panels` panels.  The n_max x
-        nodes tables are built in place: a broadcast product would add a
-        numpy iterator buffer of their size on top of its output."""
+    def level(panels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The raw overlap sums (a0, a1) on `panels` panels: the Minkowski
+        table (n_max x nodes) whole, the Rindler table and its weighted copy
+        in blocks of `rows` modes (the last takes the rest).  Tables are
+        built in place, with no broadcast product: its numpy iterator buffer
+        would add to the peak allocation."""
         u, w = _composite_nodes(0.0, u_max, panels)
         xi = chi1 * np.expm1(u)
-        rind = np.einsum("i,j->ij", n, u)
-        np.multiply(np.pi, rind, out=rind)
-        np.divide(rind, u_max, out=rind)
-        np.sin(rind, out=rind)
-        mink = np.einsum("i,j->ij", n, xi)
+        mink = np.dot(n[:, None], xi[None], out=np.empty((n_max, u.size)))
         np.multiply(np.pi, mink, out=mink)
         np.sin(mink, out=mink)
-        weighted = np.einsum("ij,j->ij", rind, w)
-        a0 = weighted @ mink.T
-        np.einsum("ij,j->ij", rind, w * (d + xi), out=weighted)
-        return a0, weighted @ mink.T
+        w_shift = w * (d + xi)
+        del xi
+        a0, a1 = np.empty((2, n_max, n_max))
+        edges = [i * rows for i in range(max(1, n_max // rows))] + [n_max]
+        rind, weighted = np.empty((2, n_max - edges[-2], u.size))
+        for lo, hi in zip(edges, edges[1:]):
+            r, wr = rind[:hi - lo], weighted[:hi - lo]
+            np.dot(n[lo:hi, None], u[None], out=r)
+            np.multiply(np.pi, r, out=r)
+            np.divide(r, u_max, out=r)
+            np.sin(r, out=r)
+            for weight, sums in ((w, a0), (w_shift, a1)):
+                wr[...] = weight
+                np.multiply(r, wr, out=wr)
+                np.matmul(wr, mink.T, out=sums[lo:hi])
+        return a0, a1
+
+    def entries(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, beta) from one level's raw sums."""
+        inv_s, sum_nm, dif_nm = tables
+        base = n[None, :] * a1
+        return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
 
     panels = max(2, n_max // 8)
-    coarse = level(panels)
-    tables = None
-    estimate = math.inf
+    # finer levels in blocks of 8 Rindler rows, at n_max <= 32 only: a block
+    # must round like the whole product, and OpenBLAS takes other kernels
+    # for one row, or for a product of more than about 1200 entries
+    rows = 8 if n_max <= 32 else n_max
+    tables, estimate = None, math.inf
     while panels <= _MAX_PANELS:
-        panels *= 2
-        fine = level(panels)
+        fine = level(2 * panels, rows)
         if tables is None:
-            # built once, after the first finer level: alive through it, the
-            # combination tables would add to its peak allocation
+            # finer level first: the coarser one's smaller, whole tables are
+            # then the ones built beside the other level's sums
+            coarse = level(panels, n_max)
             tables = (1.0 / np.sqrt(np.outer(n, n)),
                       (n[:, None] + n[None, :]) / u_max,
                       (n[None, :] - n[:, None]) / u_max)
-            alpha, beta = _junction_entries(*coarse, n, *tables)
-        alpha2, beta2 = _junction_entries(*fine, n, *tables)
+            alpha, beta = entries(*coarse)
+            del coarse
+        alpha2, beta2 = entries(*fine)
+        del fine
         estimate = max(float(np.max(np.abs(alpha2 - alpha))),
                        float(np.max(np.abs(beta2 - beta))))
         if estimate <= tol:
             return BogoliubovMap(alpha2, beta2)
         alpha, beta = alpha2, beta2
+        panels *= 2
     raise QuadratureError("junction_map quadrature did not converge", estimate)
-
-
-def _junction_entries(a0: np.ndarray, a1: np.ndarray, n: np.ndarray,
-                      inv_s: np.ndarray, sum_nm: np.ndarray,
-                      dif_nm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of `junction_map` from one level's raw sums."""
-    base = n[None, :] * a1
-    return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
 
 
 def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -184,24 +191,27 @@ def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
-def _bogoliubov(s: np.ndarray) -> BogoliubovMap:
-    """The map whose `symplectic_matrix` is `s` (up to rounding)."""
-    qq, qp = s[0::2, 0::2], s[0::2, 1::2]
-    pq, pp = s[1::2, 0::2], s[1::2, 1::2]
-    return BogoliubovMap(0.5 * ((qq + pp) + 1j * (qp - pq)),
-                         0.5 * ((pp - qq) + 1j * (qp + pq)))
+def _alpha(s: np.ndarray) -> np.ndarray:
+    """alpha of the rows of a map whose `symplectic_matrix` rows are `s`."""
+    return 0.5 * ((s[0::2, 0::2] + s[1::2, 1::2])
+                  + 1j * (s[0::2, 1::2] - s[1::2, 0::2]))
+
+
+def _coefficients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) for the rows `s` of a `symplectic_matrix`, up to rounding."""
+    qq, qp, pq, pp = s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]
+    return _alpha(s), 0.5 * ((pp - qq) + 1j * (qp + pq))
 
 
 def _rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """rot @ s for the free-phase map rot = exp(-i phi_n) with cos(phi_n)
-    and sin(phi_n) given: row pair n of `s` turned by phi_n, elementwise.
-    The product of two such rotations is again exactly one (equal diagonal,
-    opposite off-diagonal entries), so beta stays exactly zero."""
+    """rot @ s for the free-phase map rot = exp(-i phi_n), given cos(phi_n)
+    and sin(phi_n): row pair n of `s` turned by phi_n, elementwise.  The
+    product of two rotations is exactly one, so beta stays exactly zero."""
     q, p = s[0::2], s[1::2]
     cos, sin = cos[:, None], sin[:, None]
     out = np.empty_like(s)
-    out[0::2] = cos * q - sin * p
-    out[1::2] = sin * q + cos * p
+    np.subtract(cos * q, sin * p, out=out[0::2])
+    np.add(sin * q, cos * p, out=out[1::2])
     return out
 
 
@@ -231,84 +241,88 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     product that powers it: `np.matmul`, or `_rotation_product` when no
     segment accelerates and S is a pure rotation.
 
-    An accelerated segment is S_J^-1 rot(Omega eta) S_J for the junction
-    S_J at its h, in the segment's instantaneous rest frame; a coast turns
-    the row pairs of the running product, which starts from the first
-    segment, and a zero-length coast after the first segment is skipped.
-    Each distinct accelerated segment is built once per call.
+    An accelerated segment (`_accelerated_segment`) is built once per call
+    and kept until its last use; a coast turns the row pairs of the running
+    product, and a zero-length coast after the first segment is skipped.
     """
     if L <= 0:
         raise ValidationError(f"cavity length must be > 0, got {L}")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     omegas = np.arange(1, n_max + 1) * (np.pi / L)
-    junctions: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    segments: dict[tuple[float, float], np.ndarray] = {}
+    keys = [(g.proper_acceleration, g.proper_duration) for g in traj.segments]
+    junctions, segments = {}, {}  # by h; by (a, duration) until last use
     block = None
-    for seg in traj.segments:
-        a = seg.proper_acceleration
+    for i, (a, duration) in enumerate(keys):
         if a == 0.0:
-            if seg.proper_duration == 0.0 and block is not None:
+            if duration == 0.0 and block is not None:
                 continue  # a turn by cos 0 and sin 0 changes nothing
-            phases = omegas * (C * seg.proper_duration)
+            phases = omegas * (C * duration)
             block = _rotate_rows(np.eye(2 * n_max) if block is None else block,
                                  np.cos(phases), np.sin(phases))
             continue
-        key = (a, seg.proper_duration)
-        s = segments.get(key)
+        s = segments.pop((a, duration), None)
         if s is None:
-            s = segments[key] = _accelerated_segment(a, seg.proper_duration, L,
-                                                     n_max, tol, junctions)
+            s = _accelerated_segment(a, duration, L, n_max, tol, junctions)
+        if (a, duration) in keys[i + 1:]:
+            segments[a, duration] = s
         block = s if block is None else s @ block
-    return block, np.matmul if segments else _rotation_product
+        del s
+    return block, np.matmul if junctions else _rotation_product
 
 
-def _junction_pair(h: float, n_max: int,
-                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(S_J, S_J^-1) of `junction_map(h, n_max, tol)`: the symplectic
-    inverse (alpha†, -betaᵀ) is S_J's entries rearranged."""
+def _junction_blocks(h: float, n_max: int, tol: float) -> tuple[tuple, tuple]:
+    """(X, Y) = (alpha - beta, alpha + beta) of `junction_map(h, n_max,
+    tol)`, and (Yᵀ, Xᵀ) as views: alpha and beta are real, so in (q1..qn;
+    p1..pn) order S_J = diag(X, Y), and S_J^-1 = diag(Yᵀ, Xᵀ)."""
     jmap = junction_map(h, n_max, tol)
-    return (symplectic_matrix(jmap.alpha, jmap.beta),
-            symplectic_matrix(jmap.alpha.conj().T, -jmap.beta.T))
+    x, y = jmap.alpha.real - jmap.beta.real, jmap.alpha.real + jmap.beta.real
+    return (x, y), (y.T, x.T)
 
 
 def _accelerated_segment(a: float, duration: float, L: float, n_max: int,
                          tol: float, junctions: dict) -> np.ndarray:
-    """S of one segment at proper acceleration `a` for `duration` seconds;
-    `junctions` caches S_J and S_J^-1 by h across calls."""
+    """S = S_J^-1 rot(Omega eta) S_J of one segment at proper acceleration
+    `a` for `duration` seconds; `junctions` caches `_junction_blocks` by h.
+    rot S_J has q rows (C X, -S Y) and p rows (S X, C Y), columns interleaved
+    (C, S: cos and sin of the Rindler phases); S_J^-1 takes them by Yᵀ, Xᵀ."""
     h = abs(a) * L / C**2
-    pair = junctions.get(h)
-    if pair is None:
-        pair = junctions[h] = _junction_pair(h, n_max, tol)
-    s_j, s_j_inv = pair
+    if h not in junctions:
+        junctions[h] = _junction_blocks(h, n_max, tol)
+    (x, y), inverse = junctions[h]
     # Omega_n from u_max = 2 artanh(h/2) directly: the boundary-ratio route
     # log(chi2/chi1) loses ~1e-9 relative precision once h ~ 1e-7
     u_max = 2.0 * math.atanh(h / 2.0)
     omegas = np.arange(1, n_max + 1) * (math.pi / u_max)
     phases = omegas * (abs(a) * duration / C)
-    s = s_j_inv @ _rotate_rows(s_j, np.cos(phases), np.sin(phases))
+    cos, sin = np.cos(phases)[:, None], np.sin(phases)[:, None]
+    s, turned = np.empty((n_max, 2, 2 * n_max)), np.empty((n_max, n_max, 2))
+    for kind, (left, right) in enumerate(((cos, -sin), (sin, cos))):
+        np.multiply(left, x, out=turned[..., 0])
+        np.multiply(right, y, out=turned[..., 1])
+        np.matmul(inverse[kind], turned.reshape(n_max, -1), out=s[:, kind])
+    del turned  # not alive through the sign flips' iterator buffer
     if a < 0:
-        # the Rindler wedge on the other side: the spatial reflection
-        # x -> x1 + x2 - x conjugates the map by diag((-1)^(n+1))
-        parity = np.where(np.arange(2 * n_max) % 4 < 2, 1.0, -1.0)
-        s *= np.outer(parity, parity)
-    return s
+        # the Rindler wedge on the other side: the reflection x -> x1 + x2 -
+        # x conjugates by diag((-1)^(n+1)), flipping entries between modes
+        # of opposite parity
+        s4 = s.reshape(n_max, 2, n_max, 2)
+        for part in (s4[0::2, :, 1::2], s4[1::2, :, 0::2]):
+            np.negative(part, out=part)
+    return s.reshape(2 * n_max, 2 * n_max)
 
 
 def trajectory_map(traj: Trajectory, L: float, n_max: int,
                    tol: float = 1e-12) -> BogoliubovMap:
-    """Whole-trajectory Bogoliubov map in the co-moving Minkowski basis.
-
-    Each accelerated segment contributes S_J^-1 rot(Omega eta) S_J for the
-    junction S_J (`_junction_pair`) in the segment's instantaneous rest
-    frame; inertial segments contribute Minkowski free evolution for their
-    proper duration.
-    The arithmetic runs on the real symplectic matrix (`_block_symplectic`),
-    converted to (alpha, beta) once at the end.  Repetitions are expanded
-    by squaring the block's matrix, so 500 repetitions cost 13 products.
+    """Whole-trajectory Bogoliubov map in the co-moving Minkowski basis:
+    S_J^-1 rot(Omega eta) S_J per accelerated segment, for the junction S_J
+    in its instantaneous rest frame, and Minkowski free evolution per coast,
+    on the real symplectic matrix (`_block_symplectic`), powered by squaring
+    (500 repetitions cost 13 products) and converted back once at the end.
     """
     block, product = _block_symplectic(traj, L, n_max, tol)
-    return _bogoliubov(_map_power(block, traj.repetitions, product))
+    return BogoliubovMap(*_coefficients(_map_power(block, traj.repetitions,
+                                                   product)))
 
 
 def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, float]:
@@ -318,9 +332,12 @@ def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, floa
     if not 1 <= interior <= bmap.n_max:
         raise ValidationError(
             f"interior block size {interior} outside [1, {bmap.n_max}]")
-    a = bmap.alpha[:interior, :]
-    b = bmap.beta[:interior, :]
-    g1 = a @ a.conj().T - b @ b.conj().T - np.eye(interior)
+    return _residual(bmap.alpha[:interior], bmap.beta[:interior])
+
+
+def _residual(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """`symplectic_residual` of the leading rows (a, b) of (alpha, beta)."""
+    g1 = a @ a.conj().T - b @ b.conj().T - np.eye(len(a))
     g2 = a @ b.T - b @ a.T
     return float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
 
@@ -334,16 +351,14 @@ def _trusted_interior(clock_mode: int, n_max: int) -> int:
     return min(clock_mode + _TRUSTED_MARGIN, n_max)
 
 
-def gated_residual(bmap: BogoliubovMap, clock_mode: int, gate: float | None,
-                   what: str) -> tuple[float, float]:
-    """`symplectic_residual` on the interior block trusted for the 1-based
-    `clock_mode` (`_trusted_interior`).
-
-    Raises TruncationError unless eps1 <= `gate`, so a NaN residual fails
-    too (None disables the gate); `what` names the map in the message.
-    """
-    interior = _trusted_interior(clock_mode, bmap.n_max)
-    eps1, eps2 = symplectic_residual(bmap, interior)
+def gated_residual(alpha: np.ndarray, beta: np.ndarray, clock_mode: int,
+                   gate: float | None, what: str) -> tuple[float, float]:
+    """`symplectic_residual` on the block trusted for the 1-based
+    `clock_mode`, of (alpha, beta) that may hold just its rows.  Raises
+    TruncationError unless eps1 <= `gate`, so a NaN residual fails too (None
+    disables the gate); `what` names the map in the message."""
+    interior = _trusted_interior(clock_mode, alpha.shape[1])
+    eps1, eps2 = _residual(alpha[:interior], beta[:interior])
     if gate is not None and not eps1 <= gate:
         raise TruncationError(
             f"{what} symplectic residual {eps1:.3e} exceeds gate {gate:.3e} "

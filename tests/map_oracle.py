@@ -3,6 +3,11 @@ on complex (alpha, beta) pairs with `compose`, segment by segment, and
 powered by composing squares.  The library builds the same map on the real
 symplectic matrix instead, so the two share only `junction_map` and the map
 algebra's conventions: maps compose right to left, `compose(second, first)`.
+
+Also the byte oracles of the map stage: `whole_table_junction`, the
+junction quadrature on three whole node tables per level, and
+`pair_block_symplectic`, the block matrix assembled as S_J^-1 @ rot(S_J) on
+interleaved 2n x 2n matrices.
 """
 
 import math
@@ -10,7 +15,8 @@ import math
 import numpy as np
 
 from cavityclock import (BogoliubovMap, C, Trajectory, ValidationError,
-                         junction_map)
+                         junction_map, modes)
+from cavityclock.modes import _atanh_minus_z, _composite_nodes, symplectic_matrix
 from kg_oracle import BasisKind, ModeBasis
 
 
@@ -48,6 +54,13 @@ def parity_conjugate(bmap: BogoliubovMap) -> BogoliubovMap:
     s = np.where(np.arange(1, bmap.n_max + 1) % 2 == 1, 1.0, -1.0)
     sign = np.outer(s, s)
     return BogoliubovMap(bmap.alpha * sign, bmap.beta * sign)
+
+
+def passive_part(bmap: BogoliubovMap) -> BogoliubovMap:
+    """Mode-mixing-only map: beta zeroed, alpha re-unitarized by polar
+    decomposition (the particle-creation content is discarded)."""
+    u, _, vh = np.linalg.svd(bmap.alpha)
+    return BogoliubovMap(u @ vh, np.zeros_like(bmap.beta))
 
 
 def compose_power(block: BogoliubovMap, exponent: int) -> BogoliubovMap:
@@ -96,3 +109,84 @@ def compose_chain_map(traj: Trajectory, L: float, n_max: int,
     for seg in traj.segments:
         block = compose(segment_map(seg, mink, L, n_max, tol, jcache), block)
     return compose_power(block, traj.repetitions)
+
+
+def whole_table_junction(h: float, n_max: int,
+                         tol: float = 1e-12) -> BogoliubovMap:
+    """`junction_map` with every level summed on whole n_max x nodes tables
+    (Rindler, its weighted copy, Minkowski), the coarser level first; it
+    shares the nodes and the small-h remainder with the library."""
+    u_max = 2.0 * math.atanh(h / 2.0)
+    chi1 = 1.0 / h - 0.5
+    d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
+    n = np.arange(1.0, n_max + 1.0)
+    inv_s = 1.0 / np.sqrt(np.outer(n, n))
+    sum_nm = (n[:, None] + n[None, :]) / u_max
+    dif_nm = (n[None, :] - n[:, None]) / u_max
+
+    def entries(panels):
+        u, w = _composite_nodes(0.0, u_max, panels)
+        xi = chi1 * np.expm1(u)
+        rind = np.sin(np.pi * np.outer(n, u) / u_max)
+        mink = np.sin(np.pi * np.outer(n, xi))
+        a0 = (rind * w) @ mink.T
+        a1 = (rind * (w * (d + xi))) @ mink.T
+        base = n[None, :] * a1
+        return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
+
+    panels = max(2, n_max // 8)
+    alpha, beta = entries(panels)
+    while True:
+        panels *= 2
+        alpha2, beta2 = entries(panels)
+        if max(np.max(np.abs(alpha2 - alpha)),
+               np.max(np.abs(beta2 - beta))) <= tol:
+            return BogoliubovMap(alpha2, beta2)
+        alpha, beta = alpha2, beta2
+
+
+def rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """rot @ s for the free-phase map rot = exp(-i phi_n): row pair n of `s`
+    turned by phi_n."""
+    q, p = s[0::2], s[1::2]
+    out = np.empty_like(s)
+    out[0::2] = cos[:, None] * q - sin[:, None] * p
+    out[1::2] = sin[:, None] * q + cos[:, None] * p
+    return out
+
+
+def junction_pair(h: float, n_max: int, tol: float = 1e-12):
+    """(S_J, S_J^-1) as interleaved 2n x 2n matrices: `symplectic_matrix` of
+    `junction_map` and of its symplectic inverse (alpha†, -betaᵀ)."""
+    jmap = modes.junction_map(h, n_max, tol)
+    return (symplectic_matrix(jmap.alpha, jmap.beta),
+            symplectic_matrix(jmap.alpha.conj().T, -jmap.beta.T))
+
+
+def pair_block_symplectic(traj: Trajectory, L: float, n_max: int,
+                          tol: float = 1e-12) -> np.ndarray:
+    """`modes._block_symplectic`'s matrix, each accelerated segment built as
+    S_J^-1 @ rot(S_J) from `junction_pair`, the -a parity conjugation as a
+    product with np.outer(parity, parity)."""
+    omegas = np.arange(1, n_max + 1) * (np.pi / L)
+    block = None
+    for seg in traj.segments:
+        a, tau = seg.proper_acceleration, seg.proper_duration
+        if a == 0.0:
+            if tau == 0.0 and block is not None:
+                continue
+            phases = omegas * (C * tau)
+            block = rotate_rows(np.eye(2 * n_max) if block is None else block,
+                                np.cos(phases), np.sin(phases))
+            continue
+        h = abs(a) * L / C**2
+        s_j, s_j_inv = junction_pair(h, n_max, tol)
+        u_max = 2.0 * math.atanh(h / 2.0)
+        phases = (np.arange(1, n_max + 1) * (math.pi / u_max)
+                  * (abs(a) * tau / C))
+        s = s_j_inv @ rotate_rows(s_j, np.cos(phases), np.sin(phases))
+        if a < 0:
+            parity = np.where(np.arange(2 * n_max) % 4 < 2, 1.0, -1.0)
+            s *= np.outer(parity, parity)
+        block = s if block is None else s @ block
+    return block

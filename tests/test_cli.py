@@ -14,9 +14,11 @@ import pytest
 import cavityclock
 import cavityclock.cli as cli
 import cavityclock.modes as modes
-from cavityclock import BogoliubovMap, ScenarioConfig, junction_map, run_twin
+from cavityclock import (BogoliubovMap, C, ScenarioConfig, junction_map,
+                         run_twin)
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main)
+import map_oracle
 from peak import peak_bytes
 
 
@@ -520,17 +522,34 @@ class TestCheckCommand:
         assert tols and set(tols) == {1e-8}
 
     def test_wrong_inverse_sign_fails(self, tmp_path, capsys, monkeypatch):
-        # S_J^-1 with +betaᵀ: the S_B residual does not see it
-        def wrong_sign(h, n_max, tol):
-            jmap = junction_map(h, n_max, tol)
-            return (modes.symplectic_matrix(jmap.alpha, jmap.beta),
-                    modes.symplectic_matrix(jmap.alpha.conj().T, jmap.beta.T))
+        # S_J^-1 with +betaᵀ, whose blocks are (Xᵀ, Yᵀ): the S_B residual
+        # does not see it
+        blocks = modes._junction_blocks
 
-        monkeypatch.setattr(modes, "_junction_pair", wrong_sign)
-        monkeypatch.setattr(cli, "_junction_pair", wrong_sign)
+        def wrong_sign(h, n_max, tol):
+            (x, y), _ = blocks(h, n_max, tol)
+            return (x, y), (x.T, y.T)
+
+        monkeypatch.setattr(modes, "_junction_blocks", wrong_sign)
+        monkeypatch.setattr(cli, "_junction_blocks", wrong_sign)
         config = write_config(tmp_path, base_config())
-        assert main(["check", "--config", str(config)]) == EXIT_NUMERICAL
-        assert "FAIL junction inverse roundtrip" in capsys.readouterr().out
+        for argv in (["check", "--config", str(config)], ["check"]):
+            assert main(argv) == EXIT_NUMERICAL
+            assert "FAIL junction inverse roundtrip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h", [2.1e-4, 0.05])
+    def test_inverse_roundtrip_reads_the_pair(self, tmp_path, capsys, h):
+        # max |S_J^-1 S_J - I| on the trusted block, for the interleaved
+        # pair (alpha†, -betaᵀ) the segments were once built from
+        doc = base_config(a_mps2=h * C**2 / 0.011)
+        doc["numerics"]["n_max"] = 24
+        config = write_config(tmp_path, doc)
+        s_j, s_j_inv = map_oracle.junction_pair(load_config(config).scenario.h,
+                                                24)
+        pair = np.max(np.abs((s_j_inv @ s_j)[:10, :10] - np.eye(10)))
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert (f"PASS junction inverse roundtrip (5x5 interior): "
+                f"deviation={pair:.3e} ") in capsys.readouterr().out
 
     def test_reports_the_residual_twin_gates(self, tmp_path, capsys):
         config = write_config(tmp_path, base_config())

@@ -299,13 +299,13 @@ class TestApplyReduced:
     def test_residual_computed_only_when_gated(self, monkeypatch):
         import cavityclock.modes as modes
         calls = []
-        real = modes.symplectic_residual
+        real = modes._residual
 
-        def counting(bmap, interior):
-            calls.append(interior)
-            return real(bmap, interior)
+        def counting(alpha_rows, beta_rows):
+            calls.append(len(alpha_rows))
+            return real(alpha_rows, beta_rows)
 
-        monkeypatch.setattr(modes, "symplectic_residual", counting)
+        monkeypatch.setattr(modes, "_residual", counting)
         bmap = BogoliubovMap.identity(8)
         apply_reduced(bmap, 2, coherent(1.0), residual_gate=None)
         assert calls == []

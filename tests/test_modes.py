@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import random_symplectic_map
 from kg_oracle import BasisKind, Mode, ModeBasis, kg_inner_product, mode_value
+import map_oracle
 from map_oracle import compose, compose_chain_map, free_phase_map, inverse
 from peak import peak_bytes
 from cavityclock import (BogoliubovMap, C, HorizonError, Segment, Trajectory,
@@ -155,11 +157,10 @@ class TestJunctionMap:
         assert np.max(np.abs(back.beta[interior])) < 1e-8
 
     def test_peak_allocation(self):
-        # three 24 x 192 node tables (37 KB each) are needed at once; a
-        # broadcast product adds a numpy iterator buffer of a table's size
-        # on top of its output, as the combination tables would if they
-        # were alive through the finer level
-        assert peak_bytes(lambda: junction_map(2.1e-4, 24)) <= 140_000
+        # the finer level's whole 24 x 192 Minkowski table (37 KB) and 8-row
+        # blocks of its Rindler tables; whole Rindler tables, or a broadcast
+        # product's numpy iterator buffer, would add 12 KB or more
+        assert peak_bytes(lambda: junction_map(2.1e-4, 24)) <= 84_000
 
     def test_horizon_and_domain_errors(self):
         with pytest.raises(HorizonError):
@@ -294,6 +295,66 @@ def twin_block(t_a, t_i, a, repetitions=1):
     ), repetitions)
 
 
+class TestMapStageBytes:
+    """The row-blocked quadrature and the block-form segment assembly give
+    the bytes of the whole-table and S_J^-1 @ rot(S_J) oracles."""
+
+    H = [1e-5, 2.1e-4, 9.5e-4, 0.05, 0.3]
+    N_MAX = [8, 24, 48, 128]
+
+    @pytest.mark.parametrize("n_max", N_MAX)
+    @pytest.mark.parametrize("h", H)
+    def test_junction_map(self, h, n_max):
+        jmap = junction_map(h, n_max)
+        oracle = map_oracle.whole_table_junction(h, n_max)
+        assert jmap.alpha.tobytes() == oracle.alpha.tobytes()
+        assert jmap.beta.tobytes() == oracle.beta.tobytes()
+
+    @pytest.mark.parametrize("t_i", [0.0, 0.3e-9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_max", N_MAX)
+    @pytest.mark.parametrize("h", H)
+    def test_block_symplectic(self, h, n_max, sign, t_i, monkeypatch):
+        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
+        L = 0.011
+        traj = twin_block(1e-9, t_i, sign * h * C**2 / L)
+        s, _ = modes._block_symplectic(traj, L, n_max, 1e-12)
+        oracle = map_oracle.pair_block_symplectic(traj, L, n_max)
+        assert s.tobytes() == oracle.tobytes()
+
+    def test_inverse_blocks_are_views(self):
+        (x, y), (y_t, x_t) = modes._junction_blocks(2.1e-4, 12, 1e-12)
+        assert y_t.base is y and x_t.base is x
+        np.testing.assert_array_equal(y_t, y.T)
+
+    @pytest.mark.parametrize("h, deviation", [(2.1e-4, 7.327471962526033e-15),
+                                              (0.05, 4.104899753443192e-10)])
+    def test_inverse_roundtrip_reads_the_pair(self, h, deviation):
+        # max|YᵀX - I|, max|XᵀY - I| on the leading 5 x 5 block, as `check`
+        # forms them, equal max|S_J^-1 S_J - I| on the interleaved pair
+        (x, y), inverse = modes._junction_blocks(h, 24, 1e-12)
+        dev = max(float(np.max(np.abs(inv[:5] @ blk[:, :5] - np.eye(5))))
+                  for inv, blk in zip(inverse, (x, y)))
+        s_j, s_j_inv = map_oracle.junction_pair(h, 24)
+        pair = float(np.max(np.abs((s_j_inv @ s_j)[:10, :10] - np.eye(10))))
+        assert dev == pair == deviation
+
+    def test_map_stage_peak(self, monkeypatch):
+        # with the quadrature cached: (X, Y), the kept +a segment, the -a
+        # segment, the running block and its product; keeping S_J^-1 or
+        # every segment to the end, or the -a segment's half-turned rows
+        # through its sign flips, would add 9 KB or more
+        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
+        traj = twin_block(1e-9, 0.0, 1.7e15)
+        assert peak_bytes(lambda: modes._block_symplectic(
+            traj, 0.011, 24, 1e-12)) <= 68_900
+
+
+@functools.lru_cache(maxsize=None)
+def cached_junction_map(h, n_max, tol=1e-12):
+    return junction_map(h, n_max, tol)
+
+
 class TestZeroLengthCoast:
     def test_skipped_after_the_first_segment(self, monkeypatch):
         # a t_i = 0 coast would turn every row pair by cos 0 and sin 0
@@ -303,8 +364,9 @@ class TestZeroLengthCoast:
                             lambda *args: calls.append(None) or rotate(*args))
         s_b, _ = modes._block_symplectic(twin_block(1e-9, 0.0, 1.7e15),
                                          0.011, 12, 1e-12)
-        # one Rindler turn per distinct accelerated segment, none for coasts
-        assert len(calls) == 2
+        # no turn for the coasts; an accelerated segment turns the rows of
+        # its junction blocks itself
+        assert calls == []
         without = Trajectory((Segment(1e-9, 1.7e15), Segment(2e-9, -1.7e15),
                               Segment(1e-9, 1.7e15)), 1)
         s_ref, _ = modes._block_symplectic(without, 0.011, 12, 1e-12)
@@ -314,7 +376,7 @@ class TestZeroLengthCoast:
         traj = Trajectory((Segment(0.0), Segment(1e-9)), 1)
         s, _ = modes._block_symplectic(traj, 0.5, 4, 1e-12)
         free = free_phase_map(minkowski_basis(0.5, 4), C * 1e-9)
-        assert np.max(np.abs(modes._bogoliubov(s).alpha - free.alpha)) < 1e-15
+        assert np.max(np.abs(modes._alpha(s) - free.alpha)) < 1e-15
 
 
 class TestTrajectoryMap:

@@ -11,10 +11,10 @@ import pytest
 import cavityclock.clock as clock
 import cavityclock.gauss as gauss
 from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
-                         extract_params, phase_qfi, run_twin,
+                         extract_params, phase_qfi, run_twin, sweep,
                          symplectic_residual, trajectory_map)
 from cavityclock.clock import _LANES, _SPAN, classical_cavity_ratio
-from cavityclock.modes import (BogoliubovMap, _block_symplectic, _bogoliubov,
+from cavityclock.modes import (BogoliubovMap, _block_symplectic, _coefficients,
                                _map_power)
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
@@ -71,7 +71,7 @@ def full_map_loop(config: ScenarioConfig) -> dict:
         theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
         series.append(theta_alice - theta_full)
 
-    params_mm = extract_params(full_transport(cur.passive_part(), state0, k))
+    params_mm = extract_params(full_transport(map_oracle.passive_part(cur), state0, k))
     wrapped_mm, _ = read(params_mm)
     anchor = theta_start + config.repetitions * anchor_block
     return {
@@ -199,12 +199,21 @@ class TestPeakAllocation:
             assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
 
     def test_peak_at_5000_round_trips(self):
-        # the call peaks in the junction quadrature (about 139 KB), and the
-        # lane phase, with the 40 KB series, two lane buffers, H = S_B^24
-        # and the span buffers, stays just below it; a third lane-sized
-        # buffer, or a span's readout arrays kept alive into the next
-        # span's readout, would lift the peak above 150 KB
+        # the call peaks in its lane phase (about 120 KB), with the 40 KB
+        # series, two lane buffers (one freed for each span's readout),
+        # H = S_B^24 and the span buffers; a third lane-sized buffer, or a
+        # span's readout arrays kept alive into the next span's readout,
+        # would lift the peak toward 150 KB
         assert self.peak(5000) <= 150_000
+
+    def test_sweep_peak(self):
+        # 16 points of 200 round trips over L: the finished points' results,
+        # about 3 KB each, under the last point's own peak; the junction
+        # quadrature on three whole node tables put it at 188 KB
+        base = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                              repetitions=200, n_max=24)
+        grid = np.linspace(0.009, 0.013, 16)
+        assert peak_bytes(lambda: sweep(base, "L", grid)) <= 150_000
 
 
 class TestMapPower:
@@ -263,7 +272,8 @@ class TestResidualGrowth:
             power = squares[top] @ powers[rest] if rest else squares[top]
             if r < 1 << (last.bit_length() - 1):
                 powers.append(power)
-            eps.append(symplectic_residual(_bogoliubov(power), 5)[0])
+            eps.append(symplectic_residual(BogoliubovMap(*_coefficients(power)),
+                                           5)[0])
             if r in (1, 3, 1024, 1365, last):
                 np.testing.assert_array_equal(power, _map_power(block, r))
         assert max(eps[1:last]) <= eps[last]
