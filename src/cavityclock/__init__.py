@@ -7,7 +7,7 @@ the pointlike proper-time prediction.
 """
 
 from .clock import (ScenarioConfig, ScenarioResult, SweepPoint,
-                    classical_cavity_ratio, near_horizon_geometry, run_twin,
+                    classical_cavity_ratio, run_twin,
                     schwarzschild_acceleration, sweep)
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, QuadratureError,
@@ -17,9 +17,8 @@ from .gauss import (GaussianParams, GaussianState, apply_reduced, coherent,
 from .metrology import cramer_rao, phase_qfi, qfi_change_pct
 from .modes import (BogoliubovMap, dump_map, junction_map,
                     symplectic_residual, trajectory_map)
-from .trajectory import (RindlerGeometry, Segment, Trajectory,
-                         build_twin_trajectory, elapsed_times,
-                         final_kinematics, rindler_geometry)
+from .trajectory import (Segment, Trajectory, build_twin_trajectory,
+                         elapsed_times, final_kinematics)
 
 __version__ = "0.1.0"
 
@@ -29,8 +28,7 @@ __all__ = [
     "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
     "TruncationError", "UnboundedVarianceError",
     # trajectory
-    "Segment", "Trajectory", "RindlerGeometry",
-    "build_twin_trajectory", "rindler_geometry", "elapsed_times",
+    "Segment", "Trajectory", "build_twin_trajectory", "elapsed_times",
     "final_kinematics",
     # modes
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
@@ -42,5 +40,5 @@ __all__ = [
     "phase_qfi", "cramer_rao", "qfi_change_pct",
     # clock
     "ScenarioConfig", "ScenarioResult", "SweepPoint", "classical_cavity_ratio",
-    "run_twin", "sweep", "schwarzschild_acceleration", "near_horizon_geometry",
+    "run_twin", "sweep", "schwarzschild_acceleration",
 ]

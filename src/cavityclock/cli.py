@@ -20,7 +20,7 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -28,14 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock import (ScenarioConfig, ScenarioResult, run_twin, sweep)
+from .clock import ScenarioConfig, ScenarioResult, _map_stage, run_twin, sweep
 from .constants import C
 from .errors import CavityClockError, ValidationError
 from .gauss import extract_params
 from .metrology import cramer_rao, phase_qfi
-from .modes import (BogoliubovMap, _block_symplectic, _coefficients,
-                    _junction_blocks, _map_power, _trusted_interior, dump_map,
-                    gated_residual, symplectic_residual, trajectory_map)
+from .modes import (BogoliubovMap, _junction_blocks, _trusted_interior,
+                    dump_map, gated_residual, symplectic_residual,
+                    trajectory_map)
 from .trajectory import build_twin_trajectory
 
 EXIT_OK = 0
@@ -364,14 +364,11 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
            (dev,), 2 * max(eps) + 1e-14, ("deviation",))
 
     if c is not None:
-        # the residuals `run_twin` gates, on maps built the way it builds them
-        traj = build_twin_trajectory(c.t_a, c.t_i, 1, c.a)
-        s_block, product = _block_symplectic(traj, c.L, n_max, tol)
-        s_final = _map_power(s_block, c.repetitions, product)
-        for name, s in (("block map S_B", s_block),
-                        (f"composed map S_B^{c.repetitions}", s_final)):
-            report(name, gated_residual(*_coefficients(s[:2 * interior]),
-                                        clock_mode, None, name), gate)
+        # the residuals `run_twin` gates, from its own map stage, ungated
+        residuals = _map_stage(replace(c, residual_gate=None))[-1]
+        for name, eps in zip(("block map S_B",
+                              f"composed map S_B^{c.repetitions}"), residuals):
+            report(name, eps, gate)
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

@@ -5,20 +5,20 @@ the clock mode's Gaussian state, and compare the resulting clock time
 (phase / mode frequency) and precision (phase QFI) against the pointlike and
 classical extended-clock predictions.
 
-Repetitions: after r round trips the map is B^r for the one-block map B,
-and the clock mode k's row pair in the real symplectic matrix obeys
-S_k(r + m) = S_k(r) S_B^m.  `run_twin` keeps the row pairs of M consecutive
-repetitions as lanes: S_B^r = S_B^(r-1) S_B for r = 1..M fill them and end
-at H = S_B^M, then one (2M x 2n) by (2n x 2n) product with H, written into a
-second lane buffer, moves every lane M repetitions on.  Each lane carries
-the initial state, at mode k of a vacuum register, to the clock mode's
-moments and covariance (`gauss.row_moments`), written straight into the span
-buffers.  Every span reads only the phase (`_span_phase`), and qfi_after is
-read from the last entry alone (`_last_qfi`).  The mode-mixing-only state,
-transported by the rows of the passive part of B^reps, is read as a
-one-entry span.  The map stage converts S back only where it is read: the
-residual gates take (alpha, beta) of the trusted rows of S_B and S_B^reps,
-and the passive part takes alpha of S_B^reps.
+Two stages.  `_map_stage` builds all that does not depend on the state:
+the one-block map S_B and S_B^reps, each behind the residual gate, which
+takes (alpha, beta) of their trusted rows only; the row pair of the passive
+part of S_B^reps (from its alpha alone) for the mode-mixing-only state; and
+the lanes.  After r round trips the map is B^r, and the clock mode k's row
+pair obeys S_k(r + m) = S_k(r) S_B^m, so the lanes hold the row pairs of M
+consecutive repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M, ending at
+H = S_B^M.  `run_twin` then moves every lane M repetitions on with one
+(2M x 2n) by (2n x 2n) product with H, written into a second lane buffer.
+Each lane carries the initial state, at mode k of a vacuum register, to the
+clock mode's moments and covariance (`gauss.row_moments`), written straight
+into the span buffers.  Every span reads only the phase (`_span_phase`),
+qfi_after is read from the last entry alone (`_last_qfi`), and the
+mode-mixing-only state is read as a one-entry span.
 
 Clock readout: for displaced states the phase is atan2(p, q); for squeezed
 vacuum (zero displacement) the clock is read from the squeeze orientation
@@ -47,8 +47,7 @@ from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _alpha, _block_symplectic, _coefficients,
                     _map_power, _trusted_interior, gated_residual,
                     symplectic_matrix)
-from .trajectory import RindlerGeometry, build_twin_trajectory, elapsed_times, \
-    rindler_geometry
+from .trajectory import build_twin_trajectory, elapsed_times
 
 
 def classical_cavity_ratio(h: float) -> float:
@@ -241,9 +240,10 @@ def _last_qfi(moments: np.ndarray, terms) -> float:
                                       for v in vars(params).values())))
 
 
-def run_twin(config: ScenarioConfig) -> ScenarioResult:
-    """Run the twin-paradox scenario and collect the full decomposition."""
-    # plain ints: an np.int64 count would make the time fields numpy scalars
+def _map_stage(config: ScenarioConfig) -> tuple:
+    """What a run computes before the state enters: the lanes, H, the
+    mode-mixing-only rows, Alice's time per block, and the residual pairs of
+    S_B and S_B^reps, each gated by `residual_gate` (None: not gated)."""
     k = int(config.clock_mode)
     n_max = int(config.n_max)
     reps = int(config.repetitions)
@@ -251,33 +251,23 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     s_block, product = _block_symplectic(block, config.L, n_max,
                                          config.quadrature_tol)
     trusted = np.s_[:2 * _trusted_interior(k, n_max)]  # the gates' rows
-    gated_residual(*_coefficients(s_block[trusted]), k, config.residual_gate,
-                   "block-map")
+    eps_block = gated_residual(*_coefficients(s_block[trusted]), k,
+                               config.residual_gate, "block-map")
     # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
     # and benchmark configs (tests/test_repetitions.py): the residual grows
     # with r, so gating the final map vouches for every repetition below.
     s_final = _map_power(s_block, reps, product)
-    final_residual = gated_residual(*_coefficients(s_final[trusted]), k,
-                                    config.residual_gate, "composed-map")
+    eps_final = gated_residual(*_coefficients(s_final[trusted]), k,
+                               config.residual_gate, "composed-map")
     # only row k of the passive part of S_B^reps is read later (alpha's polar
     # factor, beta zeroed); S_B^reps and the SVD are freed before the lanes
-    u, _, vh = np.linalg.svd(_alpha(s_final))
+    alpha = _alpha(s_final)
+    if not np.isfinite(alpha).all():  # the SVD would raise LinAlgError
+        raise TruncationError("composed-map is not finite; increase n_max")
+    u, _, vh = np.linalg.svd(alpha)
     mm_alpha = (u @ vh)[k - 1:k]
     mm_rows = symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha))
-    del s_final, u, vh, mm_alpha
-
-    state0 = config.initial_state()
-    params0 = extract_params(state0)
-    qfi_before = phase_qfi(params0)
-    theta_start, period = map(float, _read_phase(
-        params0.displacement, params0.phase, params0.squeeze_angle))
-
-    omega_k = k * math.pi / config.L
-    ratio = classical_cavity_ratio(config.h)
-    tau_acc_block = 4.0 * config.t_a
-    tau_coast_block = 2.0 * config.t_i
-    anchor_block = omega_k * C * (tau_coast_block + ratio * tau_acc_block)
-    _, tau_alice_block = elapsed_times(block)
+    del s_final, alpha, u, vh, mm_alpha
 
     # Lanes (see the module docstring).  Sequential products, not squaring,
     # build H because its rounding error is applied reps / M times over: at
@@ -290,7 +280,27 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     for r in range(1, len(lanes)):  # a loop view would pin a lane buffer
         step = step @ s_block
         lanes[r] = step[2 * k - 2:2 * k]
-    del s_block
+    return lanes, step, mm_rows, elapsed_times(block)[1], (eps_block, eps_final)
+
+
+def run_twin(config: ScenarioConfig) -> ScenarioResult:
+    """Run the twin-paradox scenario: the map stage, then the state."""
+    lanes, step, mm_rows, tau_alice_block, residuals = _map_stage(config)
+    # plain ints: an np.int64 count would make the time fields numpy scalars
+    k = int(config.clock_mode)
+    reps = int(config.repetitions)
+    state0 = config.initial_state()
+    params0 = extract_params(state0)
+    qfi_before = phase_qfi(params0)
+    theta_start, period = map(float, _read_phase(
+        params0.displacement, params0.phase, params0.squeeze_angle))
+
+    omega_k = k * math.pi / config.L
+    ratio = classical_cavity_ratio(config.h)
+    tau_acc_block = 4.0 * config.t_a
+    tau_coast_block = 2.0 * config.t_i
+    anchor_block = omega_k * C * (tau_coast_block + ratio * tau_acc_block)
+
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
     series = np.empty(reps)
@@ -299,8 +309,8 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         ahead = np.empty_like(lanes)  # freed for the span's readout below
         for offset in range(0, count, len(lanes)):
             if start or offset:
-                np.matmul(lanes.reshape(-1, 2 * n_max), step,
-                          out=ahead.reshape(-1, 2 * n_max))
+                np.matmul(lanes.reshape(-1, len(step)), step,
+                          out=ahead.reshape(-1, len(step)))
                 lanes, ahead = ahead, lanes
             end = min(offset + len(lanes), count)
             # ahead is idle until the next lane step overwrites it
@@ -355,7 +365,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         qfi_after_mm_only=qfi_after_mm,
         qfi_change_pct_full=qfi_change_pct(qfi_before, qfi_after),
         qfi_change_pct_mm_only=qfi_change_pct(qfi_before, qfi_after_mm),
-        residual=final_residual,
+        residual=residuals[1],
         phase_difference_series=series,
         config=config,
     )
@@ -432,16 +442,3 @@ def schwarzschild_acceleration(mass: float, r: float) -> float:
             "(proper acceleration diverges at the horizon)")
     f = 1.0 - rs / r
     return C**2 * rs / (2.0 * r * r) / math.sqrt(f)
-
-
-def near_horizon_geometry(mass: float, r: float,
-                          L: float) -> tuple[RindlerGeometry, float]:
-    """Map a stationary cavity near a Schwarzschild horizon onto the Rindler
-    wedge with matching center acceleration.
-
-    Returns the geometry and validity = (r - r_s)/r_s; the Rindler
-    approximation is good when validity is small.
-    """
-    a_s = schwarzschild_acceleration(mass, r)
-    rs = 2.0 * G_NEWTON * mass / C**2
-    return rindler_geometry(a_s, L), (r - rs) / rs

@@ -1,4 +1,4 @@
-"""Piecewise clock trajectories and the Rindler geometry of a rigid cavity.
+"""Piecewise clock trajectories and their elapsed times.
 
 A trajectory is an ordered list of segments, each at a constant proper
 acceleration (zero for an inertial coast), with durations given as proper
@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .constants import C
-from .errors import HorizonError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -89,31 +89,6 @@ def build_twin_trajectory(t_a: float, t_i: float, repetitions: int,
         Segment(float(t_a), float(a)),
     )
     return Trajectory(block, repetitions)
-
-
-@dataclass(frozen=True)
-class RindlerGeometry:
-    """Rindler-wedge layout of a rigid cavity: chi_center = c^2/|a| and the
-    dimensionless size parameter h = |a| L / c^2 (horizon at h = 2)."""
-
-    chi_center: float
-    chi_inner: float
-    chi_outer: float
-    h: float
-
-
-def rindler_geometry(a: float, L: float) -> RindlerGeometry:
-    """Geometry for proper acceleration a (m/s^2, |a| used) and length L (m)."""
-    if a == 0:
-        raise ValidationError("rindler_geometry needs a != 0")
-    if L <= 0:
-        raise ValidationError(f"cavity length must be > 0, got {L}")
-    h = abs(a) * L / C**2
-    if h >= 2:
-        raise HorizonError(
-            f"cavity intersects the Rindler horizon: h = aL/c^2 = {h:.6g} >= 2")
-    chi_c = C**2 / abs(a)
-    return RindlerGeometry(chi_c, chi_c - L / 2, chi_c + L / 2, h)
 
 
 _MAX_RAPIDITY = 700.0  # cosh overflows just beyond this

@@ -1,7 +1,10 @@
 """Klein-Gordon overlap oracle for the junction map: cavity mode bases,
 mode functions evaluated pointwise and their inner products on the matching
 slice, by the composite quadrature `junction_map` uses, but integrated in the
-cavity coordinate chi instead of the log coordinate u."""
+cavity coordinate chi instead of the log coordinate u.  The Rindler-wedge
+layout of a rigid cavity (`rindler_geometry`) places the bases, and
+`near_horizon_geometry` maps a stationary cavity near a Schwarzschild
+horizon onto it."""
 
 import math
 from dataclasses import dataclass
@@ -9,8 +12,47 @@ from enum import Enum
 
 import numpy as np
 
-from cavityclock import QuadratureError, ValidationError
+from cavityclock import (C, G_NEWTON, HorizonError, QuadratureError,
+                         ValidationError, schwarzschild_acceleration)
 from cavityclock.modes import _MAX_PANELS, _composite_nodes
+
+
+@dataclass(frozen=True)
+class RindlerGeometry:
+    """Rindler-wedge layout of a rigid cavity: chi_center = c^2/|a| and the
+    dimensionless size parameter h = |a| L / c^2 (horizon at h = 2)."""
+
+    chi_center: float
+    chi_inner: float
+    chi_outer: float
+    h: float
+
+
+def rindler_geometry(a: float, L: float) -> RindlerGeometry:
+    """Geometry for proper acceleration a (m/s^2, |a| used) and length L (m)."""
+    if a == 0:
+        raise ValidationError("rindler_geometry needs a != 0")
+    if L <= 0:
+        raise ValidationError(f"cavity length must be > 0, got {L}")
+    h = abs(a) * L / C**2
+    if h >= 2:
+        raise HorizonError(
+            f"cavity intersects the Rindler horizon: h = aL/c^2 = {h:.6g} >= 2")
+    chi_c = C**2 / abs(a)
+    return RindlerGeometry(chi_c, chi_c - L / 2, chi_c + L / 2, h)
+
+
+def near_horizon_geometry(mass: float, r: float,
+                          L: float) -> tuple[RindlerGeometry, float]:
+    """Map a stationary cavity near a Schwarzschild horizon onto the Rindler
+    wedge with matching center acceleration.
+
+    Returns the geometry and validity = (r - r_s)/r_s; the Rindler
+    approximation is good when validity is small.
+    """
+    a_s = schwarzschild_acceleration(mass, r)
+    rs = 2.0 * G_NEWTON * mass / C**2
+    return rindler_geometry(a_s, L), (r - rs) / rs
 
 
 class BasisKind(Enum):

@@ -13,6 +13,7 @@ import pytest
 
 import cavityclock
 import cavityclock.cli as cli
+import cavityclock.clock as clock
 import cavityclock.modes as modes
 from cavityclock import (BogoliubovMap, C, ScenarioConfig, junction_map,
                          run_twin)
@@ -561,6 +562,61 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         printed = re.search(r"PASS composed map S_B\^3: eps1=(\S+)", out)
         assert printed.group(1) == f"{manifest['residual_eps1']:.3e}"
+
+
+
+class TestSharedMapStage:
+    """`twin` and `check --config` read the residuals of one map stage."""
+
+    @staticmethod
+    def patch_block(monkeypatch, transform):
+        block_symplectic = clock._block_symplectic
+
+        def patched(*args):
+            s, product = block_symplectic(*args)
+            return transform(s), product
+
+        monkeypatch.setattr(clock, "_block_symplectic", patched)
+
+    def test_check_runs_the_map_stage_once(self, tmp_path, monkeypatch):
+        calls = []
+        map_stage = clock._map_stage
+
+        def counting(config):
+            calls.append(config)
+            return map_stage(config)
+
+        monkeypatch.setattr(clock, "_map_stage", counting)
+        monkeypatch.setattr(cli, "_map_stage", counting)
+        config = write_config(tmp_path, base_config())
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == 1 and calls[0].residual_gate is None
+
+    def test_a_wrong_block_map_fails_twin_and_check(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # S_B scaled by 1.001 breaks alpha alpha† - beta beta† = I by 2e-3
+        self.patch_block(monkeypatch, lambda s: 1.001 * s)
+        config = write_config(tmp_path, base_config())
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "block-map" in capsys.readouterr().err
+        assert main(["check", "--config", str(config)]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "FAIL block map S_B:" in out
+        assert "FAIL composed map S_B^3:" in out
+
+    def test_a_non_finite_map_exits_4_without_a_gate(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # no gate reads the NaN residuals, so S_B^reps reaches the check
+        # before its SVD, which would raise numpy's LinAlgError
+        self.patch_block(monkeypatch, lambda s: np.full_like(s, np.nan))
+        doc = base_config()
+        doc["numerics"]["residual_gate"] = None
+        config = write_config(tmp_path, doc)
+        for argv in (["twin", "--config", str(config), "--out", str(tmp_path)],
+                     ["check", "--config", str(config)]):
+            assert main(argv) == EXIT_NUMERICAL
+            assert "composed-map is not finite" in capsys.readouterr().err
 
 
 class TestParser:

@@ -8,13 +8,13 @@ import pytest
 from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
                          TruncationError, ValidationError, apply_reduced,
                          classical_cavity_ratio, coherent, extract_params,
-                         near_horizon_geometry, phase_qfi, run_twin,
-                         schwarzschild_acceleration, squeezed_vacuum, sweep,
-                         trajectory_map)
+                         phase_qfi, run_twin, schwarzschild_acceleration,
+                         squeezed_vacuum, sweep, trajectory_map)
 import cavityclock.clock as clock
 from cavityclock.clock import _gated, _last_qfi, _read_phase, _span_phase
 from cavityclock.gauss import GaussianState, _covariance_terms
 from conftest import moment_params
+from kg_oracle import near_horizon_geometry
 from transport_oracle import vacuum
 from map_oracle import compose, inverse
 from test_modes import twin_block
@@ -248,6 +248,18 @@ class TestResidualGate:
         with pytest.raises(TruncationError):
             run_twin(cfg)
 
+
+
+class TestSqueezedLossSensitivity:
+    def test_qfi_change_is_linear_in_mean_n(self):
+        # a squeezed state's QFI 8N(N+1) is sensitive to loss in proportion
+        # to N: the QFI change is about -1.65e-5 % per unit N at this block,
+        # -0.0166 % at N 1e3 and -0.165 % at 1e4, a physical effect and not
+        # cancellation (theta0 0, where qfi_before is exact)
+        change = [run_twin(ScenarioConfig(
+            **SQUID_DEFAULTS, repetitions=3, state_kind="squeezed_vacuum",
+            mean_n=n)).qfi_change_pct_full for n in (1e3, 1e4)]
+        assert 9.9 <= change[1] / change[0] <= 10.1
 
 # h ~ 0.0095 with n_max 24: the residual gate passes (eps1 ~ 4e-8), but
 # truncation lets the transported state break the uncertainty relation
@@ -487,6 +499,22 @@ class TestSweep:
         assert points[0].error is None
         assert points[1].result is None and "Horizon" in points[1].error
         assert points[2].error is None
+
+    def test_non_finite_map_collected_as_truncation_error(self,
+                                                          monkeypatch):
+        # with no gate, a NaN S_B^reps must fail before its SVD, whose
+        # LinAlgError would abort the whole grid
+        block_symplectic = clock._block_symplectic
+
+        def nan_block(*args):
+            s, product = block_symplectic(*args)
+            return np.full_like(s, np.nan), product
+
+        monkeypatch.setattr(clock, "_block_symplectic", nan_block)
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=3, n_max=12,
+                              residual_gate=None)
+        points = sweep(base, "L", [0.011, 0.012])
+        assert all(isinstance(p.exception, TruncationError) for p in points)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(config):

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -6,14 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_symplectic_map
-from kg_oracle import BasisKind, Mode, ModeBasis, kg_inner_product, mode_value
+from kg_oracle import (BasisKind, Mode, ModeBasis, kg_inner_product,
+                       mode_value, rindler_geometry)
 import map_oracle
 from map_oracle import compose, compose_chain_map, free_phase_map, inverse
-from peak import peak_bytes
+from peak import cached_junction_map, peak_bytes
 from cavityclock import (BogoliubovMap, C, HorizonError, Segment, Trajectory,
                          ValidationError, apply_reduced, coherent, dump_map,
-                         junction_map, rindler_geometry, symplectic_residual,
-                         trajectory_map)
+                         junction_map, symplectic_residual, trajectory_map)
 import cavityclock.modes as modes
 
 
@@ -348,11 +347,6 @@ class TestMapStageBytes:
         traj = twin_block(1e-9, 0.0, 1.7e15)
         assert peak_bytes(lambda: modes._block_symplectic(
             traj, 0.011, 24, 1e-12)) <= 68_900
-
-
-@functools.lru_cache(maxsize=None)
-def cached_junction_map(h, n_max, tol=1e-12):
-    return junction_map(h, n_max, tol)
 
 
 class TestZeroLengthCoast:

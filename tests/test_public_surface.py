@@ -3,21 +3,22 @@ import cavityclock.cli as cli
 import cavityclock.clock as clock
 import cavityclock.gauss as gauss
 import cavityclock.modes as modes
+import cavityclock.trajectory as trajectory
 from cavityclock import BogoliubovMap, Segment
 
 EXPORTS = [
     "C", "G_NEWTON", "__version__",
     "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
     "TruncationError", "UnboundedVarianceError",
-    "Segment", "Trajectory", "RindlerGeometry", "build_twin_trajectory",
-    "rindler_geometry", "elapsed_times", "final_kinematics",
+    "Segment", "Trajectory", "build_twin_trajectory", "elapsed_times",
+    "final_kinematics",
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
     "dump_map",
     "GaussianState", "GaussianParams", "coherent", "squeezed_vacuum",
     "apply_reduced", "extract_params",
     "phase_qfi", "cramer_rao", "qfi_change_pct",
     "ScenarioConfig", "ScenarioResult", "SweepPoint", "classical_cavity_ratio",
-    "run_twin", "sweep", "schwarzschild_acceleration", "near_horizon_geometry",
+    "run_twin", "sweep", "schwarzschild_acceleration",
 ]
 
 
@@ -53,6 +54,20 @@ def test_one_transport_and_one_readout():
         assert not hasattr(gauss, name)
     assert not hasattr(clock, "_last")
 
+
+def test_one_map_stage():
+    # `check` reads the map stage `twin` runs, and builds no map of its own
+    for name in ("_block_symplectic", "_map_power", "_coefficients"):
+        assert not hasattr(cli, name)
+    assert not hasattr(clock, "_state_stage")
+
+
+def test_geometry_oracles_are_not_in_the_library():
+    # the Rindler layout and the near-horizon mapping are test oracles
+    # (tests/kg_oracle.py); no pipeline path reads them
+    for name in ("RindlerGeometry", "rindler_geometry"):
+        assert not hasattr(trajectory, name)
+    assert not hasattr(clock, "near_horizon_geometry")
 
 def test_cli_has_one_entry_point():
     assert not hasattr(cli, "run")

@@ -10,6 +10,7 @@ import pytest
 
 import cavityclock.clock as clock
 import cavityclock.gauss as gauss
+import cavityclock.modes as modes
 from cavityclock import (C, ScenarioConfig, TruncationError, ValidationError,
                          extract_params, phase_qfi, run_twin, sweep,
                          symplectic_residual, trajectory_map)
@@ -19,7 +20,7 @@ from cavityclock.modes import (BogoliubovMap, _block_symplectic, _coefficients,
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
 from map_oracle import compose
-from peak import peak_bytes
+from peak import cached_junction_map, peak_bytes
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace)
 
@@ -187,7 +188,7 @@ class TestPeakAllocation:
                                 repetitions=reps, n_max=24)
         return peak_bytes(lambda: run_twin(config))
 
-    def test_peak_does_not_grow_beyond_the_series(self):
+    def test_peak_does_not_grow_beyond_the_series(self, monkeypatch):
         # the lanes and span buffers are sized by _LANES and _SPAN, not by
         # the repetition count: more round trips may add only their 8-byte
         # series entries.  A buffer sized by _SPAN is full from _SPAN round
@@ -197,6 +198,15 @@ class TestPeakAllocation:
         peaks = {reps: self.peak(reps) for reps in (_LANES, 500, 5000)}
         for reps in (_LANES, 500):
             assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
+        # The junction quadrature sets the short runs' peaks, so the bound
+        # above has the quadrature's slack.  With it cached, the lane phase
+        # sets every peak; 4 KB is room for measurement noise (up to 1 KB),
+        # but not for 16 phases (240 B) kept per span: 10000 round trips
+        # run 27 spans more than 1000.
+        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
+        lane = {reps: self.peak(reps) for reps in (1000, 5000, 10_000)}
+        for low, high in ((1000, 5000), (5000, 10_000), (1000, 10_000)):
+            assert lane[high] <= lane[low] + 8 * (high - low) + 4096
 
     def test_peak_at_5000_round_trips(self):
         # the call peaks in its lane phase (about 120 KB), with the 40 KB

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from cavityclock import (C, HorizonError, Segment, Trajectory,
                          ValidationError, build_twin_trajectory,
-                         elapsed_times, final_kinematics, rindler_geometry)
+                         elapsed_times, final_kinematics)
+from kg_oracle import rindler_geometry
 from cavityclock.trajectory import _propagate
 
 
