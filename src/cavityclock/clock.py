@@ -20,9 +20,10 @@ into the span buffers.  Every span reads only the phase (`_span_phase`),
 qfi_after is read from the last entry alone (`_last_qfi`), and the
 mode-mixing-only state is read as a one-entry span.
 
-Clock readout: for displaced states the phase is atan2(p, q); for squeezed
-vacuum (zero displacement) the clock is read from the squeeze orientation
-phi/2, which advances at the same rate but wraps with period pi.  Phases are
+Clock readout, decided once per run from `state_kind`: a coherent clock
+reads its displacement phase atan2(p, q), with period 2 pi, at any
+amplitude; a squeezed-vacuum clock reads its squeeze orientation phi/2,
+which advances at the same rate but wraps with period pi.  Phases are
 unwrapped against the analytic per-block anchor (Minkowski rate on coasts,
 Rindler rate during acceleration), which stays within half a branch of the
 truth for any configuration whose mixing corrections are perturbative.
@@ -187,15 +188,6 @@ _LANES = 24
 _SPAN = 336
 
 
-def _read_phase(displacement, phase, squeeze_angle):
-    """(wrapped phase, wrap period) for the clock readout, elementwise over
-    batched parameters (`gauss._angles`): the displacement phase, or half
-    the squeeze angle at zero displacement."""
-    displaced = displacement > 1e-12
-    return (np.where(displaced, phase, 0.5 * squeeze_angle),
-            np.where(displaced, 2.0 * math.pi, math.pi))
-
-
 def _unwrap(wrapped: np.ndarray, anchor, period: float) -> np.ndarray:
     """anchor + remainder(wrapped - anchor, period), written over
     `wrapped`."""
@@ -216,19 +208,18 @@ def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
 
 
 def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int,
-                what: str):
+                what: str, squeezed: bool):
     """(wrapped clock phase, gated covariance terms) of one span of
     transported states, whose entry 0 is repetition `first_rep`; `what`
-    names the state in the gate's error.  The phase equals `_read_phase` of
-    the full parameter readout bit for bit: when every entry is displaced
-    it is atan2(p, q), and the squeeze angle is not computed; the squeeze
-    magnitude and purity never are."""
+    names the state in the gate's error.  The phase is the full parameter
+    readout's, bit for bit: atan2(p, q) of a coherent clock, without the
+    squeeze angle, or half the squeeze angle of a `squeezed` one; the
+    squeeze magnitude and purity are never computed."""
     terms, fault = _covariance_terms(cov)
     _gated(fault, first_rep, what)
-    q, p = moments[:, 0], moments[:, 1]
-    if not np.all(np.hypot(q, p) > 1e-12):
-        return _read_phase(*_angles(moments, terms))[0], terms
-    return np.arctan2(p, q), terms
+    if squeezed:
+        return 0.5 * _angles(moments, terms)[2], terms
+    return np.arctan2(moments[:, 1], moments[:, 0]), terms
 
 
 def _last_qfi(moments: np.ndarray, terms) -> float:
@@ -292,8 +283,9 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     state0 = config.initial_state()
     params0 = extract_params(state0)
     qfi_before = phase_qfi(params0)
-    theta_start, period = map(float, _read_phase(
-        params0.displacement, params0.phase, params0.squeeze_angle))
+    squeezed = config.state_kind == "squeezed_vacuum"
+    theta_start = 0.5 * params0.squeeze_angle if squeezed else params0.phase
+    period = math.pi if squeezed else 2.0 * math.pi
 
     omega_k = k * math.pi / config.L
     ratio = classical_cavity_ratio(config.h)
@@ -319,7 +311,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
                         work=ahead[:end - offset])
         del ahead
         wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1,
-                                     "transported state")
+                                     "transported state", squeezed)
         if start + count == reps:
             qfi_after = _last_qfi(moments[:count], terms)
         del terms
@@ -335,7 +327,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     # the mode-mixing-only state, read as a one-entry span at repetition reps
     moments_mm, cov_mm = row_moments(mm_rows[None], state0, k)
     wrapped, terms = _span_phase(moments_mm, cov_mm, reps,
-                                 "mode-mixing-only state")
+                                 "mode-mixing-only state", squeezed)
     qfi_after_mm = _last_qfi(moments_mm, terms)
     theta_mm = float(_unwrap(wrapped, theta_start + reps * anchor_block,
                              period)[0])
@@ -395,6 +387,8 @@ def _config_at(base: ScenarioConfig, vary: str, value: float) -> ScenarioConfig:
     if vary == "L":
         return replace(base, L=float(value))
     if vary == "h":
+        if value < 0:  # the sign of a is the base's
+            raise ValidationError(f"h must be >= 0, got {value}")
         sign = -1.0 if base.a < 0 else 1.0
         return replace(base, a=sign * float(value) * C**2 / base.L)
     if vary == "mean_n":

@@ -113,6 +113,9 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
 
     u_max = 2.0 * math.atanh(h / 2.0)
     chi1 = 1.0 / h - 0.5
+    if h * u_max == 0:  # underflows for h below about 1.5e-162
+        raise QuadratureError(f"junction_map cannot resolve h = {h!r}: "
+                              "h * u_max underflows to 0", math.inf)
     # d = chi1 - 1/u_max, the O(1) remainder of two ~1/h terms
     d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
     n = np.arange(1.0, n_max + 1.0)

@@ -15,6 +15,7 @@ Rindler horizon, i.e. h = |a| L / c^2 < 2.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -51,6 +52,10 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        if (isinstance(self.repetitions, bool)
+                or not isinstance(self.repetitions, numbers.Integral)):
+            raise ValidationError(
+                f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise ValidationError(
                 f"repetitions must be >= 1, got {self.repetitions}")

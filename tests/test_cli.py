@@ -300,6 +300,18 @@ class TestTwinCommand:
         assert "numerical gate failure" in err
         assert "did not converge" in err
 
+    @pytest.mark.parametrize("command", ["twin", "check"])
+    def test_underflowing_acceleration_exit_code(self, tmp_path, capsys,
+                                                 command):
+        # h = aL/c^2 ~ 1.2e-219: the junction quadrature cannot resolve it,
+        # which once escaped as a ZeroDivisionError traceback
+        config = write_config(tmp_path, base_config(a_mps2=1e-200))
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical gate failure" in err
+        assert "h * u_max underflows" in err
+
     def test_truncation_artifact_exit_code(self, tmp_path, capsys):
         # the residual gate passes, but the transported state breaks the
         # uncertainty relation: numerical, not a validation error
@@ -403,6 +415,19 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "test_manifest.json").read_text())
         assert len(manifest["errors"]) == 1
         assert "Horizon" in manifest["errors"][0]
+
+    def test_negative_h_point_reported_not_mirrored(self, tmp_path):
+        doc = base_config()
+        doc["sweep"] = {"vary": "h", "grid": [-2.1e-4, 2.1e-4]}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_rows(tmp_path / "test_results.csv")
+        assert len(rows) == 1
+        assert float(rows[0]["a_mps2"]) > 0
+        manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+        assert manifest["errors"] == [
+            "h=-0.00021: ValidationError: h must be >= 0, got -0.00021"]
 
     def test_all_points_failed_exits_numerical(self, tmp_path, capsys):
         doc = base_config(t_i_s=1e-9, a_mps2=1.7e16, repetitions=500)
@@ -563,6 +588,38 @@ class TestCheckCommand:
         printed = re.search(r"PASS composed map S_B\^3: eps1=(\S+)", out)
         assert printed.group(1) == f"{manifest['residual_eps1']:.3e}"
 
+
+
+class TestZeroAcceleration:
+    """a = 0: no junction enters the trajectory, and Rob's clock is
+    Alice's."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return write_config(tmp_path, base_config(a_mps2=0.0))
+
+    def test_twin(self, config, tmp_path):
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        (row,) = read_rows(tmp_path / "test_results.csv")
+        assert row["h"] == "0.0"
+        assert row["pc_fraction_pct"] == "0.0"
+        assert abs(float(row["phase_diff_rad"])) <= 1e-9
+
+    def test_check_falls_back_to_h_001(self, config, capsys):
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS junction map (h=0.01)" in out
+        assert "FAIL" not in out
+
+    def test_bogo_beta_is_exactly_zero(self, config, tmp_path):
+        # free evolution is a rotation product, which keeps beta exactly 0
+        assert main(["bogo", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "test_bogomap.txt").read_text().splitlines()
+        rows = [line.split() for line in lines if not line.startswith("#")]
+        assert len(rows) == 12 * 12
+        assert all(row[4:] == ["0.0", "0.0"] for row in rows)
 
 
 class TestSharedMapStage:

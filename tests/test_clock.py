@@ -5,13 +5,14 @@ import threading
 import numpy as np
 import pytest
 
-from cavityclock import (C, G_NEWTON, HorizonError, ScenarioConfig,
-                         TruncationError, ValidationError, apply_reduced,
-                         classical_cavity_ratio, coherent, extract_params,
-                         phase_qfi, run_twin, schwarzschild_acceleration,
-                         squeezed_vacuum, sweep, trajectory_map)
+from cavityclock import (C, G_NEWTON, HorizonError, QuadratureError,
+                         ScenarioConfig, TruncationError, ValidationError,
+                         apply_reduced, classical_cavity_ratio, coherent,
+                         extract_params, phase_qfi, run_twin,
+                         schwarzschild_acceleration, squeezed_vacuum, sweep,
+                         trajectory_map)
 import cavityclock.clock as clock
-from cavityclock.clock import _gated, _last_qfi, _read_phase, _span_phase
+from cavityclock.clock import _gated, _last_qfi, _span_phase
 from cavityclock.gauss import GaussianState, _covariance_terms
 from conftest import moment_params
 from kg_oracle import near_horizon_geometry
@@ -211,6 +212,23 @@ class TestRunTwinSquidDefaults:
         assert abs(sq.qfi_change_pct_mm_only) >= abs(coh.qfi_change_pct_mm_only)
 
 
+class TestFaintCoherentClock:
+    @pytest.mark.parametrize("mean_n", [1e-24, 1e-30])
+    def test_reads_like_a_bright_one(self, mean_n):
+        # transport is linear, so a coherent clock's phase cannot depend on
+        # its amplitude; a faint one once switched to the squeeze angle and
+        # read a lag 1.4 rad off (README config, theta0 0.3)
+        def result(n):
+            return run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=500,
+                                           n_max=24, theta0=0.3, mean_n=n))
+
+        bright, faint = result(1.0), result(mean_n)
+        assert faint.phase_difference_vs_alice == pytest.approx(
+            bright.phase_difference_vs_alice, abs=1e-12)
+        assert faint.pc_fraction == pytest.approx(bright.pc_fraction,
+                                                  rel=1e-9)
+
+
 class TestTimeReversal:
     def test_backwards_run_block_restores_the_phase(self):
         # evolving through the block and its inverse leaves the clock reading
@@ -288,8 +306,8 @@ def entry(moments, state):
 
 
 # Displaced entries with ordinary, degenerate and artanh-clipped
-# covariances, and undisplaced ones; a displacement of at most 1e-12 counts
-# as none, and the clock is then read from the squeeze angle.
+# covariances, and undisplaced ones.  Either readout reads any of them: the
+# clock's state kind, not a displacement threshold, picks the readout.
 DISPLACED = [entry([-1.27, 0.31], coherent(1.3)),
              entry([0.4, -1.1], squeezed_vacuum(2.0, -0.6)),
              entry([-2.0, 1e-3], squeezed_vacuum(1e8)),           # clipped
@@ -307,48 +325,55 @@ def span(entries):
             np.array([c for _, c in entries]))
 
 
-# entries, how many of them are clipped, and whether the span reads the
-# squeeze angle (it holds an undisplaced entry)
-SPANS = {"displaced": (DISPLACED * 3, 6, False),
-         "undisplaced": (DISPLACED + UNDISPLACED + DISPLACED, 4, True),
-         "barely displaced": (DISPLACED + [BARELY_DISPLACED] + DISPLACED, 4,
-                              True)}
+# entries, and how many of them are clipped
+SPANS = {"displaced": (DISPLACED * 3, 6),
+         "undisplaced": (DISPLACED + UNDISPLACED + DISPLACED, 4),
+         "barely displaced": (DISPLACED + [BARELY_DISPLACED] + DISPLACED, 4)}
+
+# the two readouts, by `_span_phase`'s `squeezed` argument
+READOUTS = (False, True)
 
 
 class TestSpanPhase:
-    """The phase-only span readout against the full parameter readout it
-    stands in for."""
+    """The phase-only span readout of either clock against the full
+    parameter readout it stands in for: the displacement phase of a
+    coherent clock, half the squeeze angle of a squeezed-vacuum clock."""
 
     @pytest.mark.parametrize("kind", list(SPANS))
     def test_phase_is_bit_identical(self, kind, caplog, monkeypatch):
-        entries, clipped, reads_angle = SPANS[kind]
+        entries, clipped = SPANS[kind]
         moments, cov = span(entries)
+        with caplog.at_level(logging.WARNING, logger="cavityclock"):
+            params, fault = moment_params(moments, cov)
+        assert fault is None
+        full_clips = list(caplog.messages)
+        assert len(full_clips) == clipped
+        assert all("artanh boundary" in m for m in full_clips)
         calls = {"_parameters": [], "_angles": []}
         for name, log in calls.items():
             real = getattr(clock, name)
             monkeypatch.setattr(clock, name,
                                 lambda *args, log=log, real=real:
                                 log.append(None) or real(*args))
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            phase, terms = _span_phase(moments, cov, 1, "transported state")
-        span_clips = len(caplog.messages)
-        # no squeeze magnitude or purity, and the angle only when read
-        assert len(calls["_parameters"]) == 0
-        assert len(calls["_angles"]) == reads_angle
-        # the terms it gated with, for the caller's final readout
-        for got, want in zip(terms, _covariance_terms(cov)[0], strict=True):
-            assert got.tobytes() == want.tobytes()
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            params, fault = moment_params(moments, cov)
-        assert fault is None
-        reference = _read_phase(params.displacement, params.phase,
-                                params.squeeze_angle)[0]
-        assert phase.dtype == reference.dtype
-        assert phase.tobytes() == reference.tobytes()
-        # one warning per clipped entry, as the full readout logs
-        assert span_clips == len(caplog.messages) == clipped
-        assert all("artanh boundary" in m for m in caplog.messages)
+        for squeezed, reference in zip(
+                READOUTS, (params.phase, 0.5 * params.squeeze_angle)):
+            for log in calls.values():
+                log.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cavityclock"):
+                phase, terms = _span_phase(moments, cov, 1,
+                                           "transported state", squeezed)
+            # one warning per clipped entry, as the full readout logs
+            assert caplog.messages == full_clips
+            # no squeeze magnitude or purity, and the angle only when read
+            assert len(calls["_parameters"]) == 0
+            assert len(calls["_angles"]) == squeezed
+            # the terms it gated with, for the caller's final readout
+            for got, want in zip(terms, _covariance_terms(cov)[0],
+                                 strict=True):
+                assert got.tobytes() == want.tobytes()
+            assert phase.dtype == reference.dtype
+            assert phase.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("kind", list(SPANS))
     @pytest.mark.parametrize("faults", [
@@ -362,13 +387,15 @@ class TestSpanPhase:
             cov[index] = bad
         with pytest.raises(TruncationError) as expected:
             _gated(moment_params(moments, cov)[1], 97, "transported state")
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            with pytest.raises(TruncationError) as raised:
-                _span_phase(moments, cov, 97, "transported state")
-        assert str(raised.value) == str(expected.value)
-        assert f"at repetition {97 + min(faults)}: " in str(raised.value)
-        # the gate runs before the clip check, as in moment_params
-        assert caplog.messages == []
+        for squeezed in READOUTS:
+            with caplog.at_level(logging.WARNING, logger="cavityclock"):
+                with pytest.raises(TruncationError) as raised:
+                    _span_phase(moments, cov, 97, "transported state",
+                                squeezed)
+            assert str(raised.value) == str(expected.value)
+            assert f"at repetition {97 + min(faults)}: " in str(raised.value)
+            # the gate runs before the clip check, as in moment_params
+            assert caplog.messages == []
 
     @pytest.mark.parametrize("kind", list(SPANS))
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
@@ -376,9 +403,10 @@ class TestSpanPhase:
         # every comparison with NaN is False, so the gate must fail closed
         moments, cov = span(SPANS[kind][0])
         cov[5][entry] = math.nan
-        with pytest.raises(TruncationError,
-                           match="repetition 102: .*not positive definite"):
-            _span_phase(moments, cov, 97, "transported state")
+        for squeezed in READOUTS:
+            with pytest.raises(TruncationError,
+                               match="repetition 102: .*not positive definite"):
+                _span_phase(moments, cov, 97, "transported state", squeezed)
         assert moment_params(moments, cov)[1][0] == 5
 
 
@@ -524,6 +552,24 @@ class TestSweep:
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
         with pytest.raises(TypeError):
             sweep(base, "L", [0.011])
+
+    def test_underflowing_h_collected_as_quadrature_error(self):
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)
+        points = sweep(base, "h", [1e-170, 2.1e-4])
+        assert isinstance(points[0].exception, QuadratureError)
+        assert "h = 1e-170" in points[0].error
+        assert points[1].error is None
+
+    @pytest.mark.parametrize("a", [1.7e15, -1.7e15])
+    def test_negative_h_collected_as_validation_error(self, a):
+        # the sign of a is the base config's; a negative h would mirror it
+        base = ScenarioConfig(**{**SQUID_DEFAULTS, "a": a}, repetitions=1,
+                              n_max=12)
+        points = sweep(base, "h", [-2.1e-4, 2.1e-4])
+        assert isinstance(points[0].exception, ValidationError)
+        assert points[0].error == ("ValidationError: h must be >= 0, "
+                                   "got -0.00021")
+        assert points[1].result.h == pytest.approx(2.1e-4, rel=1e-12)
 
     def test_h_axis_rescales_acceleration(self):
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1, n_max=12)

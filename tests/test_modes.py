@@ -10,9 +10,10 @@ from kg_oracle import (BasisKind, Mode, ModeBasis, kg_inner_product,
 import map_oracle
 from map_oracle import compose, compose_chain_map, free_phase_map, inverse
 from peak import cached_junction_map, peak_bytes
-from cavityclock import (BogoliubovMap, C, HorizonError, Segment, Trajectory,
-                         ValidationError, apply_reduced, coherent, dump_map,
-                         junction_map, symplectic_residual, trajectory_map)
+from cavityclock import (BogoliubovMap, C, HorizonError, QuadratureError,
+                         Segment, Trajectory, ValidationError, apply_reduced,
+                         coherent, dump_map, junction_map,
+                         symplectic_residual, trajectory_map)
 import cavityclock.modes as modes
 
 
@@ -168,6 +169,21 @@ class TestJunctionMap:
             junction_map(0.0, 4)
         with pytest.raises(ValidationError):
             junction_map(-0.1, 4)
+
+    @pytest.mark.parametrize("h", [1.5e-162, 1e-200, 5e-324])
+    def test_underflowing_h_is_a_numerical_failure(self, h):
+        # h * u_max underflows to 0: a numerical failure, not bad input,
+        # and not a ZeroDivisionError
+        with pytest.raises(QuadratureError, match=f"h = {h!r}") as raised:
+            junction_map(h, 8)
+        assert not isinstance(raised.value, ValidationError)
+        assert raised.value.estimate == math.inf
+
+    def test_smallest_resolved_h(self):
+        # at the rounding floor of test_absolute_floor_at_tiny_h
+        jmap = junction_map(2e-162, 8)
+        assert np.max(np.abs(jmap.alpha - np.eye(8))) <= 1e-14
+        assert np.max(np.abs(jmap.beta)) <= 1e-14
 
 
 def first_order_junction(n_max):

@@ -55,6 +55,12 @@ def test_one_transport_and_one_readout():
     assert not hasattr(clock, "_last")
 
 
+def test_one_clock_readout():
+    # the readout follows the state kind, decided once per run; no
+    # per-entry displacement test picks it
+    assert not hasattr(clock, "_read_phase")
+
+
 def test_one_map_stage():
     # `check` reads the map stage `twin` runs, and builds no map of its own
     for name in ("_block_symplectic", "_map_power", "_coefficients"):

@@ -144,7 +144,7 @@ class TestRowPathAgainstFullMapLoop:
         monkeypatch.setattr(clock, "_span_phase", counting)
         run_twin(lane_config(5000))
         assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
-        assert calls[-1] == (1, 5000, "mode-mixing-only state")
+        assert calls[-1] == (1, 5000, "mode-mixing-only state", False)
 
 
 class TestLanesAgainstDenseTransport:

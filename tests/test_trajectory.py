@@ -144,6 +144,20 @@ class TestBuildTwinTrajectory:
         with pytest.raises(ValidationError):
             build_twin_trajectory(1.0, 0.0, 0, 1.0)
 
+    @pytest.mark.parametrize("repetitions", [2.5, 3.0, "3", True])
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        # 2.5 was accepted and elapsed_times raised TypeError; True ran once
+        for make in (lambda: Trajectory([Segment(1e-9)], repetitions),
+                     lambda: build_twin_trajectory(1e-9, 0.0, repetitions,
+                                                   1e15)):
+            with pytest.raises(ValidationError,
+                               match="repetitions must be an integer"):
+                make()
+
+    def test_numpy_integer_repetitions_accepted(self):
+        traj = build_twin_trajectory(1e-9, 0.0, np.int64(3), 1e15)
+        assert traj.proper_duration == pytest.approx(12e-9, rel=1e-15)
+
     @pytest.mark.parametrize("args", [(math.nan, 0.0, 2, 1.7e15),
                                       (1e-9, math.nan, 2, 1.7e15),
                                       (1e-9, math.inf, 2, 1.7e15),
