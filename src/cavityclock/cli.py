@@ -115,28 +115,18 @@ def load_config(path: str | Path) -> LoadedConfig:
     t_i = _number(sc, "t_i_s", "scenario")
     L = _number(sc, "L_m", "scenario")
     a = _number(sc, "a_mps2", "scenario")
-    reps = _require(sc, "repetitions", int, "scenario")
-    clock_mode = sc.get("clock_mode", 1)
-    n_max = numerics.get("n_max", 24)
-    if type(clock_mode) is not int or type(n_max) is not int:
-        raise ConfigError("clock_mode and n_max must be integers")
+    if "repetitions" not in sc:
+        raise ConfigError("missing scenario.repetitions")
 
     if ("t_a_s" in sc) == ("theta_a_rad" in sc):
         raise ConfigError("scenario needs exactly one of t_a_s or theta_a_rad")
-    if "t_a_s" in sc:
-        t_a = _number(sc, "t_a_s", "scenario")
-    else:
-        # theta_a = Omega_k * eta(t_a)  =>  t_a = theta_a u_max c / (k pi |a|)
+    if "theta_a_rad" in sc:
         theta_a = _number(sc, "theta_a_rad", "scenario")
+        if not 0 < theta_a <= sys.float_info.max:
+            raise ConfigError(f"scenario.theta_a_rad must be > 0 and finite, "
+                              f"got {theta_a}")
         if a == 0:
             raise ConfigError("theta_a_rad needs a nonzero acceleration")
-        if clock_mode < 1:  # checked here too, since t_a divides by it
-            raise ConfigError("clock_mode must be >= 1")
-        h = abs(a) * L / C**2
-        if h >= 2:
-            raise ConfigError(f"h = {h:.6g} >= 2")
-        u_max = 2.0 * math.atanh(h / 2.0)
-        t_a = theta_a * u_max * C / (clock_mode * math.pi * abs(a))
 
     kind = state.get("kind", "coherent")
     mean_n = _number(state, "mean_n", "scenario.state", 1.0)
@@ -147,11 +137,19 @@ def load_config(path: str | Path) -> LoadedConfig:
         gate = _number(numerics, "residual_gate", "numerics", 1e-4)
 
     try:
+        # under theta_a_rad, t_a is a stand-in until h and k are checked
         scenario = ScenarioConfig(
-            t_a=t_a, t_i=t_i, L=L, a=a, repetitions=reps,
-            clock_mode=clock_mode, n_max=n_max, state_kind=kind,
+            t_a=_number(sc, "t_a_s", "scenario", 1.0), t_i=t_i, L=L, a=a,
+            repetitions=sc["repetitions"],
+            clock_mode=sc.get("clock_mode", 1),
+            n_max=numerics.get("n_max", 24), state_kind=kind,
             mean_n=mean_n, theta0=theta0,
             residual_gate=gate, quadrature_tol=tol)
+        if "theta_a_rad" in sc:
+            # theta_a = Omega_k eta(t_a) => t_a = theta_a u_max c / (k pi |a|)
+            u_max = 2.0 * math.atanh(scenario.h / 2.0)
+            scenario = replace(scenario, t_a=theta_a * u_max * C
+                               / (scenario.clock_mode * math.pi * abs(a)))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,7 +171,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     prefix = output.get("prefix", "run")
     # outputs must land in --out: a bare file-name stem, on any platform
     if (not isinstance(prefix, str) or "/" in prefix or "\\" in prefix
-            or prefix in (".", "..")):
+            or "\0" in prefix or prefix in (".", "..")):
         raise ConfigError(
             f"output.prefix must be a file-name stem, got {prefix!r}")
     return LoadedConfig(scenario, config_digest(document), sweep_spec, prefix)

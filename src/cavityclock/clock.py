@@ -40,7 +40,7 @@ import numpy as np
 
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
-                     ValidationError)
+                     UnboundedVarianceError, ValidationError)
 from .gauss import (GaussianParams, GaussianState, _angles,
                     _covariance_terms, _parameters, _remainder, coherent,
                     extract_params, row_moments, squeezed_vacuum)
@@ -111,7 +111,6 @@ class ScenarioConfig:
                 and not 0 < self.residual_gate <= sys.float_info.max):
             raise ValidationError(f"residual_gate must be > 0 and finite, or "
                                   f"None, got {self.residual_gate}")
-        # L first: under theta_a_rad the CLI derives t_a from L
         if self.L <= 0:
             raise ValidationError(f"L must be > 0, got {self.L}")
         if self.t_a <= 0:
@@ -283,6 +282,10 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     state0 = config.initial_state()
     params0 = extract_params(state0)
     qfi_before = phase_qfi(params0)
+    if not qfi_before > 0:  # the state's covariance cannot resolve mean_n
+        raise UnboundedVarianceError(
+            f"initial state at mean_n {config.mean_n!r} reads phase QFI "
+            f"{qfi_before!r}: below what its covariance resolves")
     squeezed = config.state_kind == "squeezed_vacuum"
     theta_start = 0.5 * params0.squeeze_angle if squeezed else params0.phase
     period = math.pi if squeezed else 2.0 * math.pi

@@ -82,6 +82,38 @@ class TestConfigLoading:
         u_max = 2 * math.atanh(cfg.h / 2)
         eta = abs(cfg.a) * cfg.t_a / 299792458.0
         assert (math.pi / u_max) * eta == pytest.approx(math.pi, rel=1e-12)
+        # the same double as the formula on the document's own numbers
+        sc = doc["scenario"]
+        h = abs(sc["a_mps2"]) * sc["L_m"] / C**2
+        assert cfg.t_a == (math.pi * (2.0 * math.atanh(h / 2.0)) * C
+                           / (sc["clock_mode"] * math.pi * abs(sc["a_mps2"])))
+
+    @pytest.mark.parametrize("theta_a", [-1.0, 0.0])
+    def test_non_positive_theta_a_exit_code(self, tmp_path, capsys, theta_a):
+        # the fault is the theta_a_rad the user wrote, not the t_a it gives
+        doc = base_config(theta_a_rad=theta_a)
+        del doc["scenario"]["t_a_s"]
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "theta_a_rad must be > 0 and finite" in err
+        assert "t_a " not in err
+
+    def test_horizon_message_does_not_depend_on_the_duration_key(
+            self, tmp_path, capsys):
+        # L 200 m at a 1.7e15: h = 3.78
+        errors = []
+        for key, value in (("t_a_s", 1e-9), ("theta_a_rad", 1.0)):
+            doc = base_config(L_m=200.0)
+            del doc["scenario"]["t_a_s"]
+            doc["scenario"][key] = value
+            config = write_config(tmp_path, doc)
+            assert main(["twin", "--config", str(config),
+                         "--out", str(tmp_path)]) == EXIT_VALIDATION
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "cavity intersects the Rindler horizon: h = 3.78301" in errors[0]
 
     @pytest.mark.parametrize("section, key, value", [
         ("state", "mean_n", "lots"),
@@ -100,7 +132,8 @@ class TestConfigLoading:
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("prefix", ["absolute", "../x", "..", ".", None])
+    @pytest.mark.parametrize("prefix", ["absolute", "../x", "..", ".", None,
+                                        "a\0b"])
     def test_prefix_outside_out_rejected(self, tmp_path, prefix):
         if prefix == "absolute":
             prefix = str(tmp_path / "elsewhere" / "x")
@@ -185,7 +218,21 @@ class TestConfigLoading:
         config = write_config(tmp_path, doc)
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
-        assert "must be integers" in capsys.readouterr().err
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("scenario", "clock_mode"),
+                                              ("numerics", "n_max"),
+                                              ("scenario", "repetitions")])
+    @pytest.mark.parametrize("value", [2.0, "2"])
+    def test_non_integer_count_exit_code(self, tmp_path, capsys, section,
+                                         key, value):
+        doc = base_config()
+        doc[section][key] = value
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert (f"{key} must be an integer, got {value!r}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("clock_mode", [0, -2])
     def test_theta_a_with_non_positive_clock_mode_exit_code(
@@ -289,6 +336,19 @@ class TestTwinCommand:
         config = write_config(tmp_path, doc)
         assert main(["twin", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_NUMERICAL
+
+    def test_unresolved_squeezing_exit_code(self, tmp_path, capsys):
+        # the covariance cannot resolve a squeezed vacuum this faint, so its
+        # phase QFI reads 0: a numerical limit, not an invalid config
+        doc = base_config()
+        doc["scenario"]["state"] = {"kind": "squeezed_vacuum",
+                                    "mean_n": 1e-30}
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical gate failure" in err and "mean_n 1e-30" in err
+        assert not list(tmp_path.rglob("*_results.csv"))
 
     def test_quadrature_failure_exit_code(self, tmp_path, capsys):
         doc = base_config()

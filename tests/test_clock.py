@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cavityclock import (C, G_NEWTON, HorizonError, QuadratureError,
-                         ScenarioConfig, TruncationError, ValidationError,
+                         ScenarioConfig, TruncationError,
+                         UnboundedVarianceError, ValidationError,
                          apply_reduced, classical_cavity_ratio, coherent,
                          extract_params, phase_qfi, run_twin,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
@@ -278,6 +279,35 @@ class TestSqueezedLossSensitivity:
             **SQUID_DEFAULTS, repetitions=3, state_kind="squeezed_vacuum",
             mean_n=n)).qfi_change_pct_full for n in (1e3, 1e4)]
         assert 9.9 <= change[1] / change[0] <= 10.1
+
+
+class TestFaintSqueezedClock:
+    # below about mean_n 1e-29 the covariance no longer resolves the
+    # squeezing, and the phase QFI reads 0: a numerical limit
+    def test_unresolved_squeezing_fails_before_the_lanes(self, monkeypatch):
+        def lanes(*args, **kwargs):
+            pytest.fail("the lanes ran")
+
+        monkeypatch.setattr(clock, "row_moments", lanes)
+        with pytest.raises(UnboundedVarianceError, match="mean_n 1e-30"):
+            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=3,
+                                    n_max=12, state_kind="squeezed_vacuum",
+                                    mean_n=1e-30))
+
+    def test_unresolved_squeezing_collected_as_numerical_error(self):
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=3, n_max=12,
+                              state_kind="squeezed_vacuum")
+        points = sweep(base, "mean_n", [1e-30, 1.0])
+        assert isinstance(points[0].exception, UnboundedVarianceError)
+        assert not isinstance(points[0].exception, ValidationError)
+        assert "mean_n 1e-30" in points[0].error
+        assert points[1].result.qfi_before == pytest.approx(16.0, rel=1e-12)
+
+    def test_faintest_resolved_squeezing_still_runs(self):
+        result = run_twin(ScenarioConfig(
+            **SQUID_DEFAULTS, repetitions=3, n_max=12,
+            state_kind="squeezed_vacuum", mean_n=1e-28))
+        assert result.qfi_before == pytest.approx(8e-28, rel=0.01)
 
 # h ~ 0.0095 with n_max 24: the residual gate passes (eps1 ~ 4e-8), but
 # truncation lets the transported state break the uncertainty relation
