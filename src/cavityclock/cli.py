@@ -7,8 +7,8 @@ map), `check` (self-tests of the maps `twin` builds).  Configuration is a
 single JSON document (schema 1, SI units at this boundary); see README for
 the full schema and the fixed CSV column order.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 numerical gate failure.
+Exit codes: 0 success, 2 config parse error or unwritable output, 3
+validation error, 4 numerical gate failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import re
 import sys
@@ -28,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock import ScenarioConfig, ScenarioResult, _map_stage, run_twin, sweep
+from .clock import (ScenarioConfig, ScenarioResult, _initial_readout,
+                    _map_stage, run_twin, sweep)
 from .constants import C
 from .errors import CavityClockError, ValidationError
-from .gauss import extract_params
-from .metrology import cramer_rao, phase_qfi
+from .metrology import cramer_rao
 from .modes import (BogoliubovMap, _junction_blocks, _trusted_interior,
                     dump_map, gated_residual, symplectic_residual,
                     trajectory_map)
@@ -148,8 +147,12 @@ def load_config(path: str | Path) -> LoadedConfig:
         if "theta_a_rad" in sc:
             # theta_a = Omega_k eta(t_a) => t_a = theta_a u_max c / (k pi |a|)
             u_max = 2.0 * math.atanh(scenario.h / 2.0)
-            scenario = replace(scenario, t_a=theta_a * u_max * C
-                               / (scenario.clock_mode * math.pi * abs(a)))
+            t_a = (theta_a * u_max * C
+                   / (scenario.clock_mode * math.pi * abs(a)))
+            if not 0 < t_a <= sys.float_info.max:  # underflow or overflow
+                raise ConfigError(f"scenario.theta_a_rad {theta_a!r} gives "
+                                  f"no acceleration time > 0 and finite")
+            scenario = replace(scenario, t_a=t_a)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -221,12 +224,11 @@ def write_results_csv(path: Path, results: list[ScenarioResult],
 
 
 def write_manifest(path: Path, command: str, loaded: LoadedConfig,
-                   results: list[ScenarioResult], warnings: list[str],
-                   errors: list[str]) -> None:
+                   results: list[ScenarioResult], errors: list[str]) -> None:
     eps1 = max((r.residual[0] for r in results), default=0.0)
     eps2 = max((r.residual[1] for r in results), default=0.0)
     manifest = {
-        "schema": 1,
+        "schema": 2,
         "command": command,
         "config_digest": loaded.digest,
         "tool_version": __version__,
@@ -235,7 +237,6 @@ def write_manifest(path: Path, command: str, loaded: LoadedConfig,
         "residual_eps1": eps1,
         "residual_eps2": eps2,
         "rows": len(results),
-        "warnings": warnings,
         "errors": errors,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -243,28 +244,14 @@ def write_manifest(path: Path, command: str, loaded: LoadedConfig,
         fh.write("\n")
 
 
-class _WarningCollector(logging.Handler):
-    def __init__(self):
-        super().__init__(level=logging.WARNING)
-        self.messages: list[str] = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
 def _cmd_twin(args, loaded: LoadedConfig) -> int:
-    collector = _WarningCollector()
-    logging.getLogger("cavityclock").addHandler(collector)
-    try:
-        result = run_twin(loaded.scenario)
-    finally:
-        logging.getLogger("cavityclock").removeHandler(collector)
+    result = run_twin(loaded.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / f"{loaded.prefix}_results.csv", [result],
                       loaded.digest)
     write_manifest(out / f"{loaded.prefix}_manifest.json", "twin", loaded,
-                   [result], collector.messages, [])
+                   [result], [])
     print(f"twin: wrote 1 row to {out / (loaded.prefix + '_results.csv')} "
           f"(phase_diff={result.phase_difference_vs_alice!r} rad, "
           f"qfi_change={result.qfi_change_pct_full!r} %)")
@@ -274,13 +261,8 @@ def _cmd_twin(args, loaded: LoadedConfig) -> int:
 def _cmd_sweep(args, loaded: LoadedConfig) -> int:
     if loaded.sweep_spec is None:
         raise ConfigError("sweep subcommand needs a sweep section in the config")
-    collector = _WarningCollector()
-    logging.getLogger("cavityclock").addHandler(collector)
-    try:
-        points = sweep(loaded.scenario, loaded.sweep_spec["vary"],
-                       loaded.sweep_spec["grid"])
-    finally:
-        logging.getLogger("cavityclock").removeHandler(collector)
+    points = sweep(loaded.scenario, loaded.sweep_spec["vary"],
+                   loaded.sweep_spec["grid"])
     results = [p.result for p in points if p.result is not None]
     errors = [f"{loaded.sweep_spec['vary']}={p.value!r}: {p.error}"
               for p in points if p.error is not None]
@@ -289,7 +271,7 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
     write_results_csv(out / f"{loaded.prefix}_results.csv", results,
                       loaded.digest)
     write_manifest(out / f"{loaded.prefix}_manifest.json", "sweep", loaded,
-                   results, collector.messages, errors)
+                   results, errors)
     for line in errors:
         print(f"sweep point failed: {line}", file=sys.stderr)
     print(f"sweep: wrote {len(results)} rows to "
@@ -301,8 +283,7 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
 
 
 def _cmd_qfi(args, loaded: LoadedConfig) -> int:
-    params = extract_params(loaded.scenario.initial_state())
-    value = phase_qfi(params)
+    value = _initial_readout(loaded.scenario)[2]
     print(f"qfi={value!r}")
     if args.measurements is not None:
         print(f"bound={cramer_rao(value, args.measurements)!r}")
@@ -431,6 +412,9 @@ def _execute(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # only the outputs are files
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except CavityClockError as exc:
         print(f"numerical gate failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -230,6 +230,21 @@ def _last_qfi(moments: np.ndarray, terms) -> float:
                                       for v in vars(params).values())))
 
 
+def _initial_readout(config: ScenarioConfig) -> tuple:
+    """(state, parameters, phase QFI) of the initial state; a valid config
+    whose state the readout cannot resolve is a numerical limit."""
+    try:
+        params = extract_params(state := config.initial_state())
+    except ValidationError as exc:  # e.g. det cancels at a nonzero theta0
+        raise CavityClockError(f"initial state at mean_n {config.mean_n!r}, "
+                               f"theta0 {config.theta0!r}: {exc}") from None
+    if not (qfi := phase_qfi(params)) > 0:  # covariance cannot resolve mean_n
+        raise UnboundedVarianceError(
+            f"initial state at mean_n {config.mean_n!r} reads phase QFI "
+            f"{qfi!r}: below what its covariance resolves")
+    return state, params, qfi
+
+
 def _map_stage(config: ScenarioConfig) -> tuple:
     """What a run computes before the state enters: the lanes, H, the
     mode-mixing-only rows, Alice's time per block, and the residual pairs of
@@ -279,13 +294,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     # plain ints: an np.int64 count would make the time fields numpy scalars
     k = int(config.clock_mode)
     reps = int(config.repetitions)
-    state0 = config.initial_state()
-    params0 = extract_params(state0)
-    qfi_before = phase_qfi(params0)
-    if not qfi_before > 0:  # the state's covariance cannot resolve mean_n
-        raise UnboundedVarianceError(
-            f"initial state at mean_n {config.mean_n!r} reads phase QFI "
-            f"{qfi_before!r}: below what its covariance resolves")
+    state0, params0, qfi_before = _initial_readout(config)
     squeezed = config.state_kind == "squeezed_vacuum"
     theta_start = 0.5 * params0.squeeze_angle if squeezed else params0.phase
     period = math.pi if squeezed else 2.0 * math.pi

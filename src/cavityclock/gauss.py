@@ -13,7 +13,6 @@ columns replaced and the 2N x 2N covariance is never built.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .modes import BogoliubovMap, gated_residual, symplectic_matrix
-
-logger = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
 _VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
@@ -165,14 +162,13 @@ class GaussianParams:
 
 
 def _covariance_terms(cov: np.ndarray):
-    """The physicality gate and artanh-clip warning of the parameter
-    readout, on single-mode covariances (..., 2, 2); a covariance need be
-    symmetric only up to rounding (the off-diagonal entries are averaged).
-    Returns ((s11, s22, s12, det, purity, trace, split, squeezed), None), or
-    (None, (i, message)) naming the first entry i (flat index) whose
-    covariance is not positive definite or violates the uncertainty relation
-    (purity > 1 + 1e-9); the caller picks the error.  Every clipped entry is
-    logged once per call."""
+    """The physicality gate of the parameter readout, on single-mode
+    covariances (..., 2, 2); a covariance need be symmetric only up to
+    rounding (the off-diagonal entries are averaged).  Returns ((s11, s22,
+    s12, det, purity, trace, split, squeezed), None), or (None, (i,
+    message)) naming the first entry i (flat index) whose covariance is not
+    positive definite or violates the uncertainty relation (purity > 1 +
+    1e-9); the caller picks the error."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
@@ -191,10 +187,6 @@ def _covariance_terms(cov: np.ndarray):
     trace = s11 + s22
     split = np.hypot(s11 - s22, 2.0 * s12)
     squeezed = split > 1e-14 * trace  # degenerate: angle undefined, report 0
-    clipped = np.ravel(squeezed & (split >= trace * (1.0 - 1e-15)))
-    for ratio in np.ravel(split / trace)[clipped]:
-        logger.warning("squeeze extraction at artanh boundary clipped: "
-                       "s/T = %.17g", ratio)
     return (s11, s22, s12, det, purity, trace, split, squeezed), None
 
 

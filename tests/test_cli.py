@@ -100,6 +100,20 @@ class TestConfigLoading:
         assert "theta_a_rad must be > 0 and finite" in err
         assert "t_a " not in err
 
+    @pytest.mark.parametrize("theta_a", [1e-320, 1e308])
+    def test_theta_a_without_a_finite_duration_exit_code(self, tmp_path,
+                                                         capsys, theta_a):
+        # the t_a it gives underflows to 0 or overflows to inf: the fault is
+        # the theta_a_rad the user wrote
+        doc = base_config(theta_a_rad=theta_a)
+        del doc["scenario"]["t_a_s"]
+        config = write_config(tmp_path, doc)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"theta_a_rad {theta_a!r}" in err
+        assert "t_a " not in err
+
     def test_horizon_message_does_not_depend_on_the_duration_key(
             self, tmp_path, capsys):
         # L 200 m at a 1.7e15: h = 3.78
@@ -350,6 +364,35 @@ class TestTwinCommand:
         assert "numerical gate failure" in err and "mean_n 1e-30" in err
         assert not list(tmp_path.rglob("*_results.csv"))
 
+    @pytest.mark.parametrize("command", ["twin", "qfi"])
+    def test_unreadable_initial_state_exit_code(self, tmp_path, capsys,
+                                                command):
+        # a valid squeezed vacuum whose covariance det cancels: the readout
+        # finds it unphysical, a numerical limit, not an invalid config
+        doc = base_config()
+        doc["scenario"]["state"] = {"kind": "squeezed_vacuum", "mean_n": 1e6,
+                                    "theta0_rad": 0.3}
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical gate failure" in err
+        assert "mean_n 1000000.0, theta0 0.3" in err
+        assert not list(tmp_path.rglob("*_results.csv"))
+
+    @pytest.mark.parametrize("command", ["twin", "sweep", "bogo"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+        doc = base_config()
+        doc["sweep"] = {"vary": "L", "grid": [0.011]}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert out.read_text() == "a file, not a directory"
+
     def test_quadrature_failure_exit_code(self, tmp_path, capsys):
         doc = base_config()
         doc["numerics"] = {"n_max": 8, "quadrature_tol": 1e-300}
@@ -511,6 +554,25 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "test_manifest.json").read_text())
         assert len(manifest["errors"]) == 2
 
+    @pytest.mark.parametrize("command, vary", [("twin", None),
+                                               ("sweep", "L"),
+                                               ("sweep", "h")])
+    def test_manifest_keys(self, tmp_path, command, vary):
+        # schema 2 is these keys; any change to them bumps the schema
+        doc = base_config()
+        if vary is not None:
+            doc["sweep"] = {"vary": vary, "grid": [0.011, 2.5]}
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+        assert set(manifest) == {
+            "schema", "command", "config_digest", "tool_version",
+            "generated_at", "n_max", "residual_eps1", "residual_eps2",
+            "rows", "errors"}
+        assert manifest["schema"] == 2
+        assert manifest["command"] == command
+
     def test_sweep_without_section_is_validation_error(self, tmp_path):
         config = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
@@ -526,6 +588,15 @@ class TestQfiCommand:
         out = capsys.readouterr().out
         assert out.startswith("qfi=")
         assert float(out.split("=", 1)[1]) == pytest.approx(16.0, rel=1e-12)
+
+    def test_unresolved_squeezing_exit_code(self, tmp_path, capsys):
+        # a phase QFI that reads 0 is a numerical limit here too, as in twin
+        doc = base_config()
+        doc["scenario"]["state"] = {"kind": "squeezed_vacuum",
+                                    "mean_n": 1e-30}
+        config = write_config(tmp_path, doc)
+        assert main(["qfi", "--config", str(config)]) == EXIT_NUMERICAL
+        assert "mean_n 1e-30" in capsys.readouterr().err
 
     def test_bound_with_measurements(self, tmp_path, capsys):
         config = write_config(tmp_path, base_config())

@@ -1,12 +1,11 @@
-import logging
 import math
 import threading
 
 import numpy as np
 import pytest
 
-from cavityclock import (C, G_NEWTON, HorizonError, QuadratureError,
-                         ScenarioConfig, TruncationError,
+from cavityclock import (C, G_NEWTON, CavityClockError, HorizonError,
+                         QuadratureError, ScenarioConfig, TruncationError,
                          UnboundedVarianceError, ValidationError,
                          apply_reduced, classical_cavity_ratio, coherent,
                          extract_params, phase_qfi, run_twin,
@@ -303,6 +302,20 @@ class TestFaintSqueezedClock:
         assert "mean_n 1e-30" in points[0].error
         assert points[1].result.qfi_before == pytest.approx(16.0, rel=1e-12)
 
+    def test_unreadable_squeezing_collected_as_numerical_error(self):
+        # at theta0 0.3 the covariance det of mean_n 1e6 cancels, so the
+        # readout finds the initial state unphysical; at theta0 0 it is exact
+        base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=3, n_max=12,
+                              state_kind="squeezed_vacuum", mean_n=1e6)
+        points = sweep(base, "theta0", [0.3, 0.0])
+        assert isinstance(points[0].exception, CavityClockError)
+        assert not isinstance(points[0].exception, ValidationError)
+        assert "mean_n 1000000.0, theta0 0.3" in points[0].error
+        assert points[0].result is None
+        assert points[1].exception is None
+        assert points[1].result.qfi_before == pytest.approx(8e6 * (1e6 + 1),
+                                                            rel=1e-12)
+
     def test_faintest_resolved_squeezing_still_runs(self):
         result = run_twin(ScenarioConfig(
             **SQUID_DEFAULTS, repetitions=3, n_max=12,
@@ -335,14 +348,15 @@ def entry(moments, state):
     return np.array(moments, dtype=float), state.covariance
 
 
-# Displaced entries with ordinary, degenerate and artanh-clipped
-# covariances, and undisplaced ones.  Either readout reads any of them: the
-# clock's state kind, not a displacement threshold, picks the readout.
+# Displaced entries with ordinary, degenerate and artanh-boundary
+# (s/T >= 1 - 1e-15) covariances, and undisplaced ones.  Either readout
+# reads any of them: the clock's state kind, not a displacement threshold,
+# picks the readout.
 DISPLACED = [entry([-1.27, 0.31], coherent(1.3)),
              entry([0.4, -1.1], squeezed_vacuum(2.0, -0.6)),
-             entry([-2.0, 1e-3], squeezed_vacuum(1e8)),           # clipped
+             entry([-2.0, 1e-3], squeezed_vacuum(1e8)),           # boundary
              entry([1e-12, 1e-12], vacuum(1)),
-             entry([0.0, -0.7], squeezed_vacuum(1e8, math.pi))]  # clipped
+             entry([0.0, -0.7], squeezed_vacuum(1e8, math.pi))]  # boundary
 BARELY_DISPLACED = entry([1e-13, 0.0], squeezed_vacuum(0.5, 1.0))
 UNDISPLACED = [entry([0.0, 0.0], squeezed_vacuum(0.5, 3.0)),
                BARELY_DISPLACED]
@@ -355,10 +369,9 @@ def span(entries):
             np.array([c for _, c in entries]))
 
 
-# entries, and how many of them are clipped
-SPANS = {"displaced": (DISPLACED * 3, 6),
-         "undisplaced": (DISPLACED + UNDISPLACED + DISPLACED, 4),
-         "barely displaced": (DISPLACED + [BARELY_DISPLACED] + DISPLACED, 4)}
+SPANS = {"displaced": DISPLACED * 3,
+         "undisplaced": DISPLACED + UNDISPLACED + DISPLACED,
+         "barely displaced": DISPLACED + [BARELY_DISPLACED] + DISPLACED}
 
 # the two readouts, by `_span_phase`'s `squeezed` argument
 READOUTS = (False, True)
@@ -370,15 +383,10 @@ class TestSpanPhase:
     coherent clock, half the squeeze angle of a squeezed-vacuum clock."""
 
     @pytest.mark.parametrize("kind", list(SPANS))
-    def test_phase_is_bit_identical(self, kind, caplog, monkeypatch):
-        entries, clipped = SPANS[kind]
-        moments, cov = span(entries)
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            params, fault = moment_params(moments, cov)
+    def test_phase_is_bit_identical(self, kind, monkeypatch):
+        moments, cov = span(SPANS[kind])
+        params, fault = moment_params(moments, cov)
         assert fault is None
-        full_clips = list(caplog.messages)
-        assert len(full_clips) == clipped
-        assert all("artanh boundary" in m for m in full_clips)
         calls = {"_parameters": [], "_angles": []}
         for name, log in calls.items():
             real = getattr(clock, name)
@@ -389,12 +397,8 @@ class TestSpanPhase:
                 READOUTS, (params.phase, 0.5 * params.squeeze_angle)):
             for log in calls.values():
                 log.clear()
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="cavityclock"):
-                phase, terms = _span_phase(moments, cov, 1,
-                                           "transported state", squeezed)
-            # one warning per clipped entry, as the full readout logs
-            assert caplog.messages == full_clips
+            phase, terms = _span_phase(moments, cov, 1, "transported state",
+                                       squeezed)
             # no squeeze magnitude or purity, and the angle only when read
             assert len(calls["_parameters"]) == 0
             assert len(calls["_angles"]) == squeezed
@@ -411,27 +415,23 @@ class TestSpanPhase:
         {4: PURITY_ABOVE_ONE},
         {2: PURITY_ABOVE_ONE, 6: NOT_POSITIVE_DEFINITE},
         {1: NOT_POSITIVE_DEFINITE, 9: PURITY_ABOVE_ONE}])
-    def test_first_fault_and_message_unchanged(self, kind, faults, caplog):
-        moments, cov = span(SPANS[kind][0])
+    def test_first_fault_and_message_unchanged(self, kind, faults):
+        moments, cov = span(SPANS[kind])
         for index, bad in faults.items():
             cov[index] = bad
         with pytest.raises(TruncationError) as expected:
             _gated(moment_params(moments, cov)[1], 97, "transported state")
         for squeezed in READOUTS:
-            with caplog.at_level(logging.WARNING, logger="cavityclock"):
-                with pytest.raises(TruncationError) as raised:
-                    _span_phase(moments, cov, 97, "transported state",
-                                squeezed)
+            with pytest.raises(TruncationError) as raised:
+                _span_phase(moments, cov, 97, "transported state", squeezed)
             assert str(raised.value) == str(expected.value)
             assert f"at repetition {97 + min(faults)}: " in str(raised.value)
-            # the gate runs before the clip check, as in moment_params
-            assert caplog.messages == []
 
     @pytest.mark.parametrize("kind", list(SPANS))
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
     def test_nan_covariance_fails_the_gate(self, kind, entry):
         # every comparison with NaN is False, so the gate must fail closed
-        moments, cov = span(SPANS[kind][0])
+        moments, cov = span(SPANS[kind])
         cov[5][entry] = math.nan
         for squeezed in READOUTS:
             with pytest.raises(TruncationError,
@@ -459,26 +459,24 @@ class TestQfiAfter:
 
 
 class TestClipWarnings:
+    """No transported state is read twice: the physicality gate sees each
+    repetition's state once, and the mode-mixing-only state once."""
+
     @pytest.mark.parametrize("state_kind", ["coherent", "squeezed_vacuum"])
     @pytest.mark.parametrize("reps", [1, 8, 200, 385])
     def test_one_warning_per_repetition_and_one_for_mode_mixing(
-            self, reps, state_kind, caplog, monkeypatch):
-        # every transported covariance clipped but physical: each repetition
-        # and the mode-mixing-only state log one clip, none is logged twice
-        clipped = squeezed_vacuum(1e8).covariance
-        row_moments = clock.row_moments
+            self, reps, state_kind, monkeypatch):
+        entries = []
+        covariance_terms = clock._covariance_terms
 
-        def clipping(rows, state, k, out=None, work=None):
-            moments, cov = row_moments(rows, state, k, out=out, work=work)
-            cov[...] = clipped  # the caller reads its out buffers
-            return moments, cov
+        def counting(cov):
+            entries.append(cov[..., 0, 0].size)
+            return covariance_terms(cov)
 
-        monkeypatch.setattr(clock, "row_moments", clipping)
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
-                                    n_max=12, state_kind=state_kind))
-        assert len(caplog.messages) == reps + 1
-        assert all("artanh boundary" in m for m in caplog.messages)
+        monkeypatch.setattr(clock, "_covariance_terms", counting)
+        run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
+                                n_max=12, state_kind=state_kind))
+        assert sum(entries) == reps + 1
 
 
 class TestTruncationArtifact:

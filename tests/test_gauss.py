@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -194,15 +193,6 @@ class TestMomentParams:
         params, fault = moment_params(moments, cov)
         assert fault is None
         np.testing.assert_array_equal(params.purity, [1.0, 1.0])
-
-    def test_clip_warning_logged_per_entry(self, caplog):
-        states = [squeezed_vacuum(1e8), vacuum(1),
-                  squeezed_vacuum(1e8, math.pi)]
-        with caplog.at_level(logging.WARNING, logger="cavityclock"):
-            _, fault = moment_params(*self.stack(states))
-        assert fault is None
-        clips = [m for m in caplog.messages if "artanh boundary" in m]
-        assert len(clips) == 2
 
 
 class TestRemainder:

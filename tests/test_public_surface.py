@@ -83,3 +83,9 @@ def test_segment_is_inertial_by_default():
     seg = Segment(1e-9)
     assert seg.proper_acceleration == 0.0
     assert not hasattr(seg, "kind")
+
+
+def test_no_warning_channel():
+    # no readout logs a warning, so no manifest collects one
+    assert not hasattr(gauss, "logger")
+    assert not hasattr(cli, "_WarningCollector")
