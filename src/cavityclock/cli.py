@@ -51,10 +51,6 @@ CSV_COLUMNS = [
 ]
 
 
-class ConfigError(ValidationError):
-    """Config document is well-formed JSON but fails schema validation."""
-
-
 @dataclass(frozen=True)
 class LoadedConfig:
     scenario: ScenarioConfig
@@ -72,10 +68,10 @@ def config_digest(document: dict) -> str:
 
 def _require(mapping: dict, key: str, kinds, where: str):
     if key not in mapping:
-        raise ConfigError(f"missing {where}.{key}")
+        raise ValidationError(f"missing {where}.{key}")
     value = mapping[key]
     if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} has wrong type: {value!r}")
+        raise ValidationError(f"{where}.{key} has wrong type: {value!r}")
     return value
 
 
@@ -89,7 +85,7 @@ def _number(mapping: dict, key: str, where: str,
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(
+        raise ValidationError(
             f"{where}.{key} is too large for a double") from None
 
 
@@ -97,35 +93,35 @@ def load_config(path: str | Path) -> LoadedConfig:
     with open(path, encoding="utf-8") as fh:
         document = json.load(fh)
     if not isinstance(document, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise ValidationError("config document must be a JSON object")
     if document.get("schema") != 1:
-        raise ConfigError(f"unsupported schema {document.get('schema')!r}")
+        raise ValidationError(f"unsupported schema {document.get('schema')!r}")
     if document.get("units", "SI") != "SI":
-        raise ConfigError("only SI units are supported at the config boundary")
+        raise ValidationError("only SI units are supported at the config boundary")
 
     sc = _require(document, "scenario", dict, "config")
     state = sc.get("state", {})
     if not isinstance(state, dict):
-        raise ConfigError("scenario.state must be an object")
+        raise ValidationError("scenario.state must be an object")
     numerics = document.get("numerics", {})
     if not isinstance(numerics, dict):
-        raise ConfigError("numerics must be an object")
+        raise ValidationError("numerics must be an object")
 
     t_i = _number(sc, "t_i_s", "scenario")
     L = _number(sc, "L_m", "scenario")
     a = _number(sc, "a_mps2", "scenario")
     if "repetitions" not in sc:
-        raise ConfigError("missing scenario.repetitions")
+        raise ValidationError("missing scenario.repetitions")
 
     if ("t_a_s" in sc) == ("theta_a_rad" in sc):
-        raise ConfigError("scenario needs exactly one of t_a_s or theta_a_rad")
+        raise ValidationError("scenario needs exactly one of t_a_s or theta_a_rad")
     if "theta_a_rad" in sc:
         theta_a = _number(sc, "theta_a_rad", "scenario")
         if not 0 < theta_a <= sys.float_info.max:
-            raise ConfigError(f"scenario.theta_a_rad must be > 0 and finite, "
-                              f"got {theta_a}")
+            raise ValidationError(f"scenario.theta_a_rad must be > 0 and "
+                                  f"finite, got {theta_a}")
         if a == 0:
-            raise ConfigError("theta_a_rad needs a nonzero acceleration")
+            raise ValidationError("theta_a_rad needs a nonzero acceleration")
 
     kind = state.get("kind", "coherent")
     mean_n = _number(state, "mean_n", "scenario.state", 1.0)
@@ -135,47 +131,44 @@ def load_config(path: str | Path) -> LoadedConfig:
     if gate is not None:
         gate = _number(numerics, "residual_gate", "numerics", 1e-4)
 
-    try:
-        # under theta_a_rad, t_a is a stand-in until h and k are checked
-        scenario = ScenarioConfig(
-            t_a=_number(sc, "t_a_s", "scenario", 1.0), t_i=t_i, L=L, a=a,
-            repetitions=sc["repetitions"],
-            clock_mode=sc.get("clock_mode", 1),
-            n_max=numerics.get("n_max", 24), state_kind=kind,
-            mean_n=mean_n, theta0=theta0,
-            residual_gate=gate, quadrature_tol=tol)
-        if "theta_a_rad" in sc:
-            # theta_a = Omega_k eta(t_a) => t_a = theta_a u_max c / (k pi |a|)
-            u_max = 2.0 * math.atanh(scenario.h / 2.0)
-            t_a = (theta_a * u_max * C
-                   / (scenario.clock_mode * math.pi * abs(a)))
-            if not 0 < t_a <= sys.float_info.max:  # underflow or overflow
-                raise ConfigError(f"scenario.theta_a_rad {theta_a!r} gives "
+    # under theta_a_rad, t_a is a stand-in until h and k are checked
+    scenario = ScenarioConfig(
+        t_a=_number(sc, "t_a_s", "scenario", 1.0), t_i=t_i, L=L, a=a,
+        repetitions=sc["repetitions"],
+        clock_mode=sc.get("clock_mode", 1),
+        n_max=numerics.get("n_max", 24), state_kind=kind,
+        mean_n=mean_n, theta0=theta0,
+        residual_gate=gate, quadrature_tol=tol)
+    if "theta_a_rad" in sc:
+        # theta_a = Omega_k eta(t_a) => t_a = theta_a u_max c / (k pi |a|)
+        u_max = 2.0 * math.atanh(scenario.h / 2.0)
+        t_a = (theta_a * u_max * C
+               / (scenario.clock_mode * math.pi * abs(a)))
+        if not 0 < t_a <= sys.float_info.max:  # underflow or overflow
+            raise ValidationError(f"scenario.theta_a_rad {theta_a!r} gives "
                                   f"no acceleration time > 0 and finite")
-            scenario = replace(scenario, t_a=t_a)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+        scenario = replace(scenario, t_a=t_a)
 
     sweep_spec = document.get("sweep")
     if sweep_spec is not None:
         if not isinstance(sweep_spec, dict):
-            raise ConfigError("sweep must be an object")
+            raise ValidationError("sweep must be an object")
         _require(sweep_spec, "vary", str, "sweep")
         grid = _require(sweep_spec, "grid", list, "sweep")
         # checked now, not when the sweep runs; unlike math.isfinite, this
         # is False without raising for an integer too large for a double
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and abs(v) <= sys.float_info.max for v in grid):
-            raise ConfigError("sweep.grid must be a list of finite numbers")
+            raise ValidationError("sweep.grid must be a list of finite numbers")
 
     output = document.get("output", {})
     if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
+        raise ValidationError("output must be an object")
     prefix = output.get("prefix", "run")
     # outputs must land in --out: a bare file-name stem, on any platform
     if (not isinstance(prefix, str) or "/" in prefix or "\\" in prefix
             or "\0" in prefix or prefix in (".", "..")):
-        raise ConfigError(
+        raise ValidationError(
             f"output.prefix must be a file-name stem, got {prefix!r}")
     return LoadedConfig(scenario, config_digest(document), sweep_spec, prefix)
 
@@ -247,7 +240,6 @@ def write_manifest(path: Path, command: str, loaded: LoadedConfig,
 def _cmd_twin(args, loaded: LoadedConfig) -> int:
     result = run_twin(loaded.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / f"{loaded.prefix}_results.csv", [result],
                       loaded.digest)
     write_manifest(out / f"{loaded.prefix}_manifest.json", "twin", loaded,
@@ -260,14 +252,13 @@ def _cmd_twin(args, loaded: LoadedConfig) -> int:
 
 def _cmd_sweep(args, loaded: LoadedConfig) -> int:
     if loaded.sweep_spec is None:
-        raise ConfigError("sweep subcommand needs a sweep section in the config")
+        raise ValidationError("sweep subcommand needs a sweep section in the config")
     points = sweep(loaded.scenario, loaded.sweep_spec["vary"],
                    loaded.sweep_spec["grid"])
     results = [p.result for p in points if p.result is not None]
     errors = [f"{loaded.sweep_spec['vary']}={p.value!r}: {p.error}"
               for p in points if p.error is not None]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / f"{loaded.prefix}_results.csv", results,
                       loaded.digest)
     write_manifest(out / f"{loaded.prefix}_manifest.json", "sweep", loaded,
@@ -296,9 +287,7 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
     bmap = trajectory_map(traj, c.L, c.n_max, tol=c.quadrature_tol)
     eps1, eps2 = gated_residual(bmap.alpha, bmap.beta, c.clock_mode,
                                 c.residual_gate, "trajectory-map")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{loaded.prefix}_bogomap.txt"
+    path = Path(args.out) / f"{loaded.prefix}_bogomap.txt"
     with open(path, "w", encoding="utf-8") as fh:
         dump_map(bmap, fh, meta={
             "h": c.h, "config_digest": loaded.digest,
@@ -391,7 +380,7 @@ def _execute(args: argparse.Namespace) -> int:
     codes."""
     try:
         loaded = load_config(args.config) if args.config else None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
@@ -407,6 +396,8 @@ def _execute(args: argparse.Namespace) -> int:
         if loaded is None:
             print("this subcommand needs --config", file=sys.stderr)
             return EXIT_VALIDATION
+        if args.command != "qfi":  # so an unwritable --out costs no run
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return {"twin": _cmd_twin, "sweep": _cmd_sweep, "qfi": _cmd_qfi,
                 "bogo": _cmd_bogo}[args.command](args, loaded)
     except ValidationError as exc:

@@ -60,7 +60,7 @@ def classical_cavity_ratio(h: float) -> float:
     Even in h (the wedge orientation cannot matter); 1 at h = 0.
     """
     ah = abs(h)
-    if ah >= 2:
+    if not ah < 2:
         raise HorizonError(f"ratio defined for |h| < 2, got {h}")
     if ah == 0:
         return 1.0
@@ -439,10 +439,10 @@ def sweep(base: ScenarioConfig, vary: str, grid) -> list[SweepPoint]:
 def schwarzschild_acceleration(mass: float, r: float) -> float:
     """Proper acceleration of a stationary observer at Schwarzschild radius r:
     a = (c^2 r_s / 2 r^2) / sqrt(1 - r_s/r), r_s = 2GM/c^2."""
-    if mass <= 0:
+    if not mass > 0:
         raise ValidationError(f"mass must be > 0, got {mass}")
     rs = 2.0 * G_NEWTON * mass / C**2
-    if r <= rs:
+    if not r > rs:
         raise HorizonError(
             f"no stationary observer at r = {r} <= r_s = {rs} "
             "(proper acceleration diverges at the horizon)")

@@ -27,7 +27,7 @@ def phase_qfi(params: GaussianParams) -> float:
 def cramer_rao(qfi: float, measurements: int) -> float:
     """Best attainable standard deviation over `measurements` repetitions:
     1 / sqrt(M * H)."""
-    if qfi < 0:
+    if not qfi >= 0:
         raise ValidationError(f"qfi must be >= 0, got {qfi}")
     if measurements < 1:
         raise ValidationError(f"measurements must be >= 1, got {measurements}")
@@ -39,6 +39,6 @@ def cramer_rao(qfi: float, measurements: int) -> float:
 
 def qfi_change_pct(before: float, after: float) -> float:
     """Change of the QFI as a percentage of its pre-motion value."""
-    if before <= 0:
+    if not before > 0:
         raise ValidationError(f"reference qfi must be > 0, got {before}")
     return 100.0 * (after - before) / before

@@ -15,8 +15,8 @@ import cavityclock
 import cavityclock.cli as cli
 import cavityclock.clock as clock
 import cavityclock.modes as modes
-from cavityclock import (BogoliubovMap, C, ScenarioConfig, junction_map,
-                         run_twin)
+from cavityclock import (BogoliubovMap, C, HorizonError, ScenarioConfig,
+                         junction_map, run_twin)
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main)
 import map_oracle
@@ -128,6 +128,11 @@ class TestConfigLoading:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "cavity intersects the Rindler horizon: h = 3.78301" in errors[0]
+
+    def test_library_callers_see_the_library_error(self, tmp_path):
+        # `load_config` relabels none of `ScenarioConfig`'s errors
+        with pytest.raises(HorizonError, match="h = 3.78301"):
+            load_config(write_config(tmp_path, base_config(L_m=200.0)))
 
     @pytest.mark.parametrize("section, key, value", [
         ("state", "mean_n", "lots"),
@@ -328,6 +333,14 @@ class TestTwinCommand:
         path.write_text("{not json")
         assert main(["twin", "--config", str(path)]) == EXIT_PARSE
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema": 1, "x": "\xff"}')
+        assert main(["twin", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("config parse error: ") and err.count("\n") == 1
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["twin", "--config",
                      str(tmp_path / "absent.json")]) == EXIT_PARSE
@@ -381,7 +394,14 @@ class TestTwinCommand:
         assert not list(tmp_path.rglob("*_results.csv"))
 
     @pytest.mark.parametrize("command", ["twin", "sweep", "bogo"])
-    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        # `--out` is made before any computation runs
+        def never(*args, **kwargs):
+            raise AssertionError("computed before --out was made")
+
+        for name in ("run_twin", "sweep", "trajectory_map"):
+            monkeypatch.setattr(cli, name, never)
         doc = base_config()
         doc["sweep"] = {"vary": "L", "grid": [0.011]}
         config = write_config(tmp_path, doc)

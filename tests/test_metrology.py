@@ -3,9 +3,10 @@ import math
 import pytest
 
 from cavityclock import (GaussianParams, UnboundedVarianceError,
-                         ValidationError, apply_reduced, coherent, cramer_rao,
+                         ValidationError, apply_reduced,
+                         classical_cavity_ratio, coherent, cramer_rao,
                          extract_params, phase_qfi, qfi_change_pct,
-                         squeezed_vacuum)
+                         schwarzschild_acceleration, squeezed_vacuum)
 from test_gauss import rotation_map
 
 
@@ -89,3 +90,17 @@ class TestQfiChangePct:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValidationError):
             qfi_change_pct(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cramer_rao(math.nan, 5),
+    lambda: qfi_change_pct(math.nan, 1.0),
+    lambda: classical_cavity_ratio(math.nan),
+    lambda: schwarzschild_acceleration(math.nan, 1e7),
+    lambda: schwarzschild_acceleration(2e30, math.nan),
+], ids=["cramer_rao", "qfi_change_pct", "classical_cavity_ratio",
+        "schwarzschild_mass", "schwarzschild_r"])
+def test_nan_input_is_rejected(call):
+    # each check is a negated comparison, so NaN fails it
+    with pytest.raises(ValidationError, match="nan"):
+        call()

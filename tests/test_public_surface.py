@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import cavityclock
 import cavityclock.cli as cli
 import cavityclock.clock as clock
@@ -89,3 +92,22 @@ def test_no_warning_channel():
     # no readout logs a warning, so no manifest collects one
     assert not hasattr(gauss, "logger")
     assert not hasattr(cli, "_WarningCollector")
+
+
+def test_one_exception_taxonomy():
+    # every error class is defined in `cavityclock.errors`; no module
+    # relabels the library's errors under a class of its own
+    names = [cavityclock.__name__] + [
+        info.name for info in pkgutil.iter_modules(cavityclock.__path__,
+                                                   "cavityclock.")]
+    defining = {name for name in names
+                for obj in vars(importlib.import_module(name)).values()
+                if isinstance(obj, type) and issubclass(obj, BaseException)
+                and obj.__module__ == name}
+    assert defining == {"cavityclock.errors"}
+
+
+def test_cli_relabels_no_library_error():
+    # `load_config` raises `ValidationError` and lets `ScenarioConfig`'s
+    # errors, `HorizonError` among them, through as they are
+    assert not hasattr(cli, "ConfigError")
