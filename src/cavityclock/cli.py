@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock import (ScenarioConfig, ScenarioResult, _initial_readout,
-                    _map_stage, run_twin, sweep)
+from .clock import (ScenarioConfig, ScenarioResult, _final_map_route,
+                    _horizon, _initial_readout, _map_stage, run_twin, sweep)
 from .constants import C
 from .errors import CavityClockError, ValidationError
 from .metrology import cramer_rao
@@ -300,7 +300,9 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
 def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     """Self-tests of the maps `twin` builds, through the helpers it calls:
     the junction's blocks and its inverse's (`_junction_blocks`) at the
-    config's h and `quadrature_tol` and, with a config, S_B and S_B^reps."""
+    config's h and `quadrature_tol` and, with a config, S_B and S_B^reps,
+    and an informational line with the drift delta of S_B and the horizon
+    it sets (`clock._horizon`)."""
     c = loaded.scenario if loaded is not None else None
     if c is not None:
         h, n_max, tol = c.h or 0.01, c.n_max, c.quadrature_tol
@@ -333,10 +335,15 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
 
     if c is not None:
         # the residuals `run_twin` gates, from its own map stage, ungated
-        residuals = _map_stage(replace(c, residual_gate=None))[-1]
+        stage = _map_stage(replace(c, residual_gate=None))
         for name, eps in zip(("block map S_B",
-                              f"composed map S_B^{c.repetitions}"), residuals):
+                              f"composed map S_B^{c.repetitions}"), stage[-1]):
             report(name, eps, gate)
+        delta = stage[3]
+        route = "final-map" if _final_map_route(c, delta) else "lane"
+        print(f"INFO clock-row drift of S_B: delta={delta:.3e} "
+              f"horizon={_horizon(delta):.4g} round trips "
+              f"({c.repetitions} take the {route} route)")
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

@@ -6,19 +6,43 @@ the clock mode's Gaussian state, and compare the resulting clock time
 classical extended-clock predictions.
 
 Two stages.  `_map_stage` builds all that does not depend on the state:
-the one-block map S_B and S_B^reps, each behind the residual gate, which
-takes (alpha, beta) of their trusted rows only; the row pair of the passive
-part of S_B^reps (from its alpha alone) for the mode-mixing-only state; and
-the lanes.  After r round trips the map is B^r, and the clock mode k's row
-pair obeys S_k(r + m) = S_k(r) S_B^m, so the lanes hold the row pairs of M
-consecutive repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M, ending at
-H = S_B^M.  `run_twin` then moves every lane M repetitions on with one
-(2M x 2n) by (2n x 2n) product with H, written into a second lane buffer.
-Each lane carries the initial state, at mode k of a vacuum register, to the
-clock mode's moments and covariance (`gauss.row_moments`), written straight
-into the span buffers.  Every span reads only the phase (`_span_phase`),
-qfi_after is read from the last entry alone (`_last_qfi`), and the
-mode-mixing-only state is read as a one-entry span.
+the one-block map S_B and S_B^reps (by squaring), each behind the residual
+gate, which takes (alpha, beta) of their trusted rows only; the clock mode
+k's row pair of S_B^reps; the row pair of the passive part of S_B^reps (from
+its alpha alone) for the mode-mixing-only state; and the drift delta =
+omega - 1 of S_B's clock row pair R, where omega = (R Omega Rᵀ)_12 is 1 for
+an exact map.
+
+The state then takes one of two routes, picked once per run
+(`_final_map_route`).  The final-map route carries the initial state, at
+mode k of a vacuum register, by the clock row pair of S_B^reps straight to
+the clock mode's moments and covariance (`gauss.row_moments`) and reads them
+as a one-entry span at repetition reps.  Its physicality gate sees the final
+state alone, so the route is taken only where that vouches for every
+earlier repetition: a coherent clock whose reps is within the horizon
+0.5 * `_PURITY_SLACK` / max(|delta|, 2^-52) (`_horizon`).  A coherent
+state's purity is at most 1/omega(r), and omega(r) - 1 drifts linearly, by
+nearly delta per round trip, so within the horizon the drift uses at most
+half the gate's slack.  The lanes add drift of their own: at the README
+config and at the tests' truncation-artifact config, at n_max 24 and 48,
+they first trip at 1.002 to 1.11 times slack / |delta|, so a run that trips
+them goes through them, and fails at the same repetition with the same
+message.  A squeezed-vacuum clock always takes the lanes: its
+readout reads det sigma with cancellation, and its final state alone can
+pass the gate where an earlier repetition fails it.
+
+The lane route (`_lane_route`) gates every repetition.  It serves the
+squeezed-vacuum clock, the runs beyond the horizon, and
+`ScenarioResult.phase_difference_series`, which runs it on first read.
+After r round trips the map is B^r, and the clock mode's row pair obeys
+S_k(r + m) = S_k(r) S_B^m, so the lanes hold the row pairs of M consecutive
+repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M, ending at H = S_B^M.  Every
+lane then moves M repetitions on with one (2M x 2n) by (2n x 2n) product
+with H, written into a second lane buffer.  Each lane carries the initial
+state to the clock mode's moments and covariance, written straight into the
+span buffers.  Every span reads only the phase (`_span_phase`), and
+qfi_after is read from the last entry alone (`_last_qfi`).  On both routes
+the mode-mixing-only state is read as a one-entry span.
 
 Clock readout, decided once per run from `state_kind`: a coherent clock
 reads its displacement phase atan2(p, q), with period 2 pi, at any
@@ -35,13 +59,14 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      UnboundedVarianceError, ValidationError)
-from .gauss import (GaussianParams, GaussianState, _angles,
+from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState, _angles,
                     _covariance_terms, _parameters, _remainder, coherent,
                     extract_params, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
@@ -173,16 +198,25 @@ class ScenarioResult:
     qfi_change_pct_full: float
     qfi_change_pct_mm_only: float
     residual: tuple[float, float]
-    phase_difference_series: np.ndarray = field(repr=False)
     config: ScenarioConfig = field(repr=False)
+
+    @cached_property
+    def phase_difference_series(self) -> np.ndarray:
+        """theta_alice - theta_full after each round trip, 1 to reps.
+
+        Computed on first read, and then kept, by the lane route, which runs
+        the map stage again and carries the state through every repetition:
+        it runs the physicality gate on each repetition's state, so a fault
+        raises TruncationError here, naming the first faulty repetition."""
+        stage = _map_stage(self.config)
+        return _lane_route(self.config, stage[0], stage[4])[0]
 
 
 # Lanes advanced per matrix product, and repetitions per vectorized
 # readout, a multiple of _LANES so every span ends on a lane step.  The
 # buffers stay two lane buffers of _LANES x 2 x 2 n_max floats (the idle one
 # is row_moments' work buffer, freed for the span's readout) and span
-# buffers of _SPAN x 6 floats, whatever the repetition count.  At n_max 24
-# a 5000-round-trip call peaks in its lane phase, at about 120 KB.
+# buffers of _SPAN x 6 floats, whatever the repetition count.
 _LANES = 24
 _SPAN = 336
 
@@ -245,10 +279,42 @@ def _initial_readout(config: ScenarioConfig) -> tuple:
     return state, params, qfi
 
 
+def _clock_frame(config: ScenarioConfig) -> tuple:
+    """(initial state, its phase QFI, theta_start, period, omega_k c, the
+    classical extended clock's time per block): what the readout needs
+    besides the maps, with the readout decided once per run by
+    `state_kind`."""
+    state, params, qfi = _initial_readout(config)
+    if config.state_kind == "squeezed_vacuum":
+        theta_start, period = 0.5 * params.squeeze_angle, math.pi
+    else:
+        theta_start, period = params.phase, 2.0 * math.pi
+    # a plain int: an np.int64 mode would make the time fields numpy scalars
+    omega_c = int(config.clock_mode) * math.pi / config.L * C
+    classical_block = (2.0 * config.t_i
+                       + classical_cavity_ratio(config.h) * (4.0 * config.t_a))
+    return state, qfi, theta_start, period, omega_c, classical_block
+
+
+def _horizon(delta: float) -> float:
+    """Repetitions within which the drift delta of S_B cannot carry a
+    coherent clock to the physicality gate: 0.5 * `_PURITY_SLACK` /
+    max(|delta|, 2^-52) (module docstring)."""
+    return 0.5 * _PURITY_SLACK / max(abs(delta), 2.0**-52)
+
+
+def _final_map_route(config: ScenarioConfig, delta: float) -> bool:
+    """Whether `run_twin` reads the final state from S_B^reps alone: a
+    coherent clock within the horizon; every other run takes the lanes."""
+    return (config.state_kind == "coherent"
+            and config.repetitions <= _horizon(delta))
+
+
 def _map_stage(config: ScenarioConfig) -> tuple:
-    """What a run computes before the state enters: the lanes, H, the
-    mode-mixing-only rows, Alice's time per block, and the residual pairs of
-    S_B and S_B^reps, each gated by `residual_gate` (None: not gated)."""
+    """What a run computes before the state enters: S_B, the clock row pair
+    of S_B^reps, the mode-mixing-only rows, the drift delta of S_B's clock
+    row pair, Alice's time per block, and the residual pairs of S_B and
+    S_B^reps, each gated by `residual_gate` (None: not gated)."""
     k = int(config.clock_mode)
     n_max = int(config.n_max)
     reps = int(config.repetitions)
@@ -264,46 +330,61 @@ def _map_stage(config: ScenarioConfig) -> tuple:
     s_final = _map_power(s_block, reps, product)
     eps_final = gated_residual(*_coefficients(s_final[trusted]), k,
                                config.residual_gate, "composed-map")
-    # only row k of the passive part of S_B^reps is read later (alpha's polar
-    # factor, beta zeroed); S_B^reps and the SVD are freed before the lanes
+    # of S_B^reps only its clock row pair and row k of its passive part
+    # (alpha's polar factor, beta zeroed) are read later; S_B^reps and the
+    # SVD are freed here
     alpha = _alpha(s_final)
     if not np.isfinite(alpha).all():  # the SVD would raise LinAlgError
         raise TruncationError("composed-map is not finite; increase n_max")
+    final_rows = s_final[2 * k - 2:2 * k].copy()  # a view would pin S_B^reps
     u, _, vh = np.linalg.svd(alpha)
     mm_alpha = (u @ vh)[k - 1:k]
     mm_rows = symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha))
     del s_final, alpha, u, vh, mm_alpha
+    # omega = (R Omega Rᵀ)_12 of S_B's clock row pair R, 1 for an exact map
+    r = s_block[2 * k - 2:2 * k]
+    delta = float(r[0, 0::2] @ r[1, 1::2] - r[0, 1::2] @ r[1, 0::2]) - 1.0
+    return (s_block, final_rows, mm_rows, delta, elapsed_times(block)[1],
+            (eps_block, eps_final))
 
-    # Lanes (see the module docstring).  Sequential products, not squaring,
-    # build H because its rounding error is applied reps / M times over: at
-    # 5000 round trips, n_max 24 and ten cavity lengths, qfi_after stayed
-    # within 6e-13 relative of the full-map loop this way, 1.5e-12 with
-    # squaring.
-    lanes = np.empty((min(_LANES, reps), 2, 2 * n_max))
+
+def _one_entry_span(rows: np.ndarray, state: GaussianState, k: int,
+                    rep: int, what: str, squeezed: bool, anchor: float,
+                    period: float) -> tuple[float, float]:
+    """(theta, phase QFI) of `state` carried by one row pair `rows`, read as
+    a one-entry span at repetition `rep` and unwrapped against `anchor`."""
+    moments, cov = row_moments(rows[None], state, k)
+    wrapped, terms = _span_phase(moments, cov, rep, what, squeezed)
+    qfi = _last_qfi(moments, terms)
+    return float(_unwrap(wrapped, anchor, period)[0]), qfi
+
+
+def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
+                tau_alice_block: float) -> tuple[np.ndarray, float, float]:
+    """(theta_alice - theta after each round trip 1..reps, theta_full,
+    qfi_after) from the lanes (module docstring), the one route that runs
+    the physicality gate on every repetition's state."""
+    k = int(config.clock_mode)
+    reps = int(config.repetitions)
+    state0, _, theta_start, period, omega_c, classical_block = (
+        _clock_frame(config))
+    squeezed = config.state_kind == "squeezed_vacuum"
+    anchor_block = omega_c * classical_block
+
+    # Sequential products, not squaring, build H because its rounding error
+    # is applied reps / M times over: at 5000 round trips, n_max 24 and ten
+    # cavity lengths, qfi_after stayed within 6e-13 relative of the
+    # full-map loop this way, 1.5e-12 with squaring.
+    lanes = np.empty((min(_LANES, reps), 2, 2 * int(config.n_max)))
     step = s_block
     lanes[0] = step[2 * k - 2:2 * k]
     for r in range(1, len(lanes)):  # a loop view would pin a lane buffer
         step = step @ s_block
         lanes[r] = step[2 * k - 2:2 * k]
-    return lanes, step, mm_rows, elapsed_times(block)[1], (eps_block, eps_final)
-
-
-def run_twin(config: ScenarioConfig) -> ScenarioResult:
-    """Run the twin-paradox scenario: the map stage, then the state."""
-    lanes, step, mm_rows, tau_alice_block, residuals = _map_stage(config)
-    # plain ints: an np.int64 count would make the time fields numpy scalars
-    k = int(config.clock_mode)
-    reps = int(config.repetitions)
-    state0, params0, qfi_before = _initial_readout(config)
-    squeezed = config.state_kind == "squeezed_vacuum"
-    theta_start = 0.5 * params0.squeeze_angle if squeezed else params0.phase
-    period = math.pi if squeezed else 2.0 * math.pi
-
-    omega_k = k * math.pi / config.L
-    ratio = classical_cavity_ratio(config.h)
-    tau_acc_block = 4.0 * config.t_a
-    tau_coast_block = 2.0 * config.t_i
-    anchor_block = omega_k * C * (tau_coast_block + ratio * tau_acc_block)
+    # H goes over S_B, which no caller reads after the lanes, so one 2n x 2n
+    # matrix, not two, stays alive through the spans
+    s_block[...] = step
+    step = s_block
 
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
@@ -330,26 +411,43 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
         theta_full = float(theta[-1])
-        theta_alice = theta_start + omega_k * C * (rep * tau_alice_block)
+        theta_alice = theta_start + omega_c * (rep * tau_alice_block)
         np.subtract(theta_alice, theta, out=series[start:start + count])
         # nothing of this span may outlive it into the next span's readout
         del wrapped, theta, rep, theta_alice
-    del lanes, step
+    return series, theta_full, qfi_after
 
-    # the mode-mixing-only state, read as a one-entry span at repetition reps
-    moments_mm, cov_mm = row_moments(mm_rows[None], state0, k)
-    wrapped, terms = _span_phase(moments_mm, cov_mm, reps,
-                                 "mode-mixing-only state", squeezed)
-    qfi_after_mm = _last_qfi(moments_mm, terms)
-    theta_mm = float(_unwrap(wrapped, theta_start + reps * anchor_block,
-                             period)[0])
+
+def run_twin(config: ScenarioConfig) -> ScenarioResult:
+    """Run the twin-paradox scenario: the map stage, then the state, by the
+    final-map route or the lane route (module docstring)."""
+    (s_block, final_rows, mm_rows, delta, tau_alice_block,
+     residuals) = _map_stage(config)
+    # plain ints: an np.int64 count would make the time fields numpy scalars
+    k = int(config.clock_mode)
+    reps = int(config.repetitions)
+    state0, qfi_before, theta_start, period, omega_c, classical_block = (
+        _clock_frame(config))
+    squeezed = config.state_kind == "squeezed_vacuum"
+    anchor = theta_start + reps * (omega_c * classical_block)
+
+    if _final_map_route(config, delta):
+        theta_full, qfi_after = _one_entry_span(
+            final_rows, state0, k, reps, "transported state", False, anchor,
+            period)
+    else:
+        _, theta_full, qfi_after = _lane_route(config, s_block,
+                                               tau_alice_block)
+    theta_mm, qfi_after_mm = _one_entry_span(
+        mm_rows, state0, k, reps, "mode-mixing-only state", squeezed, anchor,
+        period)
 
     tau_alice = reps * tau_alice_block
-    tau_point = reps * (tau_acc_block + tau_coast_block)
-    tau_classical = reps * (tau_coast_block + ratio * tau_acc_block)
-    theta_alice = theta_start + omega_k * C * tau_alice
+    tau_point = reps * (4.0 * config.t_a + 2.0 * config.t_i)
+    tau_classical = reps * classical_block
+    theta_alice = theta_start + omega_c * tau_alice
 
-    pc_numerator = (theta_full - theta_mm) / (omega_k * C)
+    pc_numerator = (theta_full - theta_mm) / omega_c
     denom = tau_alice - tau_point
     # without dilation there is nothing to attribute to particle creation
     pc_fraction = 100.0 * pc_numerator / denom if denom else 0.0
@@ -370,7 +468,6 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         qfi_change_pct_full=qfi_change_pct(qfi_before, qfi_after),
         qfi_change_pct_mm_only=qfi_change_pct(qfi_before, qfi_after_mm),
         residual=residuals[1],
-        phase_difference_series=series,
         config=config,
     )
 

@@ -23,6 +23,8 @@ from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 
 _TWO_PI = 2.0 * math.pi
 _VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
+# the physicality gate's allowance for rounding: purity may read up to 1 + it
+_PURITY_SLACK = 1e-9
 
 
 def _remainder(x, y: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -168,7 +170,7 @@ def _covariance_terms(cov: np.ndarray):
     s12, det, purity, trace, split, squeezed), None), or (None, (i,
     message)) naming the first entry i (flat index) whose covariance is not
     positive definite or violates the uncertainty relation (purity > 1 +
-    1e-9); the caller picks the error."""
+    `_PURITY_SLACK`); the caller picks the error."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     det = s11 * s22 - s12 * s12
@@ -176,7 +178,7 @@ def _covariance_terms(cov: np.ndarray):
     not_pd = ~(s11 > 0) | ~(s22 > 0) | ~(det > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         purity = 1.0 / (4.0 * np.sqrt(det))
-    bad = np.flatnonzero(not_pd | ~(purity <= 1.0 + 1e-9))
+    bad = np.flatnonzero(not_pd | ~(purity <= 1.0 + _PURITY_SLACK))
     if bad.size:
         i = int(bad[0])
         if np.ravel(not_pd)[i]:

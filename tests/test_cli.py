@@ -800,6 +800,23 @@ class TestSharedMapStage:
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert len(calls) == 1 and calls[0].residual_gate is None
 
+    @pytest.mark.parametrize("kind, route", [("coherent", "final-map"),
+                                             ("squeezed_vacuum", "lane")])
+    def test_check_prints_the_drift_and_horizon(self, tmp_path, capsys, kind,
+                                                route):
+        # one informational line, from the map stage `twin` runs, that
+        # changes no exit code
+        doc = base_config(state={"kind": kind, "mean_n": 1.0,
+                                 "theta0_rad": 0.0})
+        config = write_config(tmp_path, doc)
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("PASS")]
+        delta = clock._map_stage(load_config(config).scenario)[3]
+        assert line == (f"INFO clock-row drift of S_B: delta={delta:.3e} "
+                        f"horizon={clock._horizon(delta):.4g} round trips "
+                        f"(3 take the {route} route)")
+
     def test_a_wrong_block_map_fails_twin_and_check(self, tmp_path, capsys,
                                                     monkeypatch):
         # S_B scaled by 1.001 breaks alpha alpha† - beta beta† = I by 2e-3

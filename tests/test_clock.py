@@ -459,8 +459,9 @@ class TestQfiAfter:
 
 
 class TestClipWarnings:
-    """No transported state is read twice: the physicality gate sees each
-    repetition's state once, and the mode-mixing-only state once."""
+    """No transported state is read twice on a route: the physicality gate
+    sees each repetition's state in the lanes once, and the
+    mode-mixing-only state once."""
 
     @pytest.mark.parametrize("state_kind", ["coherent", "squeezed_vacuum"])
     @pytest.mark.parametrize("reps", [1, 8, 200, 385])
@@ -474,9 +475,17 @@ class TestClipWarnings:
             return covariance_terms(cov)
 
         monkeypatch.setattr(clock, "_covariance_terms", counting)
-        run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
-                                n_max=12, state_kind=state_kind))
-        assert sum(entries) == reps + 1
+        result = run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
+                                         n_max=12, state_kind=state_kind))
+        if state_kind == "coherent":
+            # run_twin reads the final state and the mode-mixing-only state
+            # from S_B^reps; the series runs the lanes
+            assert entries == [1, 1]
+            entries.clear()
+            assert len(result.phase_difference_series) == reps
+            assert sum(entries) == reps
+        else:
+            assert sum(entries) == reps + 1
 
 
 class TestTruncationArtifact:
@@ -488,26 +497,32 @@ class TestTruncationArtifact:
 
     @pytest.mark.parametrize("reps", [1, 25, 337])
     def test_unphysical_mode_mixing_only_state(self, reps, monkeypatch):
-        # the mode-mixing-only state is the one row_moments call that
-        # writes into no span buffer
+        # the mode-mixing-only state is the one row_moments call on its
+        # rows: after the final state of a coherent clock, and after the
+        # lanes of a squeezed vacuum
         row_moments = clock.row_moments
+        for state_kind in ("coherent", "squeezed_vacuum"):
+            config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
+                                    n_max=12, state_kind=state_kind)
+            mm_rows = clock._map_stage(config)[2]
 
-        def breaking(rows, state, k, out=None, work=None):
-            moments, cov = row_moments(rows, state, k, out=out, work=work)
-            if out is None:
-                assert len(rows) == 1
-                cov[...] = PURITY_ABOVE_ONE
-            return moments, cov
+            def breaking(rows, state, k, out=None, work=None):
+                moments, cov = row_moments(rows, state, k, out=out,
+                                           work=work)
+                if (rows.shape == (1, *mm_rows.shape)
+                        and (rows == mm_rows).all()):
+                    assert out is None
+                    cov[...] = PURITY_ABOVE_ONE
+                return moments, cov
 
-        monkeypatch.setattr(clock, "row_moments", breaking)
-        with pytest.raises(TruncationError) as raised:
-            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
-                                    n_max=12))
-        message = str(raised.value)
-        assert message.startswith(
-            f"mode-mixing-only state at repetition {reps}: covariance "
-            "violates the uncertainty relation (purity ")
-        assert message.endswith("; truncation artifact, increase n_max")
+            monkeypatch.setattr(clock, "row_moments", breaking)
+            with pytest.raises(TruncationError) as raised:
+                run_twin(config)
+            message = str(raised.value)
+            assert message.startswith(
+                f"mode-mixing-only state at repetition {reps}: covariance "
+                "violates the uncertainty relation (purity ")
+            assert message.endswith("; truncation artifact, increase n_max")
 
     def test_larger_truncation_reads_out(self):
         res = run_twin(ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": 48}))

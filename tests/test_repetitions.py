@@ -1,6 +1,8 @@
-"""Lane propagation of the clock-mode rows across repetitions in
-`run_twin`, pinned against the full-map loop it replaced, and the residual
-growth that lets the final-map gate vouch for every repetition."""
+"""The two routes of `run_twin`: the lane propagation of the clock-mode
+rows across repetitions, pinned against the full-map loop it replaced, and
+the final-map readout from S_B^reps with the drift horizon that picks it;
+and the residual growth that lets the final-map gate vouch for every
+repetition."""
 
 import math
 from dataclasses import replace
@@ -21,6 +23,7 @@ from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
 from map_oracle import compose
 from peak import cached_junction_map, peak_bytes
+from test_clock import TRUNCATION_ARTIFACT
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace)
 
@@ -97,6 +100,36 @@ def lane_config(reps: int, kind: str = "coherent") -> ScenarioConfig:
                           mean_n=3.0, theta0=0.4)
 
 
+def lane_route(config: ScenarioConfig):
+    """(series, theta_full, qfi_after) of the lane route alone, from the map
+    stage `run_twin` runs."""
+    stage = clock._map_stage(config)
+    return clock._lane_route(config, stage[0], stage[4])
+
+
+def recording_row_moments(monkeypatch) -> list:
+    """Record (rows, state, k, moments, cov) of every `row_moments` call the
+    clock makes."""
+    seen = []
+    row_moments = clock.row_moments
+
+    def recording(rows, state, k, out=None, work=None):
+        got = row_moments(rows, state, k, out=out, work=work)
+        seen.append((rows.copy(), state, k, got[0].copy(), got[1].copy()))
+        return got
+
+    monkeypatch.setattr(clock, "row_moments", recording)
+    return seen
+
+
+def assert_dense(seen) -> None:
+    """Each recorded transport, bit for bit the dense one of its rows."""
+    for rows, state, k, moments, cov in seen:
+        want_moments, want_cov = dense_row_moments(rows, state, k)
+        assert moments.tobytes() == want_moments.tobytes()
+        assert cov.tobytes() == want_cov.tobytes()
+
+
 class TestRowPathAgainstFullMapLoop:
     @pytest.mark.parametrize("reps", LANE_EDGES)
     @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
@@ -131,8 +164,9 @@ class TestRowPathAgainstFullMapLoop:
 
     def test_one_readout_per_span(self, monkeypatch):
         # guards the span readout without timing anything: a readout per
-        # lane step or per repetition would make 4x to 96x more calls; and
-        # the mode-mixing-only state is read last, as a one-entry span at
+        # lane step or per repetition would make 4x to 96x more calls in the
+        # lanes, which the series runs; run_twin reads the final state and
+        # then the mode-mixing-only state, each as a one-entry span at
         # repetition reps
         calls = []
         span_phase = clock._span_phase
@@ -142,9 +176,14 @@ class TestRowPathAgainstFullMapLoop:
             return span_phase(*args)
 
         monkeypatch.setattr(clock, "_span_phase", counting)
-        run_twin(lane_config(5000))
+        result = run_twin(lane_config(5000))
+        assert calls == [(1, 5000, "transported state", False),
+                         (1, 5000, "mode-mixing-only state", False)]
+        calls.clear()
+        assert len(result.phase_difference_series) == 5000
         assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
-        assert calls[-1] == (1, 5000, "mode-mixing-only state", False)
+        last = 5000 - (5000 - 1) // _SPAN * _SPAN
+        assert calls[-1] == (last, 5001 - last, "transported state", False)
 
 
 class TestLanesAgainstDenseTransport:
@@ -153,22 +192,11 @@ class TestLanesAgainstDenseTransport:
     def test_moments_bit_identical(self, kind, reps, monkeypatch):
         # every lane step's moments and covariances, as written into the
         # span buffers, against the dense transport of the same rows
-        seen = []
-        row_moments = clock.row_moments
-
-        def recording(rows, state, k, out=None, work=None):
-            got = row_moments(rows, state, k, out=out, work=work)
-            seen.append((rows.copy(), state, k, got[0].copy(), got[1].copy()))
-            return got
-
-        monkeypatch.setattr(clock, "row_moments", recording)
-        run_twin(lane_config(reps, kind))
-        # one row pair per repetition, and the mode-mixing-only rows
-        assert sum(len(rows) for rows, *_ in seen) == reps + 1
-        for rows, state, k, moments, cov in seen:
-            want_moments, want_cov = dense_row_moments(rows, state, k)
-            assert moments.tobytes() == want_moments.tobytes()
-            assert cov.tobytes() == want_cov.tobytes()
+        seen = recording_row_moments(monkeypatch)
+        lane_route(lane_config(reps, kind))
+        # one row pair per repetition
+        assert sum(len(rows) for rows, *_ in seen) == reps
+        assert_dense(seen)
 
     @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
     def test_no_register_is_embedded(self, kind, monkeypatch):
@@ -183,10 +211,17 @@ class TestLanesAgainstDenseTransport:
 
 class TestPeakAllocation:
     @staticmethod
-    def peak(reps):
-        config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
-                                repetitions=reps, n_max=24)
-        return peak_bytes(lambda: run_twin(config))
+    def config(reps):
+        return ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                              repetitions=reps, n_max=24)
+
+    def peak(self, reps):
+        return peak_bytes(lambda: run_twin(self.config(reps)))
+
+    def series_peak(self, reps):
+        # a fresh result each call: the series is kept after its first read
+        return peak_bytes(
+            lambda: run_twin(self.config(reps)).phase_difference_series)
 
     def test_peak_does_not_grow_beyond_the_series(self, monkeypatch):
         # the lanes and span buffers are sized by _LANES and _SPAN, not by
@@ -195,26 +230,31 @@ class TestPeakAllocation:
         # trips on, so it shows only against a run shorter than a span: a
         # _SPAN x 2 x 2 n_max row buffer would lift the peak at 5000 round
         # trips well above the one at _LANES.
-        peaks = {reps: self.peak(reps) for reps in (_LANES, 500, 5000)}
-        for reps in (_LANES, 500):
-            assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
+        for peak in (self.peak, self.series_peak):
+            peaks = {reps: peak(reps) for reps in (_LANES, 500, 5000)}
+            for reps in (_LANES, 500):
+                assert peaks[5000] <= peaks[reps] + 8 * (5000 - reps) + 16_384
         # The junction quadrature sets the short runs' peaks, so the bound
         # above has the quadrature's slack.  With it cached, the lane phase
-        # sets every peak; 4 KB is room for measurement noise (up to 1 KB),
-        # but not for 16 phases (240 B) kept per span: 10000 round trips
-        # run 27 spans more than 1000.
+        # sets every peak of the series; 4 KB is room for measurement noise
+        # (up to 1 KB), but not for 16 phases (240 B) kept per span: 10000
+        # round trips run 27 spans more than 1000.
         monkeypatch.setattr(modes, "junction_map", cached_junction_map)
-        lane = {reps: self.peak(reps) for reps in (1000, 5000, 10_000)}
+        lane = {reps: self.series_peak(reps) for reps in (1000, 5000, 10_000)}
         for low, high in ((1000, 5000), (5000, 10_000), (1000, 10_000)):
             assert lane[high] <= lane[low] + 8 * (high - low) + 4096
 
     def test_peak_at_5000_round_trips(self):
-        # the call peaks in its lane phase (about 120 KB), with the 40 KB
-        # series, two lane buffers (one freed for each span's readout),
-        # H = S_B^24 and the span buffers; a third lane-sized buffer, or a
-        # span's readout arrays kept alive into the next span's readout,
-        # would lift the peak toward 150 KB
-        assert self.peak(5000) <= 150_000
+        # the lanes peak at about 121 KB, with the 40 KB series, two lane
+        # buffers (one freed for each span's readout), H = S_B^24 written
+        # over S_B, and the span buffers; a third lane-sized buffer, S_B
+        # kept beside H, or a span's readout arrays kept alive into the
+        # next span's readout would lift the peak toward 150 KB
+        assert self.series_peak(5000) <= 150_000
+        # run_twin reads the final state from S_B^reps, and the junction
+        # quadrature (about 81 KB) sets its peak; running the lanes, as it
+        # did before, lifted it to about 119 KB
+        assert self.peak(5000) <= 90_000
 
     def test_sweep_peak(self):
         # 16 points of 200 round trips over L: the finished points' results,
@@ -224,6 +264,55 @@ class TestPeakAllocation:
                               repetitions=200, n_max=24)
         grid = np.linspace(0.009, 0.013, 16)
         assert peak_bytes(lambda: sweep(base, "L", grid)) <= 150_000
+
+
+class TestRouteRule:
+    """`run_twin` reads a coherent clock within the drift horizon from the
+    clock row pair of S_B^reps, and every other run from the lanes, which
+    gate each repetition."""
+
+    def test_final_map_route_reads_two_row_pairs(self, monkeypatch):
+        # config A at 5000 round trips: the final state and the
+        # mode-mixing-only state, and no lane
+        def lanes(*args):
+            pytest.fail("the lanes ran")
+
+        monkeypatch.setattr(clock, "_lane_route", lanes)
+        seen = recording_row_moments(monkeypatch)
+        config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                repetitions=5000, n_max=24)
+        run_twin(config)
+        _, final_rows, mm_rows, *_ = clock._map_stage(config)
+        assert [rows.tobytes() for rows, *_ in seen] == [
+            final_rows[None].tobytes(), mm_rows[None].tobytes()]
+        assert_dense(seen)
+
+    @pytest.mark.parametrize("n_max, reps, first_bad", [(24, 500, 369),
+                                                        (48, 12000, 11762)])
+    def test_horizon_below_the_lanes_first_fault(self, n_max, reps,
+                                                 first_bad):
+        # the drift trips the lanes' gate at 1.002 and 1.004 times
+        # slack / |delta| here; the horizon's margin of 2 keeps such a run
+        # in the lanes, which name the first faulty repetition
+        config = ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": n_max,
+                                   "repetitions": reps})
+        horizon = clock._horizon(clock._map_stage(config)[3])
+        assert horizon < first_bad <= 2.01 * horizon
+        with pytest.raises(TruncationError,
+                           match=rf"^transported state at repetition "
+                                 rf"{first_bad}: .*uncertainty relation"):
+            run_twin(config)
+
+    def test_squeezed_vacuum_keeps_the_lanes(self):
+        # its final state alone passes the gate at 500 round trips; the
+        # lanes find repetition 73 unphysical
+        config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                repetitions=500, n_max=24,
+                                state_kind="squeezed_vacuum", mean_n=1e7,
+                                theta0=0.3)
+        with pytest.raises(TruncationError,
+                           match="^transported state at repetition 73: "):
+            run_twin(config)
 
 
 class TestMapPower:
