@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock import (ScenarioConfig, ScenarioResult, _final_map_route,
-                    _horizon, _initial_readout, _map_stage, run_twin, sweep)
+from .clock import (ScenarioConfig, ScenarioResult, _clock_frame,
+                    _drift_fault, _horizon, _map_stage, run_twin, sweep)
 from .constants import C
 from .errors import CavityClockError, ValidationError
 from .metrology import cramer_rao
@@ -274,7 +274,7 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
 
 
 def _cmd_qfi(args, loaded: LoadedConfig) -> int:
-    value = _initial_readout(loaded.scenario)[2]
+    value = _clock_frame(loaded.scenario)[1]
     print(f"qfi={value!r}")
     if args.measurements is not None:
         print(f"bound={cramer_rao(value, args.measurements)!r}")
@@ -300,9 +300,9 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
 def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     """Self-tests of the maps `twin` builds, through the helpers it calls:
     the junction's blocks and its inverse's (`_junction_blocks`) at the
-    config's h and `quadrature_tol` and, with a config, S_B and S_B^reps,
-    and an informational line with the drift delta of S_B and the horizon
-    it sets (`clock._horizon`)."""
+    config's h and `quadrature_tol` and, with a config, S_B and S_B^reps
+    (from the same blocks) and the drift horizon that `twin` exits on
+    (`clock._drift_fault`)."""
     c = loaded.scenario if loaded is not None else None
     if c is not None:
         h, n_max, tol = c.h or 0.01, c.n_max, c.quadrature_tol
@@ -322,7 +322,7 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
     ident = BogoliubovMap.identity(n_max)
     report("identity map", symplectic_residual(ident, interior), 0.0)
 
-    (x, y), inverse = _junction_blocks(h, n_max, tol)
+    (x, y), inverse = blocks = _junction_blocks(h, n_max, tol)
     eps = symplectic_residual(BogoliubovMap(0.5 * (x + y), 0.5 * (y - x)),
                               interior)
     report(f"junction map (h={h:g})", eps, gate)
@@ -335,15 +335,16 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
 
     if c is not None:
         # the residuals `run_twin` gates, from its own map stage, ungated
-        stage = _map_stage(replace(c, residual_gate=None))
+        stage = _map_stage(replace(c, residual_gate=None), {h: blocks})
         for name, eps in zip(("block map S_B",
                               f"composed map S_B^{c.repetitions}"), stage[-1]):
             report(name, eps, gate)
         delta = stage[3]
-        route = "final-map" if _final_map_route(c, delta) else "lane"
-        print(f"INFO clock-row drift of S_B: delta={delta:.3e} "
-              f"horizon={_horizon(delta):.4g} round trips "
-              f"({c.repetitions} take the {route} route)")
+        fault = _drift_fault(c, delta)
+        failures += fault is not None
+        print(f"{'PASS' if fault is None else 'FAIL'} drift horizon: "
+              f"delta={delta:.3e} horizon={_horizon(delta):.4g} round trips "
+              f"({c.repetitions} requested)")
 
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

@@ -13,36 +13,29 @@ its alpha alone) for the mode-mixing-only state; and the drift delta =
 omega - 1 of S_B's clock row pair R, where omega = (R Omega Rᵀ)_12 is 1 for
 an exact map.
 
-The state then takes one of two routes, picked once per run
-(`_final_map_route`).  The final-map route carries the initial state, at
-mode k of a vacuum register, by the clock row pair of S_B^reps straight to
-the clock mode's moments and covariance (`gauss.row_moments`) and reads them
-as a one-entry span at repetition reps.  Its physicality gate sees the final
-state alone, so the route is taken only where that vouches for every
-earlier repetition: a coherent clock whose reps is within the horizon
-0.5 * `_PURITY_SLACK` / max(|delta|, 2^-52) (`_horizon`).  A coherent
-state's purity is at most 1/omega(r), and omega(r) - 1 drifts linearly, by
-nearly delta per round trip, so within the horizon the drift uses at most
-half the gate's slack.  The lanes add drift of their own: at the README
-config and at the tests' truncation-artifact config, at n_max 24 and 48,
-they first trip at 1.002 to 1.11 times slack / |delta|, so a run that trips
-them goes through them, and fails at the same repetition with the same
-message.  A squeezed-vacuum clock always takes the lanes: its
-readout reads det sigma with cancellation, and its final state alone can
-pass the gate where an earlier repetition fails it.
+One route then reads the clock.  A run beyond the drift horizon 0.5 *
+`_PURITY_SLACK` / max(|delta|, 2^-52) (`_drift_fault`) raises
+TruncationError before the state enters.  Any physical state has sigma + i
+Omega / 4 >= 0, so after a row pair with symplectic product omega(r) its
+purity is at most 1/omega(r); omega(r) - 1 drifts by nearly delta per round
+trip, so within the horizon the drift uses at most half the physicality
+gate's slack, and the final state vouches for every earlier repetition.
+The clock row pair of S_B^reps carries the initial state, at mode k of a
+vacuum register, straight to the clock mode's moments and covariance
+(`gauss.row_moments`), read as a one-entry span (`_one_entry_readout`), as
+are the mode-mixing-only state and, by identity rows, the initial state.
+Every readout takes det sigma from the rows (`gauss.row_det`), as a sum of
+terms that are each >= 0, never as s11 s22 - s12^2, whose O(N^2) products
+cancel for a large squeezed vacuum at a nonzero angle.
 
-The lane route (`_lane_route`) gates every repetition.  It serves the
-squeezed-vacuum clock, the runs beyond the horizon, and
-`ScenarioResult.phase_difference_series`, which runs it on first read.
-After r round trips the map is B^r, and the clock mode's row pair obeys
-S_k(r + m) = S_k(r) S_B^m, so the lanes hold the row pairs of M consecutive
-repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M, ending at H = S_B^M.  Every
-lane then moves M repetitions on with one (2M x 2n) by (2n x 2n) product
-with H, written into a second lane buffer.  Each lane carries the initial
-state to the clock mode's moments and covariance, written straight into the
-span buffers.  Every span reads only the phase (`_span_phase`), and
-qfi_after is read from the last entry alone (`_last_qfi`).  On both routes
-the mode-mixing-only state is read as a one-entry span.
+The lanes (`_lane_route`) serve `ScenarioResult.phase_difference_series`
+alone and gate every repetition.  After r round trips the map is B^r, and
+the clock row pair obeys S_k(r + m) = S_k(r) S_B^m, so the lanes hold the
+row pairs of M consecutive repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M,
+ending at H = S_B^M; one (2M x 2n) by (2n x 2n) product with H, written
+into a second lane buffer, then moves every lane M repetitions on.  Each
+lane writes the clock mode's moments, covariance and det straight into the
+span buffers, and every span reads only the phase (`_span_phase`).
 
 Clock readout, decided once per run from `state_kind`: a coherent clock
 reads its displacement phase atan2(p, q), with period 2 pi, at any
@@ -68,7 +61,7 @@ from .errors import (CavityClockError, HorizonError, TruncationError,
                      UnboundedVarianceError, ValidationError)
 from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState, _angles,
                     _covariance_terms, _parameters, _remainder, coherent,
-                    extract_params, row_moments, squeezed_vacuum)
+                    row_det, row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _alpha, _block_symplectic, _coefficients,
                     _map_power, _trusted_interior, gated_residual,
@@ -204,12 +197,11 @@ class ScenarioResult:
     def phase_difference_series(self) -> np.ndarray:
         """theta_alice - theta_full after each round trip, 1 to reps.
 
-        Computed on first read, and then kept, by the lane route, which runs
-        the map stage again and carries the state through every repetition:
-        it runs the physicality gate on each repetition's state, so a fault
-        raises TruncationError here, naming the first faulty repetition."""
+        Computed on first read, and then kept, by the lanes (`_lane_route`),
+        which run the map stage again and gate each repetition's state: a
+        fault raises TruncationError here, naming the first faulty one."""
         stage = _map_stage(self.config)
-        return _lane_route(self.config, stage[0], stage[4])[0]
+        return _lane_route(self.config, stage[0], stage[4])
 
 
 # Lanes advanced per matrix product, and repetitions per vectorized
@@ -229,98 +221,91 @@ def _unwrap(wrapped: np.ndarray, anchor, period: float) -> np.ndarray:
                   out=wrapped)
 
 
-def _gated(fault: tuple[int, str] | None, first_rep: int, what: str) -> None:
-    """A state that breaks the uncertainty relation after transport is a
-    truncation artifact: raise for the fault the physicality gate reported
-    on a batch whose entry 0 is repetition `first_rep`."""
-    if fault is not None:
-        index, message = fault
-        raise TruncationError(
-            f"{what} at repetition {first_rep + index}: {message}; "
-            "truncation artifact, increase n_max")
-
-
-def _span_phase(moments: np.ndarray, cov: np.ndarray, first_rep: int,
-                what: str, squeezed: bool):
+def _span_phase(moments: np.ndarray, cov: np.ndarray, det: np.ndarray,
+                first_rep: int, what: str, squeezed: bool):
     """(wrapped clock phase, gated covariance terms) of one span of
-    transported states, whose entry 0 is repetition `first_rep`; `what`
-    names the state in the gate's error.  The phase is the full parameter
-    readout's, bit for bit: atan2(p, q) of a coherent clock, without the
-    squeeze angle, or half the squeeze angle of a `squeezed` one; the
-    squeeze magnitude and purity are never computed."""
-    terms, fault = _covariance_terms(cov)
-    _gated(fault, first_rep, what)
+    transported states and their dets, whose entry 0 is repetition
+    `first_rep`; `what` names the state in the gate's error, where a state
+    that breaks the uncertainty relation is a truncation artifact.  The
+    phase is the full parameter readout's, bit for bit: atan2(p, q) of a
+    coherent clock, or half the squeeze angle of a `squeezed` one."""
+    terms, fault = _covariance_terms(cov, det)
+    if fault is not None:
+        raise TruncationError(
+            f"{what} at repetition {first_rep + fault[0]}: {fault[1]}; "
+            "truncation artifact, increase n_max")
     if squeezed:
         return 0.5 * _angles(moments, terms)[2], terms
     return np.arctan2(moments[:, 1], moments[:, 0]), terms
 
 
-def _last_qfi(moments: np.ndarray, terms) -> float:
-    """Phase QFI of a span's last entry alone, read from the covariance
-    terms that entry was gated with (`_span_phase`)."""
-    params = _parameters(moments[-1:], [term[-1:] for term in terms])
+def _one_entry_readout(rows: np.ndarray, state: GaussianState, k: int,
+                       rep: int, what: str, squeezed: bool
+                       ) -> tuple[float, float]:
+    """(wrapped clock phase, phase QFI) of `state` carried by one row pair
+    `rows`, read as a one-entry span at repetition `rep`."""
+    moments, cov = row_moments(rows[None], state, k)
+    wrapped, terms = _span_phase(moments, cov, row_det(rows[None], cov, k),
+                                 rep, what, squeezed)
+    params = _parameters(moments, terms)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
-    return phase_qfi(GaussianParams(*(float(v[0])
-                                      for v in vars(params).values())))
-
-
-def _initial_readout(config: ScenarioConfig) -> tuple:
-    """(state, parameters, phase QFI) of the initial state; a valid config
-    whose state the readout cannot resolve is a numerical limit."""
-    try:
-        params = extract_params(state := config.initial_state())
-    except ValidationError as exc:  # e.g. det cancels at a nonzero theta0
-        raise CavityClockError(f"initial state at mean_n {config.mean_n!r}, "
-                               f"theta0 {config.theta0!r}: {exc}") from None
-    if not (qfi := phase_qfi(params)) > 0:  # covariance cannot resolve mean_n
-        raise UnboundedVarianceError(
-            f"initial state at mean_n {config.mean_n!r} reads phase QFI "
-            f"{qfi!r}: below what its covariance resolves")
-    return state, params, qfi
+    return float(wrapped[0]), phase_qfi(GaussianParams(
+        *(float(v[0]) for v in vars(params).values())))
 
 
 def _clock_frame(config: ScenarioConfig) -> tuple:
-    """(initial state, its phase QFI, theta_start, period, omega_k c, the
-    classical extended clock's time per block): what the readout needs
-    besides the maps, with the readout decided once per run by
-    `state_kind`."""
-    state, params, qfi = _initial_readout(config)
-    if config.state_kind == "squeezed_vacuum":
-        theta_start, period = 0.5 * params.squeeze_angle, math.pi
-    else:
-        theta_start, period = params.phase, 2.0 * math.pi
+    """(initial state, its phase QFI, whether it is squeezed vacuum,
+    theta_start, period, omega_k c, the classical extended clock's time per
+    block): what the readout needs besides the maps, with the readout
+    decided once per run by `state_kind`.  The initial state is read by
+    identity rows (det sigma exactly 1/16); a squeezed vacuum too faint for
+    its covariance to resolve is a numerical limit."""
+    state = config.initial_state()
+    squeezed = config.state_kind == "squeezed_vacuum"
+    theta_start, qfi = _one_entry_readout(np.eye(2), state, 1, 0,
+                                          "initial state", squeezed)
+    if not qfi > 0:  # covariance cannot resolve mean_n
+        raise UnboundedVarianceError(
+            f"initial state at mean_n {config.mean_n!r} reads phase QFI "
+            f"{qfi!r}: below what its covariance resolves")
     # a plain int: an np.int64 mode would make the time fields numpy scalars
     omega_c = int(config.clock_mode) * math.pi / config.L * C
     classical_block = (2.0 * config.t_i
                        + classical_cavity_ratio(config.h) * (4.0 * config.t_a))
-    return state, qfi, theta_start, period, omega_c, classical_block
+    return (state, qfi, squeezed, theta_start,
+            math.pi if squeezed else 2.0 * math.pi, omega_c, classical_block)
 
 
 def _horizon(delta: float) -> float:
     """Repetitions within which the drift delta of S_B cannot carry a
-    coherent clock to the physicality gate: 0.5 * `_PURITY_SLACK` /
+    clock state to the physicality gate: 0.5 * `_PURITY_SLACK` /
     max(|delta|, 2^-52) (module docstring)."""
     return 0.5 * _PURITY_SLACK / max(abs(delta), 2.0**-52)
 
 
-def _final_map_route(config: ScenarioConfig, delta: float) -> bool:
-    """Whether `run_twin` reads the final state from S_B^reps alone: a
-    coherent clock within the horizon; every other run takes the lanes."""
-    return (config.state_kind == "coherent"
-            and config.repetitions <= _horizon(delta))
+def _drift_fault(config: ScenarioConfig, delta: float) -> str | None:
+    """Why a run beyond the horizon of S_B's drift `delta` is not read, or
+    None within it: the one rule of `run_twin` and `check`."""
+    if config.repetitions <= (horizon := _horizon(delta)):
+        return None
+    return (f"{config.repetitions} round trips exceed the drift horizon "
+            f"{horizon:.4g} set by S_B's clock-row drift delta={delta:.3e}; "
+            "increase n_max only if `check --config` shows delta shrinking "
+            "with n_max")
 
 
-def _map_stage(config: ScenarioConfig) -> tuple:
+def _map_stage(config: ScenarioConfig, junctions=None) -> tuple:
     """What a run computes before the state enters: S_B, the clock row pair
     of S_B^reps, the mode-mixing-only rows, the drift delta of S_B's clock
     row pair, Alice's time per block, and the residual pairs of S_B and
-    S_B^reps, each gated by `residual_gate` (None: not gated)."""
+    S_B^reps, each gated by `residual_gate` (None: not gated).  `junctions`
+    seeds `_block_symplectic`'s junction cache."""
     k = int(config.clock_mode)
     n_max = int(config.n_max)
     reps = int(config.repetitions)
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     s_block, product = _block_symplectic(block, config.L, n_max,
-                                         config.quadrature_tol)
+                                         config.quadrature_tol, junctions)
     trusted = np.s_[:2 * _trusted_interior(k, n_max)]  # the gates' rows
     eps_block = gated_residual(*_coefficients(s_block[trusted]), k,
                                config.residual_gate, "block-map")
@@ -348,27 +333,15 @@ def _map_stage(config: ScenarioConfig) -> tuple:
             (eps_block, eps_final))
 
 
-def _one_entry_span(rows: np.ndarray, state: GaussianState, k: int,
-                    rep: int, what: str, squeezed: bool, anchor: float,
-                    period: float) -> tuple[float, float]:
-    """(theta, phase QFI) of `state` carried by one row pair `rows`, read as
-    a one-entry span at repetition `rep` and unwrapped against `anchor`."""
-    moments, cov = row_moments(rows[None], state, k)
-    wrapped, terms = _span_phase(moments, cov, rep, what, squeezed)
-    qfi = _last_qfi(moments, terms)
-    return float(_unwrap(wrapped, anchor, period)[0]), qfi
-
-
 def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
-                tau_alice_block: float) -> tuple[np.ndarray, float, float]:
-    """(theta_alice - theta after each round trip 1..reps, theta_full,
-    qfi_after) from the lanes (module docstring), the one route that runs
-    the physicality gate on every repetition's state."""
+                tau_alice_block: float) -> np.ndarray:
+    """theta_alice - theta after each round trip 1..reps, from the lanes
+    (module docstring), which run the physicality gate on every
+    repetition's state."""
     k = int(config.clock_mode)
     reps = int(config.repetitions)
-    state0, _, theta_start, period, omega_c, classical_block = (
+    state0, _, squeezed, theta_start, period, omega_c, classical_block = (
         _clock_frame(config))
-    squeezed = config.state_kind == "squeezed_vacuum"
     anchor_block = omega_c * classical_block
 
     # Sequential products, not squaring, build H because its rounding error
@@ -388,6 +361,7 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
 
     moments = np.empty((min(_SPAN, reps), 2))
     cov = np.empty((min(_SPAN, reps), 2, 2))
+    det = np.empty(min(_SPAN, reps))
     series = np.empty(reps)
     for start in range(0, reps, _SPAN):
         count = min(_SPAN, reps - start)
@@ -402,45 +376,40 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
             row_moments(lanes[:end - offset], state0, k,
                         out=(moments[offset:end], cov[offset:end]),
                         work=ahead[:end - offset])
+            det[offset:end] = row_det(lanes[:end - offset], cov[offset:end],
+                                      k, work=ahead[:end - offset])
         del ahead
-        wrapped, terms = _span_phase(moments[:count], cov[:count], start + 1,
-                                     "transported state", squeezed)
-        if start + count == reps:
-            qfi_after = _last_qfi(moments[:count], terms)
-        del terms
+        wrapped = _span_phase(moments[:count], cov[:count], det[:count],
+                              start + 1, "transported state", squeezed)[0]
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
         theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
-        theta_full = float(theta[-1])
         theta_alice = theta_start + omega_c * (rep * tau_alice_block)
         np.subtract(theta_alice, theta, out=series[start:start + count])
         # nothing of this span may outlive it into the next span's readout
         del wrapped, theta, rep, theta_alice
-    return series, theta_full, qfi_after
+    return series
 
 
 def run_twin(config: ScenarioConfig) -> ScenarioResult:
-    """Run the twin-paradox scenario: the map stage, then the state, by the
-    final-map route or the lane route (module docstring)."""
-    (s_block, final_rows, mm_rows, delta, tau_alice_block,
+    """Run the twin-paradox scenario: the map stage, the drift horizon, then
+    the final and the mode-mixing-only state, each read from its row pair
+    (module docstring)."""
+    (_, final_rows, mm_rows, delta, tau_alice_block,
      residuals) = _map_stage(config)
+    if (fault := _drift_fault(config, delta)) is not None:
+        raise TruncationError(fault)
     # plain ints: an np.int64 count would make the time fields numpy scalars
     k = int(config.clock_mode)
     reps = int(config.repetitions)
-    state0, qfi_before, theta_start, period, omega_c, classical_block = (
-        _clock_frame(config))
-    squeezed = config.state_kind == "squeezed_vacuum"
+    (state0, qfi_before, squeezed, theta_start, period, omega_c,
+     classical_block) = _clock_frame(config)
     anchor = theta_start + reps * (omega_c * classical_block)
-
-    if _final_map_route(config, delta):
-        theta_full, qfi_after = _one_entry_span(
-            final_rows, state0, k, reps, "transported state", False, anchor,
-            period)
-    else:
-        _, theta_full, qfi_after = _lane_route(config, s_block,
-                                               tau_alice_block)
-    theta_mm, qfi_after_mm = _one_entry_span(
-        mm_rows, state0, k, reps, "mode-mixing-only state", squeezed, anchor,
-        period)
+    theta_full, qfi_after = _one_entry_readout(
+        final_rows, state0, k, reps, "transported state", squeezed)
+    theta_mm, qfi_after_mm = _one_entry_readout(
+        mm_rows, state0, k, reps, "mode-mixing-only state", squeezed)
+    theta_full = anchor + math.remainder(theta_full - anchor, period)
+    theta_mm = anchor + math.remainder(theta_mm - anchor, period)
 
     tau_alice = reps * tau_alice_block
     tau_point = reps * (4.0 * config.t_a + 2.0 * config.t_i)

@@ -8,7 +8,8 @@ its moments after the map are R f and R sigma Rᵀ for the multimode state
 (f, sigma) before it (`row_moments`).  `row_moments` and `apply_reduced`
 take a single-mode state at the tracked mode k of a vacuum register, whose
 covariance is I/4 outside mode k's 2 x 2 block, so R sigma is R/4 with two
-columns replaced and the 2N x 2N covariance is never built.
+columns replaced and the 2N x 2N covariance is never built, and the
+readout's det sigma' comes from the rows too (`row_det`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 
 _TWO_PI = 2.0 * math.pi
 _VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # the physicality gate's allowance for rounding: purity may read up to 1 + it
 _PURITY_SLACK = 1e-9
 
@@ -131,6 +133,28 @@ def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
     return moments, np.matmul(work, rows.swapaxes(-1, -2), out=cov)
 
 
+def row_det(rows: np.ndarray, cov: np.ndarray, k: int,
+            work: np.ndarray | None = None) -> np.ndarray:
+    """det of the covariances `cov` that `row_moments` returns for `rows`
+    and a pure state (det sigma_k = 1/16), over the leading batch axes,
+    without cancellation: sigma' = A + G, A = R_k sigma_k R_kᵀ and G = V Vᵀ/4
+    for V the rows without mode k's columns, and adj is linear on 2 x 2
+    matrices, so det sigma' = det(R_k)^2 / 16 + tr(adj(sigma' - G/2) G), a
+    sum of terms >= 0 (identity rows read exactly 1/16), never s11 s22 -
+    s12^2 of O(N^2) products.  `work`, shaped like `rows`, is written like
+    numpy's out=."""
+    i = 2 * k - 2
+    r_k = rows[..., i:i + 2]
+    g = np.multiply(rows, 0.25, out=work)
+    g[..., i:i + 2] = 0.0
+    g = np.matmul(g, rows.swapaxes(-1, -2))
+    det_k = r_k[..., 0, 0] * r_k[..., 1, 1] - r_k[..., 0, 1] * r_k[..., 1, 0]
+    # tr(adj(M) G) sums adj(M)ᵀ * G, and adj(M)ᵀ is M turned by 180 degrees
+    # with its off-diagonal negated
+    return det_k * det_k / 16.0 + np.einsum(
+        "...ij,ij,...ij->...", (cov - 0.5 * g)[..., ::-1, ::-1], _ADJ_SIGN, g)
+
+
 def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
                   residual_gate: float | None = 1e-4) -> GaussianState:
     """Evolution of mode k (1-based) with all other modes in vacuum: row
@@ -163,17 +187,17 @@ class GaussianParams:
     purity: float
 
 
-def _covariance_terms(cov: np.ndarray):
+def _covariance_terms(cov: np.ndarray, det: np.ndarray):
     """The physicality gate of the parameter readout, on single-mode
-    covariances (..., 2, 2); a covariance need be symmetric only up to
-    rounding (the off-diagonal entries are averaged).  Returns ((s11, s22,
-    s12, det, purity, trace, split, squeezed), None), or (None, (i,
-    message)) naming the first entry i (flat index) whose covariance is not
-    positive definite or violates the uncertainty relation (purity > 1 +
-    `_PURITY_SLACK`); the caller picks the error."""
+    covariances (..., 2, 2) and their determinants `det` (...); a covariance
+    need be symmetric only up to rounding (the off-diagonal entries are
+    averaged).  Returns ((s11, s22, s12, det, purity, trace, split,
+    squeezed), None), or (None, (i, message)) naming the first entry i (flat
+    index) whose covariance is not positive definite or violates the
+    uncertainty relation (purity > 1 + `_PURITY_SLACK`); the caller picks
+    the error."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
-    det = s11 * s22 - s12 * s12
     # negated comparisons, so that a NaN entry fails the gate
     not_pd = ~(s11 > 0) | ~(s22 > 0) | ~(det > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -221,10 +245,12 @@ def _parameters(moments: np.ndarray, terms) -> GaussianParams:
 def extract_params(state: GaussianState) -> GaussianParams:
     """Parameters from the first and second moments of a single-mode state
     (`_covariance_terms`, then `_parameters`); an unphysical state raises
-    ValidationError."""
+    ValidationError.  A state given by its entries has no rows to take det
+    sigma from (`row_det`): it is s11 s22 - s12^2, which can cancel."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
-    terms, fault = _covariance_terms(state.covariance)
+    c = state.covariance
+    terms, fault = _covariance_terms(c, c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
     if fault is not None:
         raise ValidationError(fault[1])
     params = _parameters(state.first_moments, terms)

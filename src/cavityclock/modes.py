@@ -238,8 +238,8 @@ def _map_power(base: np.ndarray, exponent: int,
         base = product(base, base)
 
 
-def _block_symplectic(traj: Trajectory, L: float, n_max: int,
-                      tol: float) -> tuple[np.ndarray, Callable]:
+def _block_symplectic(traj: Trajectory, L: float, n_max: int, tol: float,
+                      junctions=None) -> tuple[np.ndarray, Callable]:
     """Real symplectic matrix S of one pass through `traj.segments`, and the
     product that powers it: `np.matmul`, or `_rotation_product` when no
     segment accelerates and S is a pure rotation.
@@ -247,6 +247,7 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
     An accelerated segment (`_accelerated_segment`) is built once per call
     and kept until its last use; a coast turns the row pairs of the running
     product, and a zero-length coast after the first segment is skipped.
+    `junctions` seeds the call's cache of `_junction_blocks` by h.
     """
     if L <= 0:
         raise ValidationError(f"cavity length must be > 0, got {L}")
@@ -254,7 +255,8 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
         raise ValidationError("n_max must be >= 1")
     omegas = np.arange(1, n_max + 1) * (np.pi / L)
     keys = [(g.proper_acceleration, g.proper_duration) for g in traj.segments]
-    junctions, segments = {}, {}  # by h; by (a, duration) until last use
+    # by h; by (a, duration) until last use
+    junctions, segments = dict(junctions or {}), {}
     block = None
     for i, (a, duration) in enumerate(keys):
         if a == 0.0:
@@ -271,7 +273,7 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int,
             segments[a, duration] = s
         block = s if block is None else s @ block
         del s
-    return block, np.matmul if junctions else _rotation_product
+    return block, np.matmul if any(a for a, _ in keys) else _rotation_product
 
 
 def _junction_blocks(h: float, n_max: int, tol: float) -> tuple[tuple, tuple]:

@@ -35,7 +35,14 @@ def random_symplectic_map(rng: np.random.Generator, n: int,
                            random_passive_map(rng, n)))
 
 
+def entry_det(cov):
+    """s11 s22 - s12^2 of single-mode covariances (..., 2, 2): the det of
+    entries that carry no rows to take it from (`gauss.row_det`)."""
+    return cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
+
+
 def moment_params(moments, cov):
-    """(params, None) or (None, fault): the gate, then the formulas."""
-    terms, fault = _covariance_terms(cov)
+    """(params, None) or (None, fault): the gate, then the formulas, with
+    the det of the entries (`entry_det`)."""
+    terms, fault = _covariance_terms(cov, entry_det(cov))
     return (None, fault) if fault else (_parameters(moments, terms), None)

@@ -380,18 +380,36 @@ class TestTwinCommand:
     @pytest.mark.parametrize("command", ["twin", "qfi"])
     def test_unreadable_initial_state_exit_code(self, tmp_path, capsys,
                                                 command):
-        # a valid squeezed vacuum whose covariance det cancels: the readout
-        # finds it unphysical, a numerical limit, not an invalid config
+        # a valid squeezed vacuum too faint for its covariance, at a nonzero
+        # angle: a numerical limit, not an invalid config
+        doc = base_config()
+        doc["scenario"]["state"] = {"kind": "squeezed_vacuum",
+                                    "mean_n": 1e-30, "theta0_rad": 0.3}
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical gate failure" in err and "mean_n 1e-30" in err
+        assert not list(tmp_path.rglob("*_results.csv"))
+
+    @pytest.mark.parametrize("command", ["twin", "qfi"])
+    def test_large_squeezed_vacuum_at_an_angle_reads(self, tmp_path, capsys,
+                                                     command):
+        # the det of its covariance entries cancels; the readout takes it
+        # from the rows, and identity rows read the initial state's det as
+        # exactly 1/16
         doc = base_config()
         doc["scenario"]["state"] = {"kind": "squeezed_vacuum", "mean_n": 1e6,
                                     "theta0_rad": 0.3}
         config = write_config(tmp_path, doc)
         assert main([command, "--config", str(config),
-                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "numerical gate failure" in err
-        assert "mean_n 1000000.0, theta0 0.3" in err
-        assert not list(tmp_path.rglob("*_results.csv"))
+                     "--out", str(tmp_path)]) == EXIT_OK
+        if command == "qfi":
+            qfi = float(capsys.readouterr().out.removeprefix("qfi="))
+        else:
+            (row,) = read_rows(tmp_path / "test_results.csv")
+            qfi = float(row["qfi_before"])
+        assert qfi == pytest.approx(8e6 * (1e6 + 1), rel=1e-13)
 
     @pytest.mark.parametrize("command", ["twin", "sweep", "bogo"])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -790,9 +808,9 @@ class TestSharedMapStage:
         calls = []
         map_stage = clock._map_stage
 
-        def counting(config):
+        def counting(config, *args):
             calls.append(config)
-            return map_stage(config)
+            return map_stage(config, *args)
 
         monkeypatch.setattr(clock, "_map_stage", counting)
         monkeypatch.setattr(cli, "_map_stage", counting)
@@ -800,22 +818,50 @@ class TestSharedMapStage:
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert len(calls) == 1 and calls[0].residual_gate is None
 
-    @pytest.mark.parametrize("kind, route", [("coherent", "final-map"),
-                                             ("squeezed_vacuum", "lane")])
-    def test_check_prints_the_drift_and_horizon(self, tmp_path, capsys, kind,
-                                                route):
-        # one informational line, from the map stage `twin` runs, that
-        # changes no exit code
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
+    def test_check_prints_the_drift_and_horizon(self, tmp_path, capsys,
+                                                kind):
+        # the last line, from the map stage `twin` runs
         doc = base_config(state={"kind": kind, "mean_n": 1.0,
                                  "theta0_rad": 0.0})
         config = write_config(tmp_path, doc)
         assert main(["check", "--config", str(config)]) == EXIT_OK
-        (line,) = [line for line in capsys.readouterr().out.splitlines()
-                   if not line.startswith("PASS")]
+        lines = capsys.readouterr().out.splitlines()
         delta = clock._map_stage(load_config(config).scenario)[3]
-        assert line == (f"INFO clock-row drift of S_B: delta={delta:.3e} "
-                        f"horizon={clock._horizon(delta):.4g} round trips "
-                        f"(3 take the {route} route)")
+        assert lines[-1] == (f"PASS drift horizon: delta={delta:.3e} "
+                             f"horizon={clock._horizon(delta):.4g} round "
+                             f"trips (3 requested)")
+
+    def test_check_fails_where_twin_exits_on_drift(self, tmp_path, capsys):
+        # the truncation-artifact config at n_max 24: a horizon of 184
+        # round trips, so 184 pass and 185 fail, in `check` as in `twin`
+        for reps, code in ((184, EXIT_OK), (185, EXIT_NUMERICAL)):
+            doc = base_config(t_i_s=1e-9, L_m=0.05, a_mps2=1.7e16,
+                              repetitions=reps)
+            doc["numerics"]["n_max"] = 24
+            config = write_config(tmp_path, doc)
+            assert main(["check", "--config", str(config)]) == code
+            verdict = capsys.readouterr().out.splitlines()[-1].split()[0]
+            assert verdict == ("PASS" if code == EXIT_OK else "FAIL")
+            assert main(["twin", "--config", str(config),
+                         "--out", str(tmp_path)]) == code
+            err = capsys.readouterr().err
+            assert ("exceed the drift horizon" in err) == (code != EXIT_OK)
+
+    def test_check_runs_the_junction_quadrature_once(self, tmp_path,
+                                                     monkeypatch):
+        # its junction lines and the map stage read one quadrature
+        calls = []
+        junction_map = modes.junction_map
+
+        def counting(*args):
+            calls.append(args)
+            return junction_map(*args)
+
+        monkeypatch.setattr(modes, "junction_map", counting)
+        config = write_config(tmp_path, base_config())
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_a_wrong_block_map_fails_twin_and_check(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -12,9 +12,9 @@ from cavityclock import (C, G_NEWTON, CavityClockError, HorizonError,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
                          trajectory_map)
 import cavityclock.clock as clock
-from cavityclock.clock import _gated, _last_qfi, _span_phase
+from cavityclock.clock import _one_entry_readout, _span_phase
 from cavityclock.gauss import GaussianState, _covariance_terms
-from conftest import moment_params
+from conftest import entry_det, moment_params
 from kg_oracle import near_horizon_geometry
 from transport_oracle import vacuum
 from map_oracle import compose, inverse
@@ -284,10 +284,16 @@ class TestFaintSqueezedClock:
     # below about mean_n 1e-29 the covariance no longer resolves the
     # squeezing, and the phase QFI reads 0: a numerical limit
     def test_unresolved_squeezing_fails_before_the_lanes(self, monkeypatch):
-        def lanes(*args, **kwargs):
-            pytest.fail("the lanes ran")
+        # the initial state is read by identity rows; no row pair of the
+        # register carries it
+        row_moments = clock.row_moments
 
-        monkeypatch.setattr(clock, "row_moments", lanes)
+        def initial_only(rows, *args, **kwargs):
+            if rows.shape != (1, 2, 2):
+                pytest.fail("a row pair of the register was read")
+            return row_moments(rows, *args, **kwargs)
+
+        monkeypatch.setattr(clock, "row_moments", initial_only)
         with pytest.raises(UnboundedVarianceError, match="mean_n 1e-30"):
             run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=3,
                                     n_max=12, state_kind="squeezed_vacuum",
@@ -303,18 +309,19 @@ class TestFaintSqueezedClock:
         assert points[1].result.qfi_before == pytest.approx(16.0, rel=1e-12)
 
     def test_unreadable_squeezing_collected_as_numerical_error(self):
-        # at theta0 0.3 the covariance det of mean_n 1e6 cancels, so the
-        # readout finds the initial state unphysical; at theta0 0 it is exact
+        # the faint squeezed vacuum is the state the readout cannot read, at
+        # any angle; mean_n 1e6 at theta0 0.3, whose entry det cancels,
+        # reads, since the readout takes det sigma from the rows
         base = ScenarioConfig(**SQUID_DEFAULTS, repetitions=3, n_max=12,
-                              state_kind="squeezed_vacuum", mean_n=1e6)
-        points = sweep(base, "theta0", [0.3, 0.0])
+                              state_kind="squeezed_vacuum", theta0=0.3)
+        points = sweep(base, "mean_n", [1e-30, 1e6])
         assert isinstance(points[0].exception, CavityClockError)
         assert not isinstance(points[0].exception, ValidationError)
-        assert "mean_n 1000000.0, theta0 0.3" in points[0].error
+        assert "mean_n 1e-30" in points[0].error
         assert points[0].result is None
         assert points[1].exception is None
         assert points[1].result.qfi_before == pytest.approx(8e6 * (1e6 + 1),
-                                                            rel=1e-12)
+                                                            rel=1e-13)
 
     def test_faintest_resolved_squeezing_still_runs(self):
         result = run_twin(ScenarioConfig(
@@ -330,16 +337,14 @@ TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
 
 class TestLastEntry:
     def test_fields_are_plain_floats(self):
-        # the first entry's terms are unphysical: only the last one is read
-        cov = np.stack([0.25 * np.eye(2)] * 2)
-        terms, fault = _covariance_terms(cov)
-        assert fault is None
-        terms = [np.array([math.nan, term[-1]], dtype=term.dtype)
-                 for term in terms]
-        qfi = _last_qfi(np.array([[math.nan, 0.5], [0.2, -0.3]]), terms)
-        assert type(qfi) is float
-        assert qfi == phase_qfi(extract_params(
-            GaussianState([0.2, -0.3], 0.25 * np.eye(2))))
+        # the one-entry readout, by identity rows, reads like the readout
+        # of a state, in plain floats
+        state = GaussianState([0.2, -0.3], 0.25 * np.eye(2))
+        theta, qfi = _one_entry_readout(np.eye(2), state, 1, 0,
+                                        "initial state", False)
+        assert type(theta) is float and type(qfi) is float
+        params = extract_params(state)
+        assert (theta, qfi) == (params.phase, phase_qfi(params))
 
 
 def entry(moments, state):
@@ -397,13 +402,14 @@ class TestSpanPhase:
                 READOUTS, (params.phase, 0.5 * params.squeeze_angle)):
             for log in calls.values():
                 log.clear()
-            phase, terms = _span_phase(moments, cov, 1, "transported state",
-                                       squeezed)
+            phase, terms = _span_phase(moments, cov, entry_det(cov), 1,
+                                       "transported state", squeezed)
             # no squeeze magnitude or purity, and the angle only when read
             assert len(calls["_parameters"]) == 0
             assert len(calls["_angles"]) == squeezed
             # the terms it gated with, for the caller's final readout
-            for got, want in zip(terms, _covariance_terms(cov)[0],
+            for got, want in zip(terms,
+                                 _covariance_terms(cov, entry_det(cov))[0],
                                  strict=True):
                 assert got.tobytes() == want.tobytes()
             assert phase.dtype == reference.dtype
@@ -419,12 +425,14 @@ class TestSpanPhase:
         moments, cov = span(SPANS[kind])
         for index, bad in faults.items():
             cov[index] = bad
-        with pytest.raises(TruncationError) as expected:
-            _gated(moment_params(moments, cov)[1], 97, "transported state")
+        index, message = moment_params(moments, cov)[1]
+        expected = (f"transported state at repetition {97 + index}: "
+                    f"{message}; truncation artifact, increase n_max")
         for squeezed in READOUTS:
             with pytest.raises(TruncationError) as raised:
-                _span_phase(moments, cov, 97, "transported state", squeezed)
-            assert str(raised.value) == str(expected.value)
+                _span_phase(moments, cov, entry_det(cov), 97,
+                            "transported state", squeezed)
+            assert str(raised.value) == expected
             assert f"at repetition {97 + min(faults)}: " in str(raised.value)
 
     @pytest.mark.parametrize("kind", list(SPANS))
@@ -436,7 +444,8 @@ class TestSpanPhase:
         for squeezed in READOUTS:
             with pytest.raises(TruncationError,
                                match="repetition 102: .*not positive definite"):
-                _span_phase(moments, cov, 97, "transported state", squeezed)
+                _span_phase(moments, cov, entry_det(cov), 97,
+                            "transported state", squeezed)
         assert moment_params(moments, cov)[1][0] == 5
 
 
@@ -444,8 +453,8 @@ class TestQfiAfter:
     @pytest.mark.parametrize("reps", [1, 25, 600])
     def test_reads_the_last_entry_alone(self, reps, monkeypatch):
         # of a displaced state the spans read only the phase, so the full
-        # parameter readouts are qfi_after's and qfi_after_mm's, each on the
-        # last entry alone
+        # parameter readouts are qfi_before's, qfi_after's and
+        # qfi_after_mm's, each on one entry alone
         sizes = []
         parameters = clock._parameters
 
@@ -455,67 +464,67 @@ class TestQfiAfter:
 
         monkeypatch.setattr(clock, "_parameters", recording)
         run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps, n_max=12))
-        assert sizes == [(1, {1})] * 2
+        assert sizes == [(1, {1})] * 3
 
 
-class TestClipWarnings:
-    """No transported state is read twice on a route: the physicality gate
-    sees each repetition's state in the lanes once, and the
-    mode-mixing-only state once."""
+class TestGatedStates:
+    """No state is read twice: the physicality gate sees the initial, the
+    final and the mode-mixing-only state of `run_twin` once each, and each
+    repetition's state in the lanes once."""
 
     @pytest.mark.parametrize("state_kind", ["coherent", "squeezed_vacuum"])
     @pytest.mark.parametrize("reps", [1, 8, 200, 385])
-    def test_one_warning_per_repetition_and_one_for_mode_mixing(
-            self, reps, state_kind, monkeypatch):
+    def test_gate_sees_each_state_once(self, reps, state_kind,
+                                       monkeypatch):
         entries = []
         covariance_terms = clock._covariance_terms
 
-        def counting(cov):
+        def counting(cov, det):
             entries.append(cov[..., 0, 0].size)
-            return covariance_terms(cov)
+            return covariance_terms(cov, det)
 
         monkeypatch.setattr(clock, "_covariance_terms", counting)
         result = run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                          n_max=12, state_kind=state_kind))
-        if state_kind == "coherent":
-            # run_twin reads the final state and the mode-mixing-only state
-            # from S_B^reps; the series runs the lanes
-            assert entries == [1, 1]
-            entries.clear()
-            assert len(result.phase_difference_series) == reps
-            assert sum(entries) == reps
-        else:
-            assert sum(entries) == reps + 1
+        # run_twin reads the initial state, then the final state and the
+        # mode-mixing-only state from S_B^reps; the series reads the
+        # initial state and runs the lanes
+        assert entries == [1, 1, 1]
+        entries.clear()
+        assert len(result.phase_difference_series) == reps
+        assert entries[0] == 1 and sum(entries) == reps + 1
 
 
 class TestTruncationArtifact:
     def test_unphysical_transported_state_is_truncation_error(self):
+        # run_twin exits on the drift horizon first (184 round trips here);
+        # the lanes, which gate every repetition, find the unphysical state
+        config = ScenarioConfig(**TRUNCATION_ARTIFACT)
+        stage = clock._map_stage(config)
         with pytest.raises(TruncationError,
                            match=r"repetition \d+: .*uncertainty relation.*"
                                  r"increase n_max"):
-            run_twin(ScenarioConfig(**TRUNCATION_ARTIFACT))
+            clock._lane_route(config, stage[0], stage[4])
 
     @pytest.mark.parametrize("reps", [1, 25, 337])
     def test_unphysical_mode_mixing_only_state(self, reps, monkeypatch):
-        # the mode-mixing-only state is the one row_moments call on its
-        # rows: after the final state of a coherent clock, and after the
-        # lanes of a squeezed vacuum
-        row_moments = clock.row_moments
+        # the mode-mixing-only state is the one det read from its rows,
+        # after the final state, for either state kind; a det of 0.04 reads
+        # purity 1.25
+        row_det = clock.row_det
         for state_kind in ("coherent", "squeezed_vacuum"):
             config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                     n_max=12, state_kind=state_kind)
             mm_rows = clock._map_stage(config)[2]
 
-            def breaking(rows, state, k, out=None, work=None):
-                moments, cov = row_moments(rows, state, k, out=out,
-                                           work=work)
+            def breaking(rows, cov, k, work=None):
+                det = row_det(rows, cov, k, work=work)
                 if (rows.shape == (1, *mm_rows.shape)
                         and (rows == mm_rows).all()):
-                    assert out is None
-                    cov[...] = PURITY_ABOVE_ONE
-                return moments, cov
+                    det[...] = 0.04
+                return det
 
-            monkeypatch.setattr(clock, "row_moments", breaking)
+            monkeypatch.setattr(clock, "row_det", breaking)
             with pytest.raises(TruncationError) as raised:
                 run_twin(config)
             message = str(raised.value)

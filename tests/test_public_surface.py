@@ -64,6 +64,15 @@ def test_one_clock_readout():
     assert not hasattr(clock, "_read_phase")
 
 
+def test_one_route():
+    # run_twin reads every clock from the row pairs of S_B^reps, with the
+    # det from the rows; the lanes serve the series alone
+    for name in ("_final_map_route", "_one_entry_span", "_last_qfi",
+                 "_initial_readout", "extract_params"):
+        assert not hasattr(clock, name)
+    assert not hasattr(cli, "_final_map_route")
+
+
 def test_one_map_stage():
     # `check` reads the map stage `twin` runs, and builds no map of its own
     for name in ("_block_symplectic", "_map_power", "_coefficients"):

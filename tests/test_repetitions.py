@@ -1,8 +1,8 @@
-"""The two routes of `run_twin`: the lane propagation of the clock-mode
-rows across repetitions, pinned against the full-map loop it replaced, and
-the final-map readout from S_B^reps with the drift horizon that picks it;
-and the residual growth that lets the final-map gate vouch for every
-repetition."""
+"""`run_twin`'s one route, the readout from the row pairs of S_B^reps behind
+the drift horizon; the lane propagation of the clock-mode rows across
+repetitions behind `phase_difference_series`, pinned against the full-map
+loop it replaced; and the residual growth that lets the final map's
+residual gate vouch for every repetition."""
 
 import math
 from dataclasses import replace
@@ -101,8 +101,7 @@ def lane_config(reps: int, kind: str = "coherent") -> ScenarioConfig:
 
 
 def lane_route(config: ScenarioConfig):
-    """(series, theta_full, qfi_after) of the lane route alone, from the map
-    stage `run_twin` runs."""
+    """The series of the lanes alone, from the map stage `run_twin` runs."""
     stage = clock._map_stage(config)
     return clock._lane_route(config, stage[0], stage[4])
 
@@ -158,30 +157,32 @@ class TestRowPathAgainstFullMapLoop:
                 first_bad = rep
                 break
         assert first_bad is not None
+        # run_twin exits on the drift horizon (184 round trips) first
         with pytest.raises(TruncationError,
                            match=rf"at repetition {first_bad}: "):
-            run_twin(config)
+            lane_route(config)
 
     def test_one_readout_per_span(self, monkeypatch):
         # guards the span readout without timing anything: a readout per
         # lane step or per repetition would make 4x to 96x more calls in the
-        # lanes, which the series runs; run_twin reads the final state and
-        # then the mode-mixing-only state, each as a one-entry span at
-        # repetition reps
+        # lanes, which the series runs; run_twin reads the initial state,
+        # the final state and then the mode-mixing-only state, each as a
+        # one-entry span
         calls = []
         span_phase = clock._span_phase
 
         def counting(*args):
-            calls.append((len(args[0]), *args[2:]))
+            calls.append((len(args[0]), *args[3:]))
             return span_phase(*args)
 
         monkeypatch.setattr(clock, "_span_phase", counting)
         result = run_twin(lane_config(5000))
-        assert calls == [(1, 5000, "transported state", False),
+        assert calls == [(1, 0, "initial state", False),
+                         (1, 5000, "transported state", False),
                          (1, 5000, "mode-mixing-only state", False)]
         calls.clear()
         assert len(result.phase_difference_series) == 5000
-        assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 2
+        assert 0 < len(calls) <= math.ceil(5000 / _SPAN) + 3
         last = 5000 - (5000 - 1) // _SPAN * _SPAN
         assert calls[-1] == (last, 5001 - last, "transported state", False)
 
@@ -194,8 +195,10 @@ class TestLanesAgainstDenseTransport:
         # span buffers, against the dense transport of the same rows
         seen = recording_row_moments(monkeypatch)
         lane_route(lane_config(reps, kind))
-        # one row pair per repetition
-        assert sum(len(rows) for rows, *_ in seen) == reps
+        # the initial state by identity rows, then one row pair per
+        # repetition
+        assert seen[0][0].tobytes() == np.eye(2)[None].tobytes()
+        assert sum(len(rows) for rows, *_ in seen[1:]) == reps
         assert_dense(seen)
 
     @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
@@ -245,11 +248,12 @@ class TestPeakAllocation:
             assert lane[high] <= lane[low] + 8 * (high - low) + 4096
 
     def test_peak_at_5000_round_trips(self):
-        # the lanes peak at about 121 KB, with the 40 KB series, two lane
+        # the lanes peak at about 127 KB, with the 40 KB series, two lane
         # buffers (one freed for each span's readout), H = S_B^24 written
-        # over S_B, and the span buffers; a third lane-sized buffer, S_B
-        # kept beside H, or a span's readout arrays kept alive into the
-        # next span's readout would lift the peak toward 150 KB
+        # over S_B, the span buffers and one lane step's det terms; a third
+        # lane-sized buffer, S_B kept beside H, or a span's readout arrays
+        # kept alive into the next span's lanes (about 18 KB) would lift
+        # the peak toward 150 KB
         assert self.series_peak(5000) <= 150_000
         # run_twin reads the final state from S_B^reps, and the junction
         # quadrature (about 81 KB) sets its peak; running the lanes, as it
@@ -267,33 +271,38 @@ class TestPeakAllocation:
 
 
 class TestRouteRule:
-    """`run_twin` reads a coherent clock within the drift horizon from the
-    clock row pair of S_B^reps, and every other run from the lanes, which
-    gate each repetition."""
+    """`run_twin` reads every clock within the drift horizon from the row
+    pairs of S_B^reps, and exits beyond it before the state enters; the
+    lanes, which gate each repetition, serve the series alone."""
 
     def test_final_map_route_reads_two_row_pairs(self, monkeypatch):
-        # config A at 5000 round trips: the final state and the
+        # config A at 5000 round trips, for either state kind: the initial
+        # state by identity rows, then the final state and the
         # mode-mixing-only state, and no lane
         def lanes(*args):
             pytest.fail("the lanes ran")
 
         monkeypatch.setattr(clock, "_lane_route", lanes)
         seen = recording_row_moments(monkeypatch)
-        config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
-                                repetitions=5000, n_max=24)
-        run_twin(config)
-        _, final_rows, mm_rows, *_ = clock._map_stage(config)
-        assert [rows.tobytes() for rows, *_ in seen] == [
-            final_rows[None].tobytes(), mm_rows[None].tobytes()]
-        assert_dense(seen)
+        for kind in ("coherent", "squeezed_vacuum"):
+            seen.clear()
+            config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
+                                    repetitions=5000, n_max=24,
+                                    state_kind=kind, mean_n=10.0, theta0=0.3)
+            run_twin(config)
+            _, final_rows, mm_rows, *_ = clock._map_stage(config)
+            assert [rows.tobytes() for rows, *_ in seen] == [
+                np.eye(2)[None].tobytes(), final_rows[None].tobytes(),
+                mm_rows[None].tobytes()]
+            assert_dense(seen)
 
     @pytest.mark.parametrize("n_max, reps, first_bad", [(24, 500, 369),
                                                         (48, 12000, 11762)])
     def test_horizon_below_the_lanes_first_fault(self, n_max, reps,
                                                  first_bad):
         # the drift trips the lanes' gate at 1.002 and 1.004 times
-        # slack / |delta| here; the horizon's margin of 2 keeps such a run
-        # in the lanes, which name the first faulty repetition
+        # slack / |delta| here, above the horizon; the lanes name the first
+        # faulty repetition
         config = ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": n_max,
                                    "repetitions": reps})
         horizon = clock._horizon(clock._map_stage(config)[3])
@@ -301,18 +310,50 @@ class TestRouteRule:
         with pytest.raises(TruncationError,
                            match=rf"^transported state at repetition "
                                  rf"{first_bad}: .*uncertainty relation"):
-            run_twin(config)
+            lane_route(config)
 
-    def test_squeezed_vacuum_keeps_the_lanes(self):
-        # its final state alone passes the gate at 500 round trips; the
-        # lanes find repetition 73 unphysical
+    @pytest.mark.parametrize("config", [
+        # config A at n_max 48, whose delta is rounding: the lanes tripped
+        # at 168794, while n_max 24 runs 7e5 round trips
+        dict(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15, repetitions=300_000,
+             n_max=48),
+        # the truncation artifact, whose delta shrinks with n_max
+        TRUNCATION_ARTIFACT])
+    def test_beyond_the_horizon_exits_before_the_state_enters(
+            self, config, monkeypatch):
+        def no_state(*args, **kwargs):
+            pytest.fail("the state entered")
+
+        config = ScenarioConfig(**config)
+        delta = clock._map_stage(config)[3]
+        horizon = clock._horizon(delta)
+        assert horizon < config.repetitions
+        monkeypatch.setattr(clock, "row_moments", no_state)
+        with pytest.raises(TruncationError) as raised:
+            run_twin(config)
+        assert str(raised.value) == clock._drift_fault(config, delta)
+        assert str(raised.value).startswith(
+            f"{config.repetitions} round trips exceed the drift horizon "
+            f"{horizon:.4g} set by S_B's clock-row drift delta={delta:.3e}")
+        assert "increase n_max only if `check --config` shows delta " \
+               "shrinking with n_max" in str(raised.value)
+        # one rule: a run at the horizon reads
+        assert clock._drift_fault(
+            replace(config, repetitions=int(horizon)), delta) is None
+
+    def test_squeezed_vacuum_reads_every_repetition(self):
+        # N 1e7 at theta0 0.3: with the det of sigma's entries, the lanes
+        # found repetition 73 unphysical, from the readout's own
+        # cancellation; the det from the rows reads every repetition
         config = ScenarioConfig(t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15,
                                 repetitions=500, n_max=24,
                                 state_kind="squeezed_vacuum", mean_n=1e7,
                                 theta0=0.3)
-        with pytest.raises(TruncationError,
-                           match="^transported state at repetition 73: "):
-            run_twin(config)
+        result = run_twin(config)
+        series = result.phase_difference_series
+        assert series.shape == (500,)
+        assert series[-1] == pytest.approx(result.phase_difference_vs_alice,
+                                           rel=0, abs=1e-9)
 
 
 class TestMapPower:
