@@ -24,9 +24,9 @@ The clock row pair of S_B^reps carries the initial state, at mode k of a
 vacuum register, straight to the clock mode's moments and covariance
 (`gauss.row_moments`), read as a one-entry span (`_one_entry_readout`), as
 are the mode-mixing-only state and, by identity rows, the initial state.
-Every readout takes det sigma from the rows (`gauss.row_det`), as a sum of
-terms that are each >= 0, never as s11 s22 - s12^2, whose O(N^2) products
-cancel for a large squeezed vacuum at a nonzero angle.
+Every readout takes det sigma from that pass (`gauss.row_moments`), as a
+sum of terms that are each >= 0, never as s11 s22 - s12^2, whose O(N^2)
+products cancel for a large squeezed vacuum at a nonzero angle.
 
 The lanes (`_lane_route`) serve `ScenarioResult.phase_difference_series`
 alone and gate every repetition.  After r round trips the map is B^r, and
@@ -61,7 +61,7 @@ from .errors import (CavityClockError, HorizonError, TruncationError,
                      UnboundedVarianceError, ValidationError)
 from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState, _angles,
                     _covariance_terms, _parameters, _remainder, coherent,
-                    row_det, row_moments, squeezed_vacuum)
+                    row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _alpha, _block_symplectic, _coefficients,
                     _map_power, _trusted_interior, gated_residual,
@@ -244,9 +244,8 @@ def _one_entry_readout(rows: np.ndarray, state: GaussianState, k: int,
                        ) -> tuple[float, float]:
     """(wrapped clock phase, phase QFI) of `state` carried by one row pair
     `rows`, read as a one-entry span at repetition `rep`."""
-    moments, cov = row_moments(rows[None], state, k)
-    wrapped, terms = _span_phase(moments, cov, row_det(rows[None], cov, k),
-                                 rep, what, squeezed)
+    moments, cov, det = row_moments(rows[None], state, k)
+    wrapped, terms = _span_phase(moments, cov, det, rep, what, squeezed)
     params = _parameters(moments, terms)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
     return float(wrapped[0]), phase_qfi(GaussianParams(
@@ -344,10 +343,10 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
         _clock_frame(config))
     anchor_block = omega_c * classical_block
 
-    # Sequential products, not squaring, build H because its rounding error
-    # is applied reps / M times over: at 5000 round trips, n_max 24 and ten
-    # cavity lengths, qfi_after stayed within 6e-13 relative of the
-    # full-map loop this way, 1.5e-12 with squaring.
+    # Sequential products build the lanes and end at H = S_B^M.  H by
+    # squaring reads no closer: at 5000 round trips, n_max 24 and ten cavity
+    # lengths, the series stayed within one ulp of theta (2.3e-10 rad) of
+    # the full-map loop either way, for either state kind.
     lanes = np.empty((min(_LANES, reps), 2, 2 * int(config.n_max)))
     step = s_block
     lanes[0] = step[2 * k - 2:2 * k]
@@ -374,10 +373,9 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
             end = min(offset + len(lanes), count)
             # ahead is idle until the next lane step overwrites it
             row_moments(lanes[:end - offset], state0, k,
-                        out=(moments[offset:end], cov[offset:end]),
+                        out=(moments[offset:end], cov[offset:end],
+                             det[offset:end]),
                         work=ahead[:end - offset])
-            det[offset:end] = row_det(lanes[:end - offset], cov[offset:end],
-                                      k, work=ahead[:end - offset])
         del ahead
         wrapped = _span_phase(moments[:count], cov[:count], det[:count],
                               start + 1, "transported state", squeezed)[0]

@@ -5,11 +5,11 @@ Quadratures are X_{2n-1} = (a_n + a_n†)/2 and X_{2n} = -i(a_n - a_n†)/2, so
 the vacuum covariance is I/4 and moments are ordered (q1, p1, q2, p2, ...).
 One mode is transported by its row pair R of the real symplectic matrix:
 its moments after the map are R f and R sigma Rᵀ for the multimode state
-(f, sigma) before it (`row_moments`).  `row_moments` and `apply_reduced`
-take a single-mode state at the tracked mode k of a vacuum register, whose
+(f, sigma) before it.  `row_moments` and `apply_reduced` take a
+single-mode state at the tracked mode k of a vacuum register, whose
 covariance is I/4 outside mode k's 2 x 2 block, so R sigma is R/4 with two
-columns replaced and the 2N x 2N covariance is never built, and the
-readout's det sigma' comes from the rows too (`row_det`).
+columns replaced and the 2N x 2N covariance is never built; `row_moments`
+returns the readout's det sigma' from the same pass over the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import ValidationError
 from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 
 _TWO_PI = 2.0 * math.pi
-_VACUUM_COVARIANCE = [[0.25, 0.0], [0.0, 0.25]]
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # the physicality gate's allowance for rounding: purity may read up to 1 + it
 _PURITY_SLACK = 1e-9
@@ -101,67 +100,59 @@ def squeezed_vacuum(mean_n: float, angle: float = 0.0) -> GaussianState:
 
 def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
                 work: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moments of one mode after maps whose row pairs of the symplectic
     matrix are `rows` (shape (..., 2, 2N)), applied to the single-mode
     `state` placed at mode k (1-based) of an N-mode vacuum register (f,
-    sigma): moments' = R f and sigma' = R sigma Rᵀ, over any leading batch
-    axes.  R sigma is R/4 with mode k's two columns replaced by R_k sigma_k
-    (nothing to replace when sigma_k is the vacuum's I/4), entry for entry
-    the dense product, so sigma is never built.
+    sigma): moments' = R f, sigma' = R sigma Rᵀ and det sigma', over any
+    leading batch axes.  R sigma is R/4 with mode k's two columns replaced
+    by R_k sigma_k, entry for entry the dense product, so sigma is never
+    built.  The det assumes a pure state (det sigma_k = 1/16): sigma' = A +
+    G, A = R_k sigma_k R_kᵀ and G = V Vᵀ/4 for V the rows without mode k's
+    columns, and adj is linear on 2 x 2 matrices, so det sigma' = det(R_k)^2
+    / 16 + tr(adj(sigma' - G/2) G), a sum of terms >= 0 (identity rows read
+    exactly 1/16), never s11 s22 - s12^2 of O(N^2) products.
 
-    `out` = (moments, cov), contiguous buffers of shapes (..., 2) and
-    (..., 2, 2), and `work`, shaped like `rows` (it holds R sigma), are
-    written in place like numpy's out=; each is allocated when not given.
-    sigma' is symmetric up to rounding; its consumers (`GaussianState`,
-    `_covariance_terms`) symmetrize."""
+    `out` = (moments, cov, det), contiguous buffers of shapes (..., 2),
+    (..., 2, 2) and (...), and `work`, shaped like `rows` (it holds R sigma,
+    then V/4), are written in place like numpy's out=; each is allocated
+    when not given.  sigma' is symmetric up to rounding; its consumers
+    (`GaussianState`, `_covariance_terms`) symmetrize."""
     i = 2 * k - 2
     flat = rows.reshape(-1, rows.shape[-1])
-    moments, cov = out if out is not None else (
-        np.empty(rows.shape[:-1]), np.empty(rows.shape[:-1] + (2,)))
+    moments, cov, det = out if out is not None else (
+        np.empty(rows.shape[:-1]), np.empty(rows.shape[:-1] + (2,)),
+        np.empty(rows.shape[:-2]))
     # R f over all 2N columns: from R_k f_k alone the sum rounds differently
     f = np.zeros(rows.shape[-1])
     f[i:i + 2] = state.first_moments
     np.matmul(flat, f, out=moments.reshape(-1))
     work = np.multiply(rows, 0.25, out=work)
-    # a coherent state's sigma_k is I/4, and R/4 already holds R_k sigma_k
-    if state.covariance.tolist() != _VACUUM_COVARIANCE:
-        np.matmul(flat[:, i:i + 2], state.covariance,
-                  out=work.reshape(flat.shape)[:, i:i + 2])
+    # for a coherent state's I/4 each product is x 0.25 + y 0, exactly R/4
+    np.matmul(flat[:, i:i + 2], state.covariance,
+              out=work.reshape(flat.shape)[:, i:i + 2])
     # work and rows are separate buffers: numpy would route rows @ rowsᵀ to
     # a symmetric rank-k update, whose rounding differs
-    return moments, np.matmul(work, rows.swapaxes(-1, -2), out=cov)
-
-
-def row_det(rows: np.ndarray, cov: np.ndarray, k: int,
-            work: np.ndarray | None = None) -> np.ndarray:
-    """det of the covariances `cov` that `row_moments` returns for `rows`
-    and a pure state (det sigma_k = 1/16), over the leading batch axes,
-    without cancellation: sigma' = A + G, A = R_k sigma_k R_kᵀ and G = V Vᵀ/4
-    for V the rows without mode k's columns, and adj is linear on 2 x 2
-    matrices, so det sigma' = det(R_k)^2 / 16 + tr(adj(sigma' - G/2) G), a
-    sum of terms >= 0 (identity rows read exactly 1/16), never s11 s22 -
-    s12^2 of O(N^2) products.  `work`, shaped like `rows`, is written like
-    numpy's out=."""
-    i = 2 * k - 2
+    np.matmul(work, rows.swapaxes(-1, -2), out=cov)
+    work[..., i:i + 2] = 0.0
+    g = np.matmul(work, rows.swapaxes(-1, -2))
     r_k = rows[..., i:i + 2]
-    g = np.multiply(rows, 0.25, out=work)
-    g[..., i:i + 2] = 0.0
-    g = np.matmul(g, rows.swapaxes(-1, -2))
     det_k = r_k[..., 0, 0] * r_k[..., 1, 1] - r_k[..., 0, 1] * r_k[..., 1, 0]
     # tr(adj(M) G) sums adj(M)ᵀ * G, and adj(M)ᵀ is M turned by 180 degrees
     # with its off-diagonal negated
-    return det_k * det_k / 16.0 + np.einsum(
-        "...ij,ij,...ij->...", (cov - 0.5 * g)[..., ::-1, ::-1], _ADJ_SIGN, g)
+    np.add(det_k * det_k / 16.0, np.einsum(
+        "...ij,ij,...ij->...", (cov - 0.5 * g)[..., ::-1, ::-1], _ADJ_SIGN, g),
+        out=det)
+    return moments, cov, det
 
 
 def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
                   residual_gate: float | None = 1e-4) -> GaussianState:
     """Evolution of mode k (1-based) with all other modes in vacuum: row
     pair k of the map applied to the single-mode `state` placed at mode k
-    (`row_moments`).  When `residual_gate` is set, the map must pass
-    `gated_residual` for mode k (truncation would silently corrupt the
-    vacuum noise); None skips the residual entirely.
+    (`row_moments`; its det, which assumes a pure state, is dropped).  When
+    `residual_gate` is set, the map must pass `gated_residual` for mode k
+    (truncation would silently corrupt the vacuum noise); None skips it.
     """
     if state.mode_count != 1:
         raise ValidationError("apply_reduced expects a single-mode state")
@@ -171,7 +162,7 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
         gated_residual(bmap.alpha, bmap.beta, k, residual_gate,
                        "transport-map")
     rows = symplectic_matrix(bmap.alpha[k - 1:k], bmap.beta[k - 1:k])
-    return GaussianState(*row_moments(rows, state, k))
+    return GaussianState(*row_moments(rows, state, k)[:2])
 
 
 @dataclass(frozen=True)
@@ -246,7 +237,7 @@ def extract_params(state: GaussianState) -> GaussianParams:
     """Parameters from the first and second moments of a single-mode state
     (`_covariance_terms`, then `_parameters`); an unphysical state raises
     ValidationError.  A state given by its entries has no rows to take det
-    sigma from (`row_det`): it is s11 s22 - s12^2, which can cancel."""
+    sigma from (`row_moments`): it is s11 s22 - s12^2, which can cancel."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
     c = state.covariance

@@ -25,6 +25,7 @@ Conventions (fixed here, used everywhere downstream):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Callable
@@ -262,7 +263,7 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int, tol: float,
         if a == 0.0:
             if duration == 0.0 and block is not None:
                 continue  # a turn by cos 0 and sin 0 changes nothing
-            phases = omegas * (C * duration)
+            phases = _segment_phases(omegas, C * duration, duration)
             block = _rotate_rows(np.eye(2 * n_max) if block is None else block,
                                  np.cos(phases), np.sin(phases))
             continue
@@ -274,6 +275,19 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int, tol: float,
         block = s if block is None else s @ block
         del s
     return block, np.matmul if any(a for a, _ in keys) else _rotation_product
+
+
+def _segment_phases(omegas: np.ndarray, scale: float,
+                    duration: float) -> np.ndarray:
+    """omegas * scale, the modes' phases over one segment of `duration`
+    seconds, ascending; one that overflows, which np.cos would read as NaN,
+    raises ValidationError."""
+    phases = omegas * scale
+    if not phases[-1] <= sys.float_info.max:
+        raise ValidationError(
+            f"phase of mode {len(phases)} over a segment of {duration:.3g} s "
+            "exceeds the representable range")
+    return phases
 
 
 def _junction_blocks(h: float, n_max: int, tol: float) -> tuple[tuple, tuple]:
@@ -299,7 +313,7 @@ def _accelerated_segment(a: float, duration: float, L: float, n_max: int,
     # log(chi2/chi1) loses ~1e-9 relative precision once h ~ 1e-7
     u_max = 2.0 * math.atanh(h / 2.0)
     omegas = np.arange(1, n_max + 1) * (math.pi / u_max)
-    phases = omegas * (abs(a) * duration / C)
+    phases = _segment_phases(omegas, abs(a) * duration / C, duration)
     cos, sin = np.cos(phases)[:, None], np.sin(phases)[:, None]
     s, turned = np.empty((n_max, 2, 2 * n_max)), np.empty((n_max, n_max, 2))
     for kind, (left, right) in enumerate(((cos, -sin), (sin, cos))):

@@ -37,7 +37,7 @@ def random_symplectic_map(rng: np.random.Generator, n: int,
 
 def entry_det(cov):
     """s11 s22 - s12^2 of single-mode covariances (..., 2, 2): the det of
-    entries that carry no rows to take it from (`gauss.row_det`)."""
+    entries that carry no rows to take it from (`gauss.row_moments`)."""
     return cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -452,6 +453,25 @@ class TestTwinCommand:
         err = capsys.readouterr().err
         assert "numerical gate failure" in err
         assert "h * u_max underflows" in err
+
+    @pytest.mark.parametrize("command", ["twin", "bogo", "check"])
+    @pytest.mark.parametrize("key", ["t_i_s", "t_a_s"])
+    def test_overflowing_segment_phase_exit_code(self, tmp_path, capsys,
+                                                 command, key):
+        # a coast's or a Rindler segment's phase overflows before the
+        # trajectory's rapidity guard runs; np.cos read it as NaN (with a
+        # RuntimeWarning), and the residual gate exited 4 with "increase
+        # n_max"
+        config = write_config(tmp_path, base_config(**{key: 1e300}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(config),
+                         "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "validation error: phase of mode 12 over a segment of 1e+300 s "
+            "exceeds the representable range\n")
 
     def test_truncation_artifact_exit_code(self, tmp_path, capsys):
         # the residual gate passes, but the transported state breaks the

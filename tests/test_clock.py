@@ -511,20 +511,21 @@ class TestTruncationArtifact:
         # the mode-mixing-only state is the one det read from its rows,
         # after the final state, for either state kind; a det of 0.04 reads
         # purity 1.25
-        row_det = clock.row_det
+        row_moments = clock.row_moments
         for state_kind in ("coherent", "squeezed_vacuum"):
             config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                     n_max=12, state_kind=state_kind)
             mm_rows = clock._map_stage(config)[2]
 
-            def breaking(rows, cov, k, work=None):
-                det = row_det(rows, cov, k, work=work)
+            def breaking(rows, state, k, out=None, work=None):
+                moments, cov, det = row_moments(rows, state, k, out=out,
+                                                work=work)
                 if (rows.shape == (1, *mm_rows.shape)
                         and (rows == mm_rows).all()):
                     det[...] = 0.04
-                return det
+                return moments, cov, det
 
-            monkeypatch.setattr(clock, "row_det", breaking)
+            monkeypatch.setattr(clock, "row_moments", breaking)
             with pytest.raises(TruncationError) as raised:
                 run_twin(config)
             message = str(raised.value)

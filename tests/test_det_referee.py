@@ -1,5 +1,5 @@
-"""The readout's det sigma (`gauss.row_det`) and the phase QFI read with it,
-against the 50-digit referee (`mp_referee`) on the row pairs `run_twin`
+"""The readout's det sigma (`gauss.row_moments`) and the phase QFI read with
+it, against the 50-digit referee (`mp_referee`) on the row pairs `run_twin`
 reads, at config A's geometry (t_a 1 ns, t_i 0, a 1.7e15 m/s^2, L 0.011 m,
 n_max 24).  The det s11 s22 - s12^2 of sigma's entries cancels for a large
 squeezed vacuum at a nonzero angle: on the final row pair at 500 round

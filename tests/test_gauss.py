@@ -6,6 +6,7 @@ import pytest
 from conftest import moment_params, random_passive_map, random_symplectic_map
 from kg_oracle import BasisKind, ModeBasis
 from map_oracle import compose, free_phase_map, inverse
+from mp_referee import referee
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace, vacuum)
 from cavityclock import (BogoliubovMap, TruncationError, ValidationError,
@@ -208,39 +209,57 @@ class TestRemainder:
 
 
 class TestRowMoments:
-    """The sparse transport against the dense one it replaced."""
+    """The sparse transport against the dense one it replaced, and its det
+    against the 50-digit referee."""
 
-    @pytest.mark.parametrize("state", [coherent(1.7, -2.1),
-                                       squeezed_vacuum(3.0, 0.4),
-                                       squeezed_vacuum(0.2, -2.9)])
+    # each state with the (kind, mean_n, theta0) the referee builds it from;
+    # a coherent state's det does not depend on its amplitude or phase
+    @pytest.mark.parametrize("state", [
+        (coherent(1.7, -2.1), ("coherent", 1.7**2, -2.1)),
+        (squeezed_vacuum(3.0, 0.4), ("squeezed_vacuum", 3.0, 0.4)),
+        (squeezed_vacuum(0.2, -2.9), ("squeezed_vacuum", 0.2, -2.9))])
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (3, 4, 2)])
     def test_bit_identical_to_dense_transport(self, state, shape):
+        state, spec = state
         rng = np.random.default_rng(len(shape) * 10 + shape[0])
         for n, k in [(6, 1), (6, 6), (24, 1), (24, 9)]:
             # rows spanning many magnitudes, as repeated maps produce
             rows = rng.normal(size=shape + (2 * n,)) * 10.0 ** rng.uniform(
                 -4, 4, size=shape + (2 * n,))
             want = dense_row_moments(rows, state, k)
-            got = row_moments(rows, state, k)
+            *got, det = row_moments(rows, state, k)
             for g, w in zip(got, want, strict=True):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+            assert det.shape == shape[:-1]
+            # on these random rows the entry products of tr(adj(A + G/2) G)
+            # partly cancel (the positive ones exceed the sum by up to 8x),
+            # and the det reads within 3.4e-15 relative; the clock's own
+            # rows read within 1e-15 (test_det_referee.py)
+            for r, d in zip(rows.reshape(-1, 2, 2 * n), det.reshape(-1)):
+                want_det = referee(r, *spec, k=k)[0]
+                assert abs(d - want_det) <= 1e-14 * want_det
 
     def test_writes_into_given_buffers(self):
         rng = np.random.default_rng(3)
         state = squeezed_vacuum(2.0, 1.1)
         rows = rng.normal(size=(5, 2, 16))
         moments, cov = np.full((8, 2), np.nan), np.full((8, 2, 2), np.nan)
+        det = np.full(8, np.nan)
         work = np.empty((8, 2, 16))
-        got = row_moments(rows, state, 3, out=(moments[2:7], cov[2:7]),
+        got = row_moments(rows, state, 3,
+                          out=(moments[2:7], cov[2:7], det[2:7]),
                           work=work[:5])
-        assert got[0].base is moments and got[1].base is cov
+        assert (got[0].base is moments and got[1].base is cov
+                and got[2].base is det)
         want = dense_row_moments(rows, state, 3)
         assert moments[2:7].tobytes() == want[0].tobytes()
         assert cov[2:7].tobytes() == want[1].tobytes()
+        assert det[2:7].tobytes() == row_moments(rows, state, 3)[2].tobytes()
         # entries outside the given slices stay untouched
         assert np.isnan(moments[[0, 1, 7]]).all()
         assert np.isnan(cov[[0, 1, 7]]).all()
+        assert np.isnan(det[[0, 1, 7]]).all()
 
 
 class TestApplyReduced:

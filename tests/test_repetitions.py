@@ -113,9 +113,9 @@ def recording_row_moments(monkeypatch) -> list:
     row_moments = clock.row_moments
 
     def recording(rows, state, k, out=None, work=None):
-        got = row_moments(rows, state, k, out=out, work=work)
-        seen.append((rows.copy(), state, k, got[0].copy(), got[1].copy()))
-        return got
+        moments, cov, det = row_moments(rows, state, k, out=out, work=work)
+        seen.append((rows.copy(), state, k, moments.copy(), cov.copy()))
+        return moments, cov, det
 
     monkeypatch.setattr(clock, "row_moments", recording)
     return seen
