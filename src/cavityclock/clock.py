@@ -35,7 +35,7 @@ row pairs of M consecutive repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M,
 ending at H = S_B^M; one (2M x 2n) by (2n x 2n) product with H, written
 into a second lane buffer, then moves every lane M repetitions on.  Each
 lane writes the clock mode's moments, covariance and det straight into the
-span buffers, and every span reads only the phase (`_span_phase`).
+span buffers; a span is read by the gate and `_parameters` (`_span_phase`).
 
 Clock readout, decided once per run from `state_kind`: a coherent clock
 reads its displacement phase atan2(p, q), with period 2 pi, at any
@@ -59,7 +59,7 @@ import numpy as np
 from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      UnboundedVarianceError, ValidationError)
-from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState, _angles,
+from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState,
                     _covariance_terms, _parameters, _remainder, coherent,
                     row_moments, squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
@@ -223,20 +223,19 @@ def _unwrap(wrapped: np.ndarray, anchor, period: float) -> np.ndarray:
 
 def _span_phase(moments: np.ndarray, cov: np.ndarray, det: np.ndarray,
                 first_rep: int, what: str, squeezed: bool):
-    """(wrapped clock phase, gated covariance terms) of one span of
-    transported states and their dets, whose entry 0 is repetition
-    `first_rep`; `what` names the state in the gate's error, where a state
-    that breaks the uncertainty relation is a truncation artifact.  The
-    phase is the full parameter readout's, bit for bit: atan2(p, q) of a
-    coherent clock, or half the squeeze angle of a `squeezed` one."""
+    """(wrapped clock phase, parameters) of one span of transported states
+    and their dets, whose entry 0 is repetition `first_rep`; `what` names
+    the state in the gate's error, where a state that breaks the
+    uncertainty relation is a truncation artifact.  The phase is the
+    displacement phase theta of a coherent clock, or half the squeeze angle
+    of a `squeezed` one."""
     terms, fault = _covariance_terms(cov, det)
     if fault is not None:
         raise TruncationError(
             f"{what} at repetition {first_rep + fault[0]}: {fault[1]}; "
             "truncation artifact, increase n_max")
-    if squeezed:
-        return 0.5 * _angles(moments, terms)[2], terms
-    return np.arctan2(moments[:, 1], moments[:, 0]), terms
+    params = _parameters(moments, terms)
+    return 0.5 * params.squeeze_angle if squeezed else params.phase, params
 
 
 def _one_entry_readout(rows: np.ndarray, state: GaussianState, k: int,
@@ -244,9 +243,8 @@ def _one_entry_readout(rows: np.ndarray, state: GaussianState, k: int,
                        ) -> tuple[float, float]:
     """(wrapped clock phase, phase QFI) of `state` carried by one row pair
     `rows`, read as a one-entry span at repetition `rep`."""
-    moments, cov, det = row_moments(rows[None], state, k)
-    wrapped, terms = _span_phase(moments, cov, det, rep, what, squeezed)
-    params = _parameters(moments, terms)
+    wrapped, params = _span_phase(*row_moments(rows[None], state, k), rep,
+                                  what, squeezed)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
     return float(wrapped[0]), phase_qfi(GaussianParams(
         *(float(v[0]) for v in vars(params).values())))

@@ -207,27 +207,19 @@ def _covariance_terms(cov: np.ndarray, det: np.ndarray):
     return (s11, s22, s12, det, purity, trace, split, squeezed), None
 
 
-def _angles(moments: np.ndarray, terms):
-    """(displacement, phase theta, squeeze angle phi) of `_parameters`,
-    without the squeeze magnitude and purity."""
-    s11, s22, s12, _, _, _, _, squeezed = terms
-    q, p = moments[..., 0], moments[..., 1]
-    displacement = np.hypot(q, p)
-    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
-    phi = np.where(squeezed,
-                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
-                   0.0)
-    return displacement, theta, phi
-
-
 def _parameters(moments: np.ndarray, terms) -> GaussianParams:
     """Parameters from moments (..., 2) and the covariance terms of
     `_covariance_terms` that passed its gate, elementwise over the leading
     axes.  r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
     cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
     eigenvalue split."""
-    _, _, _, det, purity, trace, split, squeezed = terms
-    displacement, theta, phi = _angles(moments, terms)
+    s11, s22, s12, det, purity, trace, split, squeezed = terms
+    q, p = moments[..., 0], moments[..., 1]
+    displacement = np.hypot(q, p)
+    theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
+    phi = np.where(squeezed,
+                   _wrap_angle(np.arctan2(2.0 * s12, s11 - s22) - 2.0 * theta),
+                   0.0)
     r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
                  0.0)
     return GaussianParams(displacement, theta, r, phi, np.minimum(purity, 1.0))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 from .errors import UnboundedVarianceError, ValidationError
 from .gauss import GaussianParams
@@ -27,8 +29,12 @@ def phase_qfi(params: GaussianParams) -> float:
 def cramer_rao(qfi: float, measurements: int) -> float:
     """Best attainable standard deviation over `measurements` repetitions:
     1 / sqrt(M * H)."""
-    if not qfi >= 0:
-        raise ValidationError(f"qfi must be >= 0, got {qfi}")
+    if not 0 <= qfi <= sys.float_info.max:
+        raise ValidationError(f"qfi must be >= 0 and finite, got {qfi}")
+    if (isinstance(measurements, bool)
+            or not isinstance(measurements, numbers.Integral)):
+        raise ValidationError(
+            f"measurements must be an integer, got {measurements!r}")
     if measurements < 1:
         raise ValidationError(f"measurements must be >= 1, got {measurements}")
     if qfi == 0:
@@ -39,6 +45,9 @@ def cramer_rao(qfi: float, measurements: int) -> float:
 
 def qfi_change_pct(before: float, after: float) -> float:
     """Change of the QFI as a percentage of its pre-motion value."""
-    if not before > 0:
-        raise ValidationError(f"reference qfi must be > 0, got {before}")
+    if not 0 < before <= sys.float_info.max:
+        raise ValidationError(
+            f"reference qfi must be > 0 and finite, got {before}")
+    if not 0 <= after <= sys.float_info.max:
+        raise ValidationError(f"qfi must be >= 0 and finite, got {after}")
     return 100.0 * (after - before) / before

@@ -104,3 +104,21 @@ def test_nan_input_is_rejected(call):
     # each check is a negated comparison, so NaN fails it
     with pytest.raises(ValidationError, match="nan"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cramer_rao(4.0, math.nan),
+    lambda: cramer_rao(4.0, math.inf),
+    lambda: cramer_rao(4.0, 2.5),
+    lambda: cramer_rao(4.0, True),
+    lambda: cramer_rao(math.inf, 10),
+    lambda: qfi_change_pct(1.0, math.nan),
+    lambda: qfi_change_pct(1.0, math.inf),
+    lambda: qfi_change_pct(math.inf, 1.0),
+], ids=["measurements_nan", "measurements_inf", "measurements_fraction",
+        "measurements_bool", "qfi_inf", "after_nan", "after_inf",
+        "before_inf"])
+def test_non_finite_or_non_integer_input_is_rejected(call):
+    # an infinite QFI or count would read a zero bound, NaN a NaN one
+    with pytest.raises(ValidationError):
+        call()

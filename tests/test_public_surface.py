@@ -53,7 +53,7 @@ def test_one_transport_and_one_readout():
     # (tests/transport_oracle.py), and the mode-mixing-only state is read
     # like every span
     for name in ("vacuum", "embed", "apply_full", "partial_trace",
-                 "moment_params"):
+                 "moment_params", "_angles"):
         assert not hasattr(gauss, name)
     assert not hasattr(clock, "_last")
 

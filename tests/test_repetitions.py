@@ -248,9 +248,9 @@ class TestPeakAllocation:
             assert lane[high] <= lane[low] + 8 * (high - low) + 4096
 
     def test_peak_at_5000_round_trips(self):
-        # the lanes peak at about 127 KB, with the 40 KB series, two lane
+        # the lanes peak at about 135 KB, with the 40 KB series, two lane
         # buffers (one freed for each span's readout), H = S_B^24 written
-        # over S_B, the span buffers and one lane step's det terms; a third
+        # over S_B, the span buffers and one span's readout arrays; a third
         # lane-sized buffer, S_B kept beside H, or a span's readout arrays
         # kept alive into the next span's lanes (about 18 KB) would lift
         # the peak toward 150 KB
