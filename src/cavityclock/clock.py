@@ -6,12 +6,12 @@ the clock mode's Gaussian state, and compare the resulting clock time
 classical extended-clock predictions.
 
 Two stages.  `_map_stage` builds all that does not depend on the state:
-the one-block map S_B and S_B^reps (by squaring), each behind the residual
-gate, which takes (alpha, beta) of their trusted rows only; the clock mode
-k's row pair of S_B^reps; the row pair of the passive part of S_B^reps (from
-its alpha alone) for the mode-mixing-only state; and the drift delta =
-omega - 1 of S_B's clock row pair R, where omega = (R Omega Rᵀ)_12 is 1 for
-an exact map.
+the one-block map S_B and S_B^reps (by squaring), both behind the residual
+gate in one pass, which takes (alpha, beta) of their trusted rows only; the
+clock mode k's row pair of S_B^reps; the row pair of the passive part of
+S_B^reps (from its alpha alone) for the mode-mixing-only state; and the
+drift delta = omega - 1 of S_B's clock row pair R, where omega = (R Omega
+Rᵀ)_12 is 1 for an exact map.
 
 One route then reads the clock.  A run beyond the drift horizon 0.5 *
 `_PURITY_SLACK` / max(|delta|, 2^-52) (`_drift_fault`) raises
@@ -22,11 +22,14 @@ trip, so within the horizon the drift uses at most half the physicality
 gate's slack, and the final state vouches for every earlier repetition.
 The clock row pair of S_B^reps carries the initial state, at mode k of a
 vacuum register, straight to the clock mode's moments and covariance
-(`gauss.row_moments`), read as a one-entry span (`_one_entry_readout`), as
-are the mode-mixing-only state and, by identity rows, the initial state.
-Every readout takes det sigma from that pass (`gauss.row_moments`), as a
-sum of terms that are each >= 0, never as s11 s22 - s12^2, whose O(N^2)
-products cancel for a large squeezed vacuum at a nonzero angle.
+(`gauss.row_moments`), as the mode-mixing-only row pair does; identity rows
+at mode k carry the initial state itself.  The three are read as one
+3-entry span (`_clock_frame`): one transport pass, one physicality gate,
+whose error names the first faulty state in that order, and one
+`_parameters`.  Every readout takes det sigma from that pass
+(`gauss.row_moments`), as a sum of terms that are each >= 0, never as s11
+s22 - s12^2, whose O(N^2) products cancel for a large squeezed vacuum at a
+nonzero angle.
 
 The lanes (`_lane_route`) serve `ScenarioResult.phase_difference_series`
 alone and gate every repetition.  After r round trips the map is B^r, and
@@ -222,45 +225,69 @@ def _unwrap(wrapped: np.ndarray, anchor, period: float) -> np.ndarray:
 
 
 def _span_phase(moments: np.ndarray, cov: np.ndarray, det: np.ndarray,
-                first_rep: int, what: str, squeezed: bool):
+                first_rep, what, squeezed: bool):
     """(wrapped clock phase, parameters) of one span of transported states
-    and their dets, whose entry 0 is repetition `first_rep`; `what` names
-    the state in the gate's error, where a state that breaks the
-    uncertainty relation is a truncation artifact.  The phase is the
-    displacement phase theta of a coherent clock, or half the squeeze angle
-    of a `squeezed` one."""
+    and their dets.  Entry i is repetition `first_rep` + i of the state
+    `what` names, or, for sequences `first_rep` and `what`, repetition
+    first_rep[i] of state what[i]: so the gate's error names it, where a
+    state that breaks the uncertainty relation is a truncation artifact.
+    The phase is the displacement phase theta of a coherent clock, or half
+    the squeeze angle of a `squeezed` one."""
     terms, fault = _covariance_terms(cov, det)
     if fault is not None:
-        raise TruncationError(
-            f"{what} at repetition {first_rep + fault[0]}: {fault[1]}; "
-            "truncation artifact, increase n_max")
+        i, message = fault
+        name, rep = ((what, first_rep + i) if isinstance(what, str)
+                     else (what[i], first_rep[i]))
+        raise TruncationError(f"{name} at repetition {rep}: {message}; "
+                              "truncation artifact, increase n_max")
     params = _parameters(moments, terms)
     return 0.5 * params.squeeze_angle if squeezed else params.phase, params
 
 
-def _one_entry_readout(rows: np.ndarray, state: GaussianState, k: int,
-                       rep: int, what: str, squeezed: bool
-                       ) -> tuple[float, float]:
-    """(wrapped clock phase, phase QFI) of `state` carried by one row pair
-    `rows`, read as a one-entry span at repetition `rep`."""
-    wrapped, params = _span_phase(*row_moments(rows[None], state, k), rep,
+def _readout(rows: np.ndarray, state: GaussianState, k: int, first_rep,
+             what, squeezed: bool) -> list[tuple[float, float]]:
+    """(wrapped clock phase, phase QFI) in plain floats of `state` carried
+    by each row pair of `rows` (m, 2, 2N), read as one span
+    (`_span_phase`)."""
+    wrapped, params = _span_phase(*row_moments(rows, state, k), first_rep,
                                   what, squeezed)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
-    return float(wrapped[0]), phase_qfi(GaussianParams(
-        *(float(v[0]) for v in vars(params).values())))
+    fields = [v.tolist() for v in vars(params).values()]
+    return [(theta, phase_qfi(GaussianParams(*entry)))
+            for theta, *entry in zip(wrapped.tolist(), *fields)]
 
 
-def _clock_frame(config: ScenarioConfig) -> tuple:
+# the states `_clock_frame` reads, in the order of its span
+_READ_STATES = ("initial state", "transported state", "mode-mixing-only state")
+
+
+def _clock_frame(config: ScenarioConfig, rows: np.ndarray | None = None
+                 ) -> tuple:
     """(initial state, its phase QFI, whether it is squeezed vacuum,
     theta_start, period, omega_k c, the classical extended clock's time per
-    block): what the readout needs besides the maps, with the readout
-    decided once per run by `state_kind`.  The initial state is read by
-    identity rows (det sigma exactly 1/16); a squeezed vacuum too faint for
-    its covariance to resolve is a numerical limit."""
+    block, readings): what the readout needs besides the maps, with the
+    readout decided once per run by `state_kind`.  The initial state is
+    read by identity rows (det sigma exactly 1/16): alone, or, given `rows`,
+    the clock row pair of S_B^reps and the mode-mixing-only row pair, at
+    mode k of a zero matrix ahead of them, all three in one span, whose
+    other two (wrapped phase, QFI) pairs are `readings`.  A squeezed vacuum
+    too faint for its covariance to resolve is a numerical limit."""
     state = config.initial_state()
     squeezed = config.state_kind == "squeezed_vacuum"
-    theta_start, qfi = _one_entry_readout(np.eye(2), state, 1, 0,
-                                          "initial state", squeezed)
+    k, reps = int(config.clock_mode), int(config.repetitions)
+    if rows is None:
+        batch, k = np.eye(2)[None], 1
+    else:
+        batch = np.zeros((1 + len(rows), 2, rows.shape[-1]))
+        batch[0, :, 2 * k - 2:2 * k] = np.eye(2)
+        batch[1:] = rows
+    try:
+        (theta_start, qfi), *readings = _readout(
+            batch, state, k, (0, reps, reps), _READ_STATES, squeezed)
+    except TruncationError:
+        if rows is not None:  # the initial state's own faults come first
+            _clock_frame(config)
+        raise
     if not qfi > 0:  # covariance cannot resolve mean_n
         raise UnboundedVarianceError(
             f"initial state at mean_n {config.mean_n!r} reads phase QFI "
@@ -270,7 +297,8 @@ def _clock_frame(config: ScenarioConfig) -> tuple:
     classical_block = (2.0 * config.t_i
                        + classical_cavity_ratio(config.h) * (4.0 * config.t_a))
     return (state, qfi, squeezed, theta_start,
-            math.pi if squeezed else 2.0 * math.pi, omega_c, classical_block)
+            math.pi if squeezed else 2.0 * math.pi, omega_c, classical_block,
+            readings)
 
 
 def _horizon(delta: float) -> float:
@@ -303,31 +331,33 @@ def _map_stage(config: ScenarioConfig, junctions=None) -> tuple:
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
     s_block, product = _block_symplectic(block, config.L, n_max,
                                          config.quadrature_tol, junctions)
-    trusted = np.s_[:2 * _trusted_interior(k, n_max)]  # the gates' rows
-    eps_block = gated_residual(*_coefficients(s_block[trusted]), k,
-                               config.residual_gate, "block-map")
+    s_final = _map_power(s_block, reps, product)
+    # both gates in one residual pass over the trusted rows, S_B's first.
     # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
     # and benchmark configs (tests/test_repetitions.py): the residual grows
     # with r, so gating the final map vouches for every repetition below.
-    s_final = _map_power(s_block, reps, product)
-    eps_final = gated_residual(*_coefficients(s_final[trusted]), k,
-                               config.residual_gate, "composed-map")
+    trusted = np.s_[:2 * _trusted_interior(k, n_max)]
+    residuals = gated_residual(
+        *_coefficients(np.stack((s_block[trusted], s_final[trusted]))), k,
+        config.residual_gate, ("block-map", "composed-map"))
     # of S_B^reps only its clock row pair and row k of its passive part
-    # (alpha's polar factor, beta zeroed) are read later; S_B^reps and the
-    # SVD are freed here
+    # (alpha's polar factor, beta zeroed) are read later; S_B^reps and alpha
+    # are freed before the passive rows are built
+    final_rows = s_final[2 * k - 2:2 * k].copy()  # a view would pin S_B^reps
     alpha = _alpha(s_final)
+    del s_final
     if not np.isfinite(alpha).all():  # the SVD would raise LinAlgError
         raise TruncationError("composed-map is not finite; increase n_max")
-    final_rows = s_final[2 * k - 2:2 * k].copy()  # a view would pin S_B^reps
     u, _, vh = np.linalg.svd(alpha)
+    del alpha
     mm_alpha = (u @ vh)[k - 1:k]
+    del u, vh
     mm_rows = symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha))
-    del s_final, alpha, u, vh, mm_alpha
     # omega = (R Omega Rᵀ)_12 of S_B's clock row pair R, 1 for an exact map
     r = s_block[2 * k - 2:2 * k]
     delta = float(r[0, 0::2] @ r[1, 1::2] - r[0, 1::2] @ r[1, 0::2]) - 1.0
     return (s_block, final_rows, mm_rows, delta, elapsed_times(block)[1],
-            (eps_block, eps_final))
+            tuple(residuals))
 
 
 def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
@@ -337,7 +367,7 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
     repetition's state."""
     k = int(config.clock_mode)
     reps = int(config.repetitions)
-    state0, _, squeezed, theta_start, period, omega_c, classical_block = (
+    state0, _, squeezed, theta_start, period, omega_c, classical_block, _ = (
         _clock_frame(config))
     anchor_block = omega_c * classical_block
 
@@ -388,22 +418,18 @@ def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
 
 def run_twin(config: ScenarioConfig) -> ScenarioResult:
     """Run the twin-paradox scenario: the map stage, the drift horizon, then
-    the final and the mode-mixing-only state, each read from its row pair
+    the initial, the final and the mode-mixing-only state, read in one span
     (module docstring)."""
     (_, final_rows, mm_rows, delta, tau_alice_block,
      residuals) = _map_stage(config)
     if (fault := _drift_fault(config, delta)) is not None:
         raise TruncationError(fault)
-    # plain ints: an np.int64 count would make the time fields numpy scalars
-    k = int(config.clock_mode)
+    # a plain int: an np.int64 count would make the time fields numpy scalars
     reps = int(config.repetitions)
-    (state0, qfi_before, squeezed, theta_start, period, omega_c,
-     classical_block) = _clock_frame(config)
+    (_, qfi_before, _, theta_start, period, omega_c, classical_block,
+     ((theta_full, qfi_after), (theta_mm, qfi_after_mm))) = _clock_frame(
+        config, np.stack((final_rows, mm_rows)))
     anchor = theta_start + reps * (omega_c * classical_block)
-    theta_full, qfi_after = _one_entry_readout(
-        final_rows, state0, k, reps, "transported state", squeezed)
-    theta_mm, qfi_after_mm = _one_entry_readout(
-        mm_rows, state0, k, reps, "mode-mixing-only state", squeezed)
     theta_full = anchor + math.remainder(theta_full - anchor, period)
     theta_mm = anchor + math.remainder(theta_mm - anchor, period)
 

@@ -15,11 +15,12 @@ returns the readout's det sigma' from the same pass over the rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnboundedVarianceError, ValidationError
 from .modes import BogoliubovMap, gated_residual, symplectic_matrix
 
 _TWO_PI = 2.0 * math.pi
@@ -229,12 +230,24 @@ def extract_params(state: GaussianState) -> GaussianParams:
     """Parameters from the first and second moments of a single-mode state
     (`_covariance_terms`, then `_parameters`); an unphysical state raises
     ValidationError.  A state given by its entries has no rows to take det
-    sigma from (`row_moments`): it is s11 s22 - s12^2, which can cancel."""
+    sigma from (`row_moments`): it is s11 s22 - s12^2, which can cancel.
+    Where it falls short of the pure state's 1/16 by no more than its
+    rounding, 2 eps (|s11 s22| + s12^2) (the formula's, and one unit
+    roundoff in each stored entry), the entries cannot resolve the state:
+    UnboundedVarianceError, a numerical limit, not invalid input."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
     c = state.covariance
-    terms, fault = _covariance_terms(c, c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    diagonal, off = c[0, 0] * c[1, 1], c[0, 1] * c[1, 0]
+    det = diagonal - off
+    terms, fault = _covariance_terms(c, det)
     if fault is not None:
+        rounding = 2.0 * sys.float_info.epsilon * (abs(diagonal) + abs(off))
+        if c[0, 0] > 0 and c[1, 1] > 0 and 0.0625 - det <= rounding:
+            raise UnboundedVarianceError(
+                f"covariance det {float(det)!r} is within the rounding "
+                f"{rounding:.3e} of its entries below 1/16: the entries "
+                "cannot resolve the state")
         raise ValidationError(fault[1])
     params = _parameters(state.first_moments, terms)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field

@@ -28,7 +28,8 @@ def phase_qfi(params: GaussianParams) -> float:
 
 def cramer_rao(qfi: float, measurements: int) -> float:
     """Best attainable standard deviation over `measurements` repetitions:
-    1 / sqrt(M * H)."""
+    1 / sqrt(M * H), or 1 / (sqrt(M) sqrt(H)) where M * H overflows.  A
+    count that no double holds raises ValidationError."""
     if not 0 <= qfi <= sys.float_info.max:
         raise ValidationError(f"qfi must be >= 0 and finite, got {qfi}")
     if (isinstance(measurements, bool)
@@ -37,17 +38,31 @@ def cramer_rao(qfi: float, measurements: int) -> float:
             f"measurements must be an integer, got {measurements!r}")
     if measurements < 1:
         raise ValidationError(f"measurements must be >= 1, got {measurements}")
+    try:
+        count = float(measurements)
+    except OverflowError:
+        raise ValidationError(
+            f"measurements must fit in a double, got an integer of "
+            f"{measurements.bit_length()} bits") from None
     if qfi == 0:
         raise UnboundedVarianceError(
             "zero Fisher information: estimator variance is unbounded")
-    return 1.0 / math.sqrt(measurements * qfi)
+    if (product := count * qfi) <= sys.float_info.max:
+        return 1.0 / math.sqrt(product)
+    return 1.0 / (math.sqrt(count) * math.sqrt(qfi))
 
 
 def qfi_change_pct(before: float, after: float) -> float:
-    """Change of the QFI as a percentage of its pre-motion value."""
+    """Change of the QFI as a percentage of its pre-motion value:
+    100 (after - before) / before, or 100 ((after - before) / before) where
+    the former overflows."""
     if not 0 < before <= sys.float_info.max:
         raise ValidationError(
             f"reference qfi must be > 0 and finite, got {before}")
     if not 0 <= after <= sys.float_info.max:
         raise ValidationError(f"qfi must be >= 0 and finite, got {after}")
-    return 100.0 * (after - before) / before
+    change = 100.0 * (after - before) / before
+    if abs(change) <= sys.float_info.max:
+        return change
+    # 100 (after - before) overflowed: divide first
+    return 100.0 * ((after - before) / before)

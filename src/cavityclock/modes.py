@@ -38,8 +38,19 @@ from .errors import (HorizonError, QuadratureError, TruncationError,
 from .trajectory import Trajectory
 
 
-# Panel budget of the composite quadrature: doubling stops beyond it.
+# Gauss-Legendre nodes per panel of the composite quadrature, and its panel
+# budget: no level takes more panels
+_ORDER = 32
 _MAX_PANELS = 1024
+# Bernstein ellipses E_rho that `_quadrature_bound` tries, as (a - 1, b,
+# log((64/15) rho^(-2 _ORDER) / (rho^2 - 1))) for semi-axes a and b
+_ELLIPSES = tuple((0.5 * (rho + 1.0 / rho) - 1.0, 0.5 * (rho - 1.0 / rho),
+                   math.log(64.0 / 15.0) - 2 * _ORDER * math.log(rho)
+                   - math.log(rho * rho - 1.0))
+                  for rho in (1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0))
+# rounding of one level's entries, in units of eps * n_max: at most 1.4 over
+# h from 1e-9 to 1.99 and n_max from 8 to 128 (tests/test_modes.py)
+_ROUNDING_FLOOR = 4.0
 
 
 @lru_cache(maxsize=8)
@@ -47,9 +58,9 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _composite_nodes(a: float, b: float, panels: int,
-                     order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(order)
+def _composite_nodes(a: float, b: float,
+                     panels: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -95,6 +106,49 @@ def _atanh_minus_z(z: float) -> float:
     return math.atanh(z) - z
 
 
+def _junction_geometry(h: float) -> tuple[float, float, float]:
+    """(u_max, chi1, d) of the junction at h in rescaled units L = 1: u_max =
+    ln(chi2/chi1) = 2 artanh(h/2), chi1 = 1/h - 1/2 and d = chi1 - 1/u_max,
+    the O(1) remainder of two ~1/h terms."""
+    u_max = 2.0 * math.atanh(h / 2.0)
+    if h * u_max == 0:  # underflows for h below about 1.5e-162
+        raise QuadratureError(f"junction_map cannot resolve h = {h!r}: "
+                              "h * u_max underflows to 0", math.inf)
+    return (u_max, 1.0 / h - 0.5,
+            2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5)
+
+
+def _quadrature_bound(n_max: int, panels: int, u_max: float, chi1: float,
+                      d: float) -> float:
+    """A-priori bound on the error of every entry of `junction_map` from
+    `panels` panels of _ORDER Gauss-Legendre nodes, plus a rounding floor of
+    _ROUNDING_FLOOR * eps * n_max.
+
+    A panel of half-width w maps to [-1, 1], where each integrand (Rindler
+    sine times Minkowski sine, times 1 or d + xi) is entire.  In a Bernstein
+    ellipse E_rho of semi-axes a and b, Re u exceeds the panel by at most w(a
+    - 1), so the Rindler sine is at most exp(pi n_max w b / u_max), the
+    Minkowski sine sin(pi n chi1 (e^u - 1)) at most exp(pi n_max chi2 g w b)
+    with g = exp(w (a - 1)), and |d + xi| at most |d| + chi2 g + chi1.  There
+    Gauss-Legendre errs by at most (64/15) M rho^(-2 _ORDER) / (rho^2 - 1)
+    for |f| <= M (Trefethen, SIAM Review 50, 2008); the panels add up to
+    u_max / 2 times that, and an entry weighs the two sums by at most
+    sqrt(n_max) and 2 sqrt(n_max) / u_max.  The best of the `_ELLIPSES` is
+    taken."""
+    w = 0.5 * u_max / panels
+    chi2 = chi1 + 1.0
+    best = math.inf
+    for a_1, b, log_gauss in _ELLIPSES:
+        grow = math.exp(w * a_1)
+        exponent = math.pi * n_max * w * b * (1.0 / u_max + chi2 * grow)
+        weight = 0.5 * u_max * (abs(d) + chi2 * grow + chi1) + 1.0
+        best = min(best, exponent + log_gauss
+                   + math.log(math.sqrt(n_max) * weight))
+    # math.exp raises OverflowError beyond 709.78
+    return (math.exp(min(best, 700.0))
+            + _ROUNDING_FLOOR * sys.float_info.epsilon * n_max)
+
+
 def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     """Instantaneous Minkowski -> Rindler basis change on the matching slice.
 
@@ -104,6 +158,11 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     Rindler profile is a pure sine; large 1/h terms are regrouped so every
     entry stays accurate down to h ~ 1e-12 in absolute terms only (~1e-15):
     there (alpha - I)/h and beta/h are off by up to ~1e-3.
+
+    One quadrature level is computed, with no doubling: the fewest panels,
+    max(2, n_max // 8) times a power of 2, whose a-priori bound
+    (`_quadrature_bound`) is within `tol` on every entry.  QuadratureError
+    when no level within _MAX_PANELS panels is.
     """
     if not 0 < h:
         raise ValidationError(f"junction needs h > 0, got {h}")
@@ -112,75 +171,51 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
 
-    u_max = 2.0 * math.atanh(h / 2.0)
-    chi1 = 1.0 / h - 0.5
-    if h * u_max == 0:  # underflows for h below about 1.5e-162
-        raise QuadratureError(f"junction_map cannot resolve h = {h!r}: "
-                              "h * u_max underflows to 0", math.inf)
-    # d = chi1 - 1/u_max, the O(1) remainder of two ~1/h terms
-    d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
-    n = np.arange(1.0, n_max + 1.0)
-
-    def level(panels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """The raw overlap sums (a0, a1) on `panels` panels: the Minkowski
-        table (n_max x nodes) whole, the Rindler table and its weighted copy
-        in blocks of `rows` modes (the last takes the rest).  Tables are
-        built in place, with no broadcast product: its numpy iterator buffer
-        would add to the peak allocation."""
-        u, w = _composite_nodes(0.0, u_max, panels)
-        xi = chi1 * np.expm1(u)
-        mink = np.dot(n[:, None], xi[None], out=np.empty((n_max, u.size)))
-        np.multiply(np.pi, mink, out=mink)
-        np.sin(mink, out=mink)
-        w_shift = w * (d + xi)
-        del xi
-        a0, a1 = np.empty((2, n_max, n_max))
-        edges = [i * rows for i in range(max(1, n_max // rows))] + [n_max]
-        rind, weighted = np.empty((2, n_max - edges[-2], u.size))
-        for lo, hi in zip(edges, edges[1:]):
-            r, wr = rind[:hi - lo], weighted[:hi - lo]
-            np.dot(n[lo:hi, None], u[None], out=r)
-            np.multiply(np.pi, r, out=r)
-            np.divide(r, u_max, out=r)
-            np.sin(r, out=r)
-            for weight, sums in ((w, a0), (w_shift, a1)):
-                wr[...] = weight
-                np.multiply(r, wr, out=wr)
-                np.matmul(wr, mink.T, out=sums[lo:hi])
-        return a0, a1
-
-    def entries(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha, beta) from one level's raw sums."""
-        inv_s, sum_nm, dif_nm = tables
-        base = n[None, :] * a1
-        return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
-
+    u_max, chi1, d = _junction_geometry(h)
     panels = max(2, n_max // 8)
-    # finer levels in blocks of 8 Rindler rows, at n_max <= 32 only: a block
-    # must round like the whole product, and OpenBLAS takes other kernels
-    # for one row, or for a product of more than about 1200 entries
-    rows = 8 if n_max <= 32 else n_max
-    tables, estimate = None, math.inf
-    while panels <= _MAX_PANELS:
-        fine = level(2 * panels, rows)
-        if tables is None:
-            # finer level first: the coarser one's smaller, whole tables are
-            # then the ones built beside the other level's sums
-            coarse = level(panels, n_max)
-            tables = (1.0 / np.sqrt(np.outer(n, n)),
-                      (n[:, None] + n[None, :]) / u_max,
-                      (n[None, :] - n[:, None]) / u_max)
-            alpha, beta = entries(*coarse)
-            del coarse
-        alpha2, beta2 = entries(*fine)
-        del fine
-        estimate = max(float(np.max(np.abs(alpha2 - alpha))),
-                       float(np.max(np.abs(beta2 - beta))))
-        if estimate <= tol:
-            return BogoliubovMap(alpha2, beta2)
-        alpha, beta = alpha2, beta2
+    while not (bound := _quadrature_bound(n_max, panels, u_max, chi1,
+                                          d)) <= tol:
         panels *= 2
-    raise QuadratureError("junction_map quadrature did not converge", estimate)
+        if panels > _MAX_PANELS:
+            raise QuadratureError(
+                f"junction_map quadrature did not converge: its error bound "
+                f"exceeds tol {tol:.3e} up to {_MAX_PANELS} panels", bound)
+
+    # The raw overlap sums (a0, a1): the Minkowski table (n_max x nodes)
+    # whole, the Rindler table and its weighted copy in blocks of `rows`
+    # modes (the last takes the rest).  Blocks of 8 at n_max <= 32 only: a
+    # block must round like the whole product, and OpenBLAS takes other
+    # kernels for one row, or for a product of more than about 1200 entries.
+    # Tables are built in place, with no broadcast product: its numpy
+    # iterator buffer would add to the peak allocation.
+    rows = 8 if n_max <= 32 else n_max
+    n = np.arange(1.0, n_max + 1.0)
+    u, w = _composite_nodes(0.0, u_max, panels)
+    xi = chi1 * np.expm1(u)
+    mink = np.dot(n[:, None], xi[None], out=np.empty((n_max, u.size)))
+    np.multiply(np.pi, mink, out=mink)
+    np.sin(mink, out=mink)
+    w_shift = w * (d + xi)
+    del xi
+    a0, a1 = np.empty((2, n_max, n_max))
+    edges = [i * rows for i in range(max(1, n_max // rows))] + [n_max]
+    rind, weighted = np.empty((2, n_max - edges[-2], u.size))
+    for lo, hi in zip(edges, edges[1:]):
+        r, wr = rind[:hi - lo], weighted[:hi - lo]
+        np.dot(n[lo:hi, None], u[None], out=r)
+        np.multiply(np.pi, r, out=r)
+        np.divide(r, u_max, out=r)
+        np.sin(r, out=r)
+        for weight, sums in ((w, a0), (w_shift, a1)):
+            wr[...] = weight
+            np.multiply(r, wr, out=wr)
+            np.matmul(wr, mink.T, out=sums[lo:hi])
+    del mink, rind, weighted, r, wr
+    inv_s = 1.0 / np.sqrt(np.outer(n, n))
+    base = n[None, :] * a1
+    return BogoliubovMap(
+        inv_s * (base + (n[:, None] + n[None, :]) / u_max * a0),
+        inv_s * (base + (n[None, :] - n[:, None]) / u_max * a0))
 
 
 def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -196,14 +231,17 @@ def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _alpha(s: np.ndarray) -> np.ndarray:
-    """alpha of the rows of a map whose `symplectic_matrix` rows are `s`."""
-    return 0.5 * ((s[0::2, 0::2] + s[1::2, 1::2])
-                  + 1j * (s[0::2, 1::2] - s[1::2, 0::2]))
+    """alpha of the rows of a map whose `symplectic_matrix` rows are `s`,
+    over any leading batch axes."""
+    return 0.5 * ((s[..., 0::2, 0::2] + s[..., 1::2, 1::2])
+                  + 1j * (s[..., 0::2, 1::2] - s[..., 1::2, 0::2]))
 
 
 def _coefficients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) for the rows `s` of a `symplectic_matrix`, up to rounding."""
-    qq, qp, pq, pp = s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]
+    """(alpha, beta) for the rows `s` of a `symplectic_matrix`, up to
+    rounding, over any leading batch axes."""
+    qq, qp = s[..., 0::2, 0::2], s[..., 0::2, 1::2]
+    pq, pp = s[..., 1::2, 0::2], s[..., 1::2, 1::2]
     return _alpha(s), 0.5 * ((pp - qq) + 1j * (qp + pq))
 
 
@@ -351,14 +389,17 @@ def symplectic_residual(bmap: BogoliubovMap, interior: int) -> tuple[float, floa
     if not 1 <= interior <= bmap.n_max:
         raise ValidationError(
             f"interior block size {interior} outside [1, {bmap.n_max}]")
-    return _residual(bmap.alpha[:interior], bmap.beta[:interior])
+    eps1, eps2 = _residual(bmap.alpha[:interior], bmap.beta[:interior])
+    return float(eps1), float(eps2)
 
 
-def _residual(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """`symplectic_residual` of the leading rows (a, b) of (alpha, beta)."""
-    g1 = a @ a.conj().T - b @ b.conj().T - np.eye(len(a))
-    g2 = a @ b.T - b @ a.T
-    return float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
+def _residual(a: np.ndarray, b: np.ndarray) -> tuple:
+    """`symplectic_residual` of the leading rows (a, b) of (alpha, beta),
+    each of eps1 and eps2 an array over any leading batch axes."""
+    g1 = (a @ a.conj().swapaxes(-1, -2) - b @ b.conj().swapaxes(-1, -2)
+          - np.eye(a.shape[-2]))
+    g2 = a @ b.swapaxes(-1, -2) - b @ a.swapaxes(-1, -2)
+    return np.abs(g1).max(axis=(-2, -1)), np.abs(g2).max(axis=(-2, -1))
 
 
 _TRUSTED_MARGIN = 4  # modes above the clock mode in its trusted block
@@ -371,18 +412,25 @@ def _trusted_interior(clock_mode: int, n_max: int) -> int:
 
 
 def gated_residual(alpha: np.ndarray, beta: np.ndarray, clock_mode: int,
-                   gate: float | None, what: str) -> tuple[float, float]:
+                   gate: float | None, what) -> tuple:
     """`symplectic_residual` on the block trusted for the 1-based
-    `clock_mode`, of (alpha, beta) that may hold just its rows.  Raises
-    TruncationError unless eps1 <= `gate`, so a NaN residual fails too (None
-    disables the gate); `what` names the map in the message."""
-    interior = _trusted_interior(clock_mode, alpha.shape[1])
-    eps1, eps2 = _residual(alpha[:interior], beta[:interior])
-    if gate is not None and not eps1 <= gate:
-        raise TruncationError(
-            f"{what} symplectic residual {eps1:.3e} exceeds gate {gate:.3e} "
-            f"on the leading {interior}x{interior} block; increase n_max")
-    return eps1, eps2
+    `clock_mode`, of (alpha, beta) that may hold just its rows: (eps1, eps2),
+    with `what` naming the map in the gate's message.  Given maps stacked
+    on a leading axis and a name for each in `what`, one pass reads them
+    all and returns one pair per map.  Raises TruncationError for the first
+    map whose eps1 is not <= `gate`, so a NaN residual fails too (None
+    disables the gate)."""
+    interior = _trusted_interior(clock_mode, alpha.shape[-1])
+    eps1, eps2 = _residual(alpha[..., :interior, :], beta[..., :interior, :])
+    pairs = list(zip(np.ravel(eps1).tolist(), np.ravel(eps2).tolist()))
+    names = [what] if alpha.ndim == 2 else what
+    for name, (eps, _) in zip(names, pairs):
+        if gate is not None and not eps <= gate:
+            raise TruncationError(
+                f"{name} symplectic residual {eps:.3e} exceeds gate "
+                f"{gate:.3e} on the leading {interior}x{interior} block; "
+                "increase n_max")
+    return pairs[0] if alpha.ndim == 2 else pairs
 
 
 _DUMP_HEADER = "# cavityclock bogoliubov map v1"

@@ -4,10 +4,11 @@ powered by composing squares.  The library builds the same map on the real
 symplectic matrix instead, so the two share only `junction_map` and the map
 algebra's conventions: maps compose right to left, `compose(second, first)`.
 
-Also the byte oracles of the map stage: `whole_table_junction`, the
-junction quadrature on three whole node tables per level, and
-`pair_block_symplectic`, the block matrix assembled as S_J^-1 @ rot(S_J) on
-interleaved 2n x 2n matrices.
+Also the oracles of the map stage: `whole_table_junction`, one level of
+the junction quadrature on three whole node tables; `doubling_junction`,
+the quadrature whose levels double until two agree, which the one bounded
+level of `junction_map` replaced; and `pair_block_symplectic`, the block
+matrix assembled as S_J^-1 @ rot(S_J) on interleaved 2n x 2n matrices.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from cavityclock import (BogoliubovMap, C, Trajectory, ValidationError,
                          junction_map, modes)
-from cavityclock.modes import _atanh_minus_z, _composite_nodes, symplectic_matrix
+from cavityclock.modes import _composite_nodes, symplectic_matrix
 from kg_oracle import BasisKind, ModeBasis
 
 
@@ -111,38 +112,39 @@ def compose_chain_map(traj: Trajectory, L: float, n_max: int,
     return compose_power(block, traj.repetitions)
 
 
-def whole_table_junction(h: float, n_max: int,
-                         tol: float = 1e-12) -> BogoliubovMap:
-    """`junction_map` with every level summed on whole n_max x nodes tables
-    (Rindler, its weighted copy, Minkowski), the coarser level first; it
-    shares the nodes and the small-h remainder with the library."""
-    u_max = 2.0 * math.atanh(h / 2.0)
-    chi1 = 1.0 / h - 0.5
-    d = 2.0 * _atanh_minus_z(h / 2.0) / (h * u_max) - 0.5
+def whole_table_junction(h: float, n_max: int, panels: int) -> BogoliubovMap:
+    """One level of `junction_map`'s quadrature on `panels` panels, summed
+    on whole n_max x nodes tables (Rindler, its weighted copy, Minkowski);
+    it shares the nodes and the junction geometry with the library."""
+    u_max, chi1, d = modes._junction_geometry(h)
     n = np.arange(1.0, n_max + 1.0)
+    u, w = _composite_nodes(0.0, u_max, panels)
+    xi = chi1 * np.expm1(u)
+    rind = np.sin(np.pi * np.outer(n, u) / u_max)
+    mink = np.sin(np.pi * np.outer(n, xi))
+    a0 = (rind * w) @ mink.T
+    a1 = (rind * (w * (d + xi))) @ mink.T
     inv_s = 1.0 / np.sqrt(np.outer(n, n))
-    sum_nm = (n[:, None] + n[None, :]) / u_max
-    dif_nm = (n[None, :] - n[:, None]) / u_max
+    base = n[None, :] * a1
+    return BogoliubovMap(
+        inv_s * (base + (n[:, None] + n[None, :]) / u_max * a0),
+        inv_s * (base + (n[None, :] - n[:, None]) / u_max * a0))
 
-    def entries(panels):
-        u, w = _composite_nodes(0.0, u_max, panels)
-        xi = chi1 * np.expm1(u)
-        rind = np.sin(np.pi * np.outer(n, u) / u_max)
-        mink = np.sin(np.pi * np.outer(n, xi))
-        a0 = (rind * w) @ mink.T
-        a1 = (rind * (w * (d + xi))) @ mink.T
-        base = n[None, :] * a1
-        return inv_s * (base + sum_nm * a0), inv_s * (base + dif_nm * a0)
 
+def doubling_junction(h: float, n_max: int,
+                      tol: float = 1e-12) -> tuple[BogoliubovMap, int]:
+    """The junction quadrature by doubling, and the panel count it returns:
+    from max(2, n_max // 8) panels, the panels double until two levels agree
+    within `tol` on every entry, and the finer level is returned."""
     panels = max(2, n_max // 8)
-    alpha, beta = entries(panels)
+    coarse = whole_table_junction(h, n_max, panels)
     while True:
         panels *= 2
-        alpha2, beta2 = entries(panels)
-        if max(np.max(np.abs(alpha2 - alpha)),
-               np.max(np.abs(beta2 - beta))) <= tol:
-            return BogoliubovMap(alpha2, beta2)
-        alpha, beta = alpha2, beta2
+        fine = whole_table_junction(h, n_max, panels)
+        if max(np.max(np.abs(fine.alpha - coarse.alpha)),
+               np.max(np.abs(fine.beta - coarse.beta))) <= tol:
+            return fine, panels
+        coarse = fine
 
 
 def rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

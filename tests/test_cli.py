@@ -665,6 +665,27 @@ class TestQfiCommand:
         bound = float(lines[1].split("=", 1)[1])
         assert bound == pytest.approx(1.0 / math.sqrt(500 * qfi), rel=1e-12)
 
+    def test_bound_where_the_product_overflows(self, tmp_path, capsys):
+        # M H = 4e308 overflows a double; the bound is 1 / (sqrt(M) sqrt(H))
+        config = write_config(tmp_path, base_config())
+        assert main(["qfi", "--config", str(config),
+                     "--measurements", str(10**308)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert float(lines[0].split("=", 1)[1]) == pytest.approx(4.0,
+                                                                rel=1e-12)
+        assert float(lines[1].split("=", 1)[1]) == pytest.approx(
+            5e-155, rel=1e-12, abs=0)
+
+    def test_count_beyond_a_double_exit_code(self, tmp_path, capsys):
+        config = write_config(tmp_path, base_config())
+        assert main(["qfi", "--config", str(config),
+                     "--measurements", str(10**400)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: measurements "
+                                       "must fit in a double")
+        assert captured.err.count("\n") == 1
+        assert "bound=" not in captured.out
+
 
 class TestBogoCommand:
     def test_dump_is_byte_identical_across_runs(self, tmp_path):

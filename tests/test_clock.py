@@ -12,7 +12,7 @@ from cavityclock import (C, G_NEWTON, CavityClockError, HorizonError,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
                          trajectory_map)
 import cavityclock.clock as clock
-from cavityclock.clock import _one_entry_readout, _span_phase
+from cavityclock.clock import _readout, _span_phase
 from cavityclock.gauss import GaussianState
 from conftest import entry_det, moment_params
 from kg_oracle import near_horizon_geometry
@@ -284,16 +284,40 @@ class TestFaintSqueezedClock:
     # below about mean_n 1e-29 the covariance no longer resolves the
     # squeezing, and the phase QFI reads 0: a numerical limit
     def test_unresolved_squeezing_fails_before_the_lanes(self, monkeypatch):
-        # the initial state is read by identity rows; no row pair of the
-        # register carries it
+        # the initial state is read by identity rows at the clock mode, in
+        # the one span that also reads the two row pairs of S_B^reps; no
+        # lane runs
+        seen = []
         row_moments = clock.row_moments
 
-        def initial_only(rows, *args, **kwargs):
-            if rows.shape != (1, 2, 2):
-                pytest.fail("a row pair of the register was read")
+        def recording(rows, *args, **kwargs):
+            seen.append(rows.copy())
             return row_moments(rows, *args, **kwargs)
 
-        monkeypatch.setattr(clock, "row_moments", initial_only)
+        monkeypatch.setattr(clock, "row_moments", recording)
+        monkeypatch.setattr(clock, "_lane_route", lambda *args: pytest.fail(
+            "the lanes ran"))
+        with pytest.raises(UnboundedVarianceError, match="mean_n 1e-30"):
+            run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=3,
+                                    n_max=12, state_kind="squeezed_vacuum",
+                                    mean_n=1e-30))
+        [rows] = seen
+        assert rows.shape == (3, 2, 24)
+        assert rows[0].tobytes() == np.eye(2, 24).tobytes()
+
+    def test_initial_fault_comes_before_a_transported_one(self, monkeypatch):
+        # the span reads all three states at once; an unresolved initial
+        # state is still reported before a fault of the transported state
+        row_moments = clock.row_moments
+
+        def breaking(rows, state, k, out=None, work=None):
+            moments, cov, det = row_moments(rows, state, k, out=out,
+                                            work=work)
+            if len(rows) == 3:
+                det[1] = 0.04
+            return moments, cov, det
+
+        monkeypatch.setattr(clock, "row_moments", breaking)
         with pytest.raises(UnboundedVarianceError, match="mean_n 1e-30"):
             run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=3,
                                     n_max=12, state_kind="squeezed_vacuum",
@@ -337,11 +361,11 @@ TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
 
 class TestLastEntry:
     def test_fields_are_plain_floats(self):
-        # the one-entry readout, by identity rows, reads like the readout
-        # of a state, in plain floats
+        # a one-entry readout, by identity rows, reads like the readout of
+        # a state, in plain floats
         state = GaussianState([0.2, -0.3], 0.25 * np.eye(2))
-        theta, qfi = _one_entry_readout(np.eye(2), state, 1, 0,
-                                        "initial state", False)
+        [(theta, qfi)] = _readout(np.eye(2)[None], state, 1, 0,
+                                  "initial state", False)
         assert type(theta) is float and type(qfi) is float
         params = extract_params(state)
         assert (theta, qfi) == (params.phase, phase_qfi(params))
@@ -440,9 +464,9 @@ class TestSpanPhase:
 class TestQfiAfter:
     @pytest.mark.parametrize("reps", [1, 25, 600])
     def test_reads_the_last_entry_alone(self, reps, monkeypatch):
-        # run_twin reads three one-entry spans, the initial, the final and
-        # the mode-mixing-only state, and the QFI reuses each span's
-        # parameters, so no span is read twice and no lane runs
+        # run_twin reads one three-entry span, the initial, the final and
+        # the mode-mixing-only state, and the QFI reuses the span's
+        # parameters, so no state is read twice and no lane runs
         sizes = []
         parameters = clock._parameters
 
@@ -452,7 +476,7 @@ class TestQfiAfter:
 
         monkeypatch.setattr(clock, "_parameters", recording)
         run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps, n_max=12))
-        assert sizes == [(1, {1})] * 3
+        assert sizes == [(3, {3})]
 
 
 class TestGatedStates:
@@ -475,9 +499,9 @@ class TestGatedStates:
         result = run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                          n_max=12, state_kind=state_kind))
         # run_twin reads the initial state, then the final state and the
-        # mode-mixing-only state from S_B^reps; the series reads the
-        # initial state and runs the lanes
-        assert entries == [1, 1, 1]
+        # mode-mixing-only state from S_B^reps, in one span; the series
+        # reads the initial state and runs the lanes
+        assert entries == [3]
         entries.clear()
         assert len(result.phase_difference_series) == reps
         assert entries[0] == 1 and sum(entries) == reps + 1
@@ -496,9 +520,9 @@ class TestTruncationArtifact:
 
     @pytest.mark.parametrize("reps", [1, 25, 337])
     def test_unphysical_mode_mixing_only_state(self, reps, monkeypatch):
-        # the mode-mixing-only state is the one det read from its rows,
-        # after the final state, for either state kind; a det of 0.04 reads
-        # purity 1.25
+        # the mode-mixing-only state is the last det of the span, read from
+        # its rows after the final state, for either state kind; a det of
+        # 0.04 reads purity 1.25
         row_moments = clock.row_moments
         for state_kind in ("coherent", "squeezed_vacuum"):
             config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
@@ -508,9 +532,8 @@ class TestTruncationArtifact:
             def breaking(rows, state, k, out=None, work=None):
                 moments, cov, det = row_moments(rows, state, k, out=out,
                                                 work=work)
-                if (rows.shape == (1, *mm_rows.shape)
-                        and (rows == mm_rows).all()):
-                    det[...] = 0.04
+                if len(rows) == 3 and (rows[2] == mm_rows).all():
+                    det[2] = 0.04
                 return moments, cov, det
 
             monkeypatch.setattr(clock, "row_moments", breaking)

@@ -39,13 +39,14 @@ def row_pairs(reps: int) -> tuple:
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_readout_det_matches_the_referee(kind, mean_n, theta0, reps,
                                                monkeypatch):
-    # the dets run_twin's gate reads: the initial state by identity rows
-    # (exactly 1/16), then the final and the mode-mixing-only row pair
+    # the dets run_twin's gate reads, in one span: the initial state by
+    # identity rows (exactly 1/16), then the final and the mode-mixing-only
+    # row pair
     dets = []
     covariance_terms = clock._covariance_terms
 
     def recording(cov, det):
-        dets.append(float(det[0]))
+        dets.extend(np.ravel(det).tolist())
         return covariance_terms(cov, det)
 
     monkeypatch.setattr(clock, "_covariance_terms", recording)

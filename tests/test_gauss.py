@@ -9,7 +9,8 @@ from map_oracle import compose, free_phase_map, inverse
 from mp_referee import referee
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace, vacuum)
-from cavityclock import (BogoliubovMap, TruncationError, ValidationError,
+from cavityclock import (BogoliubovMap, TruncationError,
+                         UnboundedVarianceError, ValidationError,
                          apply_reduced, coherent, extract_params,
                          junction_map, squeezed_vacuum)
 from cavityclock.gauss import GaussianParams, GaussianState, _remainder, \
@@ -143,6 +144,22 @@ class TestExtractParams:
         state = GaussianState(np.zeros(2), 0.2 * np.eye(2))
         with pytest.raises(ValidationError, match="uncertainty relation"):
             extract_params(state)
+
+    def test_unresolved_entry_det_is_a_numerical_limit(self):
+        # s11 s22 - s12^2 cancels at N 1e6 and 0.3 rad: it reads purity
+        # 1.00009 for a pure state, within the rounding of its entries
+        with pytest.raises(UnboundedVarianceError,
+                           match="cannot resolve") as raised:
+            extract_params(squeezed_vacuum(1e6, 0.3))
+        assert not isinstance(raised.value, ValidationError)
+
+    @pytest.mark.parametrize("cov", [0.1 * np.eye(2), 0.2 * np.eye(2),
+                                     np.diag([1e6, 1e-8]),
+                                     np.array([[1e6, 999.99999],
+                                               [999.99999, 1.0]])])
+    def test_unphysical_covariance_is_still_invalid(self, cov):
+        with pytest.raises(ValidationError, match="uncertainty relation"):
+            extract_params(GaussianState(np.zeros(2), cov))
 
     def test_highly_squeezed_state_extraction_is_stable(self):
         # far past the artanh cancellation regime

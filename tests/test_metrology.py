@@ -1,9 +1,11 @@
 import math
+import sys
 
 import pytest
 
-from cavityclock import (GaussianParams, UnboundedVarianceError,
-                         ValidationError, apply_reduced,
+from cavityclock import (GaussianParams, ScenarioConfig,
+                         UnboundedVarianceError, ValidationError,
+                         apply_reduced, run_twin,
                          classical_cavity_ratio, coherent, cramer_rao,
                          extract_params, phase_qfi, qfi_change_pct,
                          schwarzschild_acceleration, squeezed_vacuum)
@@ -76,6 +78,24 @@ class TestCramerRao:
         with pytest.raises(ValidationError):
             cramer_rao(4.0, 0)
 
+    @pytest.mark.parametrize("qfi, measurements", [
+        (4.0, 1), (4.0, 500), (16.0, 3), (1e-300, 7), (2.5e300, 10**7),
+        (4.0, 2**53 + 1), (1e10, 10**297)])
+    def test_bit_identical_where_the_product_is_finite(self, qfi,
+                                                       measurements):
+        assert cramer_rao(qfi, measurements) == 1.0 / math.sqrt(
+            measurements * qfi)
+
+    def test_overflowing_product(self):
+        # 4e308 is beyond the largest double; 1/sqrt(inf) would read 0
+        assert cramer_rao(4.0, 10**308) == pytest.approx(5e-155, rel=1e-15,
+                                                         abs=0)
+        assert cramer_rao(sys.float_info.max, 10**308) > 0
+
+    def test_count_beyond_a_double(self):
+        with pytest.raises(ValidationError, match="fit in a double"):
+            cramer_rao(4.0, 10**400)
+
 
 class TestQfiChangePct:
     @pytest.mark.parametrize("before,after,expected", [
@@ -90,6 +110,31 @@ class TestQfiChangePct:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValidationError):
             qfi_change_pct(0.0, 1.0)
+
+    @pytest.mark.parametrize("before,after", [
+        (4.0, 4.0), (4.0, 2.0), (16.0, 16.8), (16.0, 16.000000001),
+        (8.0 * 1e7 * (1e7 + 1), 8.0 * 1e7 * (1e7 + 1) * (1 - 7.72e-8)),
+        (1e300, 1e-300), (1.7e306, 0.0)])
+    def test_bit_identical_where_finite(self, before, after):
+        assert qfi_change_pct(before, after) == 100.0 * (after - before) / before
+
+    @pytest.mark.parametrize("before,after,expected", [
+        (3.2e307, 5.3e161, -100.0), (sys.float_info.max, 0.0, -100.0),
+        (1e307, 1.5e307, 50.0)])
+    def test_overflowing_difference(self, before, after, expected):
+        # 100 (after - before) overflows: the change is still reported
+        assert qfi_change_pct(before, after) == pytest.approx(expected,
+                                                              rel=1e-12)
+
+    def test_run_twin_of_a_huge_squeezed_vacuum(self):
+        # qfi_before 3.2e307: the QFI change read -inf before
+        result = run_twin(ScenarioConfig(
+            t_a=1e-9, t_i=0.0, L=0.011, a=1.7e15, repetitions=500, n_max=24,
+            state_kind="squeezed_vacuum", mean_n=2e153, theta0=0.3))
+        assert result.qfi_before == pytest.approx(3.2e307, rel=1e-12)
+        assert result.qfi_change_pct_full == pytest.approx(-100.0, rel=1e-12)
+        assert result.qfi_change_pct_mm_only == pytest.approx(-100.0,
+                                                              rel=1e-12)
 
 
 @pytest.mark.parametrize("call", [

@@ -157,9 +157,9 @@ class TestJunctionMap:
         assert np.max(np.abs(back.beta[interior])) < 1e-8
 
     def test_peak_allocation(self):
-        # the finer level's whole 24 x 192 Minkowski table (37 KB) and 8-row
-        # blocks of its Rindler tables; whole Rindler tables, or a broadcast
-        # product's numpy iterator buffer, would add 12 KB or more
+        # the one level's whole 24 x 96 Minkowski table (18 KB) and 8-row
+        # blocks of its Rindler tables peak at about 52 KB; whole Rindler
+        # tables would add about 19 KB
         assert peak_bytes(lambda: junction_map(2.1e-4, 24)) <= 84_000
 
     def test_horizon_and_domain_errors(self):
@@ -184,6 +184,79 @@ class TestJunctionMap:
         jmap = junction_map(2e-162, 8)
         assert np.max(np.abs(jmap.alpha - np.eye(8))) <= 1e-14
         assert np.max(np.abs(jmap.beta)) <= 1e-14
+
+
+def library_level(h, n_max, tol=1e-12):
+    """(`junction_map(h, n_max, tol)`, the panel count of the one level it
+    computes)."""
+    panels = []
+    nodes = modes._composite_nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "_composite_nodes", lambda a, b, count: (
+            panels.append(count) or nodes(a, b, count)))
+        jmap = junction_map(h, n_max, tol)
+    assert len(panels) == 1
+    return jmap, panels[0]
+
+
+def max_deviation(first, second):
+    return max(float(np.max(np.abs(first.alpha - second.alpha))),
+               float(np.max(np.abs(first.beta - second.beta))))
+
+
+class TestQuadratureBound:
+    """The one bounded level against the doubling loop it replaced
+    (`map_oracle.doubling_junction`), on h from 1e-9 to the horizon and
+    n_max from 8 to 128."""
+
+    @pytest.mark.parametrize("n_max", [8, 24, 64, 128])
+    @pytest.mark.parametrize("h", [1e-9, 1e-6, 2.1e-4, 9.5e-4, 0.05, 0.3, 1.0,
+                                   1.5, 1.9, 1.99])
+    def test_against_the_doubling_loop(self, h, n_max):
+        jmap, panels = library_level(h, n_max)
+        first = max(2, n_max // 8)
+        # every level tried, from `first` panels to the one computed, is
+        # within its bound of the level 4 times finer, which stands in for
+        # the exact integral; the rounding floor covers their rounding
+        # difference, at most 1.4 eps n_max here
+        tried = first
+        while True:
+            bound = modes._quadrature_bound(n_max, tried,
+                                            *modes._junction_geometry(h))
+            level = (jmap if tried == panels
+                     else map_oracle.whole_table_junction(h, n_max, tried))
+            finer = map_oracle.whole_table_junction(h, n_max, 4 * tried)
+            assert max_deviation(level, finer) <= bound
+            if tried == panels:
+                break
+            assert bound > 1e-12
+            tried *= 2
+        assert bound <= 1e-12
+        doubled, doubling_panels = map_oracle.doubling_junction(h, n_max)
+        assert max_deviation(jmap, doubled) <= 5e-14
+        # the doubling loop computed first and 2 first panels at least;
+        # one level of `first` panels is converged to rounding up to h 0.3
+        if h <= 0.3:
+            assert panels == first
+        if h <= 1.0:
+            assert panels <= doubling_panels
+
+    def test_bound_falls_with_the_panels(self):
+        geometry = modes._junction_geometry(1.9)
+        bounds = [modes._quadrature_bound(24, panels, *geometry)
+                  for panels in (3, 6, 12, 24)]
+        assert bounds == sorted(bounds, reverse=True)
+        assert bounds[0] > 1e-4 and bounds[-1] < 1e-13
+
+    def test_unreachable_tolerance_computes_no_level(self, monkeypatch):
+        # the rounding floor keeps a tolerance below it unreachable, and the
+        # bound says so before any node table is built
+        monkeypatch.setattr(modes, "_composite_nodes", lambda *args: (
+            pytest.fail("a level was computed")))
+        with pytest.raises(QuadratureError, match="did not converge") as raised:
+            junction_map(0.05, 8, tol=1e-15)
+        assert raised.value.estimate == pytest.approx(
+            modes._ROUNDING_FLOOR * 8 * np.finfo(float).eps, rel=1e-6)
 
 
 def first_order_junction(n_max):
@@ -320,8 +393,8 @@ class TestMapStageBytes:
     @pytest.mark.parametrize("n_max", N_MAX)
     @pytest.mark.parametrize("h", H)
     def test_junction_map(self, h, n_max):
-        jmap = junction_map(h, n_max)
-        oracle = map_oracle.whole_table_junction(h, n_max)
+        jmap, panels = library_level(h, n_max)
+        oracle = map_oracle.whole_table_junction(h, n_max, panels)
         assert jmap.alpha.tobytes() == oracle.alpha.tobytes()
         assert jmap.beta.tobytes() == oracle.beta.tobytes()
 
@@ -342,8 +415,8 @@ class TestMapStageBytes:
         assert y_t.base is y and x_t.base is x
         np.testing.assert_array_equal(y_t, y.T)
 
-    @pytest.mark.parametrize("h, deviation", [(2.1e-4, 7.327471962526033e-15),
-                                              (0.05, 4.104899753443192e-10)])
+    @pytest.mark.parametrize("h, deviation", [(2.1e-4, 8.05360836850621e-15),
+                                              (0.05, 4.1048953125510934e-10)])
     def test_inverse_roundtrip_reads_the_pair(self, h, deviation):
         # max|YᵀX - I|, max|XᵀY - I| on the leading 5 x 5 block, as `check`
         # forms them, equal max|S_J^-1 S_J - I| on the interleaved pair
