@@ -337,9 +337,10 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
         # the residuals `run_twin` gates, from its own map stage, ungated
         stage = _map_stage(replace(c, residual_gate=None), {h: blocks})
         for name, eps in zip(("block map S_B",
-                              f"composed map S_B^{c.repetitions}"), stage[-1]):
+                              f"composed map S_B^{c.repetitions}"),
+                             stage.residuals):
             report(name, eps, gate)
-        delta = stage[3]
+        delta = stage.delta
         fault = _drift_fault(c, delta)
         failures += fault is not None
         print(f"{'PASS' if fault is None else 'FAIL'} drift horizon: "

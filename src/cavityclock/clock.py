@@ -5,13 +5,15 @@ the clock mode's Gaussian state, and compare the resulting clock time
 (phase / mode frequency) and precision (phase QFI) against the pointlike and
 classical extended-clock predictions.
 
-Two stages.  `_map_stage` builds all that does not depend on the state:
-the one-block map S_B and S_B^reps (by squaring), both behind the residual
-gate in one pass, which takes (alpha, beta) of their trusted rows only; the
-clock mode k's row pair of S_B^reps; the row pair of the passive part of
-S_B^reps (from its alpha alone) for the mode-mixing-only state; and the
-drift delta = omega - 1 of S_B's clock row pair R, where omega = (R Omega
-Rᵀ)_12 is 1 for an exact map.
+Two stages.  `_map_stage` builds all that does not depend on the state,
+as a `MapStage`: the one-block map S_B, gated by the residual of its
+trusted rows and read for the drift delta = omega - 1 of its clock row
+pair R, where omega = (R Omega Rᵀ)_12 is 1 for an exact map; then S_B^reps,
+squared in S_B's own buffer and two more (`modes._map_power`) and gated
+the same way; the clock mode k's row pair of S_B^reps; and the row pair of
+the passive part of S_B^reps (from its alpha alone) for the
+mode-mixing-only state.  No more than three 2n x 2n matrices are alive at
+once.
 
 One route then reads the clock.  A run beyond the drift horizon 0.5 *
 `_PURITY_SLACK` / max(|delta|, 2^-52) (`_drift_fault`) raises
@@ -201,10 +203,9 @@ class ScenarioResult:
         """theta_alice - theta_full after each round trip, 1 to reps.
 
         Computed on first read, and then kept, by the lanes (`_lane_route`),
-        which run the map stage again and gate each repetition's state: a
-        fault raises TruncationError here, naming the first faulty one."""
-        stage = _map_stage(self.config)
-        return _lane_route(self.config, stage[0], stage[4])
+        which build S_B again and gate each repetition's state: a fault
+        raises TruncationError here, naming the first faulty one."""
+        return _lane_route(self.config)
 
 
 # Lanes advanced per matrix product, and repetitions per vectorized
@@ -319,27 +320,47 @@ def _drift_fault(config: ScenarioConfig, delta: float) -> str | None:
             "with n_max")
 
 
-def _map_stage(config: ScenarioConfig, junctions=None) -> tuple:
-    """What a run computes before the state enters: S_B, the clock row pair
-    of S_B^reps, the mode-mixing-only rows, the drift delta of S_B's clock
-    row pair, Alice's time per block, and the residual pairs of S_B and
-    S_B^reps, each gated by `residual_gate` (None: not gated).  `junctions`
-    seeds `_block_symplectic`'s junction cache."""
-    k = int(config.clock_mode)
-    n_max = int(config.n_max)
-    reps = int(config.repetitions)
+def _block_map(config: ScenarioConfig, junctions=None) -> tuple:
+    """(S_B, the product that powers it, Alice's time per block) of one
+    round trip (`_block_symplectic`, whose junction cache `junctions`
+    seeds)."""
     block = build_twin_trajectory(config.t_a, config.t_i, 1, config.a)
-    s_block, product = _block_symplectic(block, config.L, n_max,
+    s_block, product = _block_symplectic(block, config.L, int(config.n_max),
                                          config.quadrature_tol, junctions)
-    s_final = _map_power(s_block, reps, product)
-    # both gates in one residual pass over the trusted rows, S_B's first.
+    return s_block, product, elapsed_times(block)[1]
+
+
+@dataclass(frozen=True)
+class MapStage:
+    """What a run computes before the state enters (`_map_stage`)."""
+
+    final_rows: np.ndarray  # the clock row pair of S_B^reps
+    mm_rows: np.ndarray  # the clock row pair of its passive part
+    delta: float  # the drift omega - 1 of S_B's clock row pair
+    tau_alice_block: float  # Alice's proper time per block
+    residuals: tuple  # (eps1, eps2) of S_B, then of S_B^reps
+
+
+def _map_stage(config: ScenarioConfig, junctions=None) -> MapStage:
+    """The map stage (module docstring): S_B's and S_B^reps' residuals,
+    each gated by `residual_gate` (None: not gated) and S_B's first, and
+    the rows, the drift and the time per block that the readout needs.
+    `junctions` seeds `_block_symplectic`'s junction cache."""
+    k = int(config.clock_mode)
+    s_block, product, tau_alice_block = _block_map(config, junctions)
+    trusted = np.s_[:2 * _trusted_interior(k, int(config.n_max))]
+    block_residual = gated_residual(*_coefficients(s_block[trusted]), k,
+                                    config.residual_gate, "block-map")
+    # omega = (R Omega Rᵀ)_12 of S_B's clock row pair R, 1 for an exact map
+    r = s_block[2 * k - 2:2 * k]
+    delta = float(r[0, 0::2] @ r[1, 1::2] - r[0, 1::2] @ r[1, 0::2]) - 1.0
+    s_final = _map_power(s_block, int(config.repetitions), product)
+    del s_block, r  # the power reused S_B's buffer: no name may pin it
     # eps1 of B^r never exceeds eps1 of B^2000 for r <= 2000 at the README
     # and benchmark configs (tests/test_repetitions.py): the residual grows
-    # with r, so gating the final map vouches for every repetition below.
-    trusted = np.s_[:2 * _trusted_interior(k, n_max)]
-    residuals = gated_residual(
-        *_coefficients(np.stack((s_block[trusted], s_final[trusted]))), k,
-        config.residual_gate, ("block-map", "composed-map"))
+    # with r, so gating the final map vouches for every repetition below
+    final_residual = gated_residual(*_coefficients(s_final[trusted]), k,
+                                    config.residual_gate, "composed-map")
     # of S_B^reps only its clock row pair and row k of its passive part
     # (alpha's polar factor, beta zeroed) are read later; S_B^reps and alpha
     # are freed before the passive rows are built
@@ -352,19 +373,16 @@ def _map_stage(config: ScenarioConfig, junctions=None) -> tuple:
     del alpha
     mm_alpha = (u @ vh)[k - 1:k]
     del u, vh
-    mm_rows = symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha))
-    # omega = (R Omega Rᵀ)_12 of S_B's clock row pair R, 1 for an exact map
-    r = s_block[2 * k - 2:2 * k]
-    delta = float(r[0, 0::2] @ r[1, 1::2] - r[0, 1::2] @ r[1, 0::2]) - 1.0
-    return (s_block, final_rows, mm_rows, delta, elapsed_times(block)[1],
-            tuple(residuals))
+    return MapStage(final_rows,
+                    symplectic_matrix(mm_alpha, np.zeros_like(mm_alpha)),
+                    delta, tau_alice_block, (block_residual, final_residual))
 
 
-def _lane_route(config: ScenarioConfig, s_block: np.ndarray,
-                tau_alice_block: float) -> np.ndarray:
+def _lane_route(config: ScenarioConfig) -> np.ndarray:
     """theta_alice - theta after each round trip 1..reps, from the lanes
     (module docstring), which run the physicality gate on every
     repetition's state."""
+    s_block, _, tau_alice_block = _block_map(config)
     k = int(config.clock_mode)
     reps = int(config.repetitions)
     state0, _, squeezed, theta_start, period, omega_c, classical_block, _ = (
@@ -420,20 +438,19 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
     """Run the twin-paradox scenario: the map stage, the drift horizon, then
     the initial, the final and the mode-mixing-only state, read in one span
     (module docstring)."""
-    (_, final_rows, mm_rows, delta, tau_alice_block,
-     residuals) = _map_stage(config)
-    if (fault := _drift_fault(config, delta)) is not None:
+    stage = _map_stage(config)
+    if (fault := _drift_fault(config, stage.delta)) is not None:
         raise TruncationError(fault)
     # a plain int: an np.int64 count would make the time fields numpy scalars
     reps = int(config.repetitions)
     (_, qfi_before, _, theta_start, period, omega_c, classical_block,
      ((theta_full, qfi_after), (theta_mm, qfi_after_mm))) = _clock_frame(
-        config, np.stack((final_rows, mm_rows)))
+        config, np.stack((stage.final_rows, stage.mm_rows)))
     anchor = theta_start + reps * (omega_c * classical_block)
     theta_full = anchor + math.remainder(theta_full - anchor, period)
     theta_mm = anchor + math.remainder(theta_mm - anchor, period)
 
-    tau_alice = reps * tau_alice_block
+    tau_alice = reps * stage.tau_alice_block
     tau_point = reps * (4.0 * config.t_a + 2.0 * config.t_i)
     tau_classical = reps * classical_block
     theta_alice = theta_start + omega_c * tau_alice
@@ -458,7 +475,7 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         qfi_after_mm_only=qfi_after_mm,
         qfi_change_pct_full=qfi_change_pct(qfi_before, qfi_after),
         qfi_change_pct_mm_only=qfi_change_pct(qfi_before, qfi_after_mm),
-        residual=residuals[1],
+        residual=stage.residuals[1],
         config=config,
     )
 

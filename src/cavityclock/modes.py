@@ -18,8 +18,12 @@ Conventions (fixed here, used everywhere downstream):
 * `BogoliubovMap` holds (alpha, beta) and is what the library hands out, but
   the pipeline does its map arithmetic on the real 2n x 2n symplectic matrix
   S (`symplectic_matrix`), multiplied right to left (`S_second @ S_first`),
-  and converts back only the rows it reads (`_coefficients`); the junction
-  is real (`_junction_blocks`), and coasts turn row pairs elementwise.
+  and converts back only the rows it reads (`_coefficients`).  The junction
+  is real: its blocks X = alpha - beta and Y = alpha + beta come from one
+  product each with a cached Rindler node table (`_junction_blocks`).  No
+  segment matrix is formed: each segment acts on the running block's row
+  pairs (`_block_symplectic`), and the block is powered by squaring in
+  three rotating buffers (`_map_power`).
 """
 
 from __future__ import annotations
@@ -162,7 +166,42 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
     One quadrature level is computed, with no doubling: the fewest panels,
     max(2, n_max // 8) times a power of 2, whose a-priori bound
     (`_quadrature_bound`) is within `tol` on every entry.  QuadratureError
-    when no level within _MAX_PANELS panels is.
+    when no level within _MAX_PANELS panels is.  The level's real blocks
+    (X, Y) = (alpha - beta, alpha + beta) come from `_junction_blocks`,
+    and alpha = (X + Y) / 2, beta = (Y - X) / 2.
+    """
+    (x, y), _ = _junction_blocks(h, n_max, tol)
+    return BogoliubovMap(0.5 * (x + y), 0.5 * (y - x))
+
+
+@lru_cache(maxsize=2)
+def _rindler_table(n_max: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, R): the nodes t of `panels` panels on [0, 1], and the weighted
+    Rindler table R_nt = sin(n pi t) w_t for modes n = 1..n_max, both
+    read-only.  In t = u / u_max the Rindler profile sin(n pi u / u_max) and
+    the weights over u_max do not depend on h."""
+    t, w = _composite_nodes(0.0, 1.0, panels)
+    table = np.dot(np.arange(1.0, n_max + 1.0)[:, None], t[None],
+                   out=np.empty((n_max, t.size)))
+    np.multiply(np.pi, table, out=table)
+    np.sin(table, out=table)
+    np.multiply(table, w, out=table)
+    t.setflags(write=False)
+    table.setflags(write=False)
+    return t, table
+
+
+def _junction_blocks(h: float, n_max: int, tol: float) -> tuple[tuple, tuple]:
+    """(X, Y) = (alpha - beta, alpha + beta) of `junction_map(h, n_max,
+    tol)`, and (Yᵀ, Xᵀ) as views: alpha and beta are real, so in (q1..qn;
+    p1..pn) order S_J = diag(X, Y), and S_J^-1 = diag(Yᵀ, Xᵀ).
+
+    Over t = u / u_max, with the Rindler table R (`_rindler_table`) and the
+    Minkowski table M_nt = sin(n pi xi_t), xi = chi1 (e^u - 1), X_mn =
+    2 sqrt(m/n) sum_t R_mt M_nt and Y_mn = 2 sqrt(n/m) sum_t R_mt (1 +
+    u_max (d + xi_t)) M_nt: one product per weight.  M is weighted in
+    place, row by row: a broadcast product's numpy iterator buffer, the
+    size of M, would add to the peak allocation.
     """
     if not 0 < h:
         raise ValidationError(f"junction needs h > 0, got {h}")
@@ -181,41 +220,28 @@ def junction_map(h: float, n_max: int, tol: float = 1e-12) -> BogoliubovMap:
                 f"junction_map quadrature did not converge: its error bound "
                 f"exceeds tol {tol:.3e} up to {_MAX_PANELS} panels", bound)
 
-    # The raw overlap sums (a0, a1): the Minkowski table (n_max x nodes)
-    # whole, the Rindler table and its weighted copy in blocks of `rows`
-    # modes (the last takes the rest).  Blocks of 8 at n_max <= 32 only: a
-    # block must round like the whole product, and OpenBLAS takes other
-    # kernels for one row, or for a product of more than about 1200 entries.
-    # Tables are built in place, with no broadcast product: its numpy
-    # iterator buffer would add to the peak allocation.
-    rows = 8 if n_max <= 32 else n_max
+    t, rind = _rindler_table(n_max, panels)
     n = np.arange(1.0, n_max + 1.0)
-    u, w = _composite_nodes(0.0, u_max, panels)
-    xi = chi1 * np.expm1(u)
-    mink = np.dot(n[:, None], xi[None], out=np.empty((n_max, u.size)))
+    xi = np.multiply(u_max, t)
+    np.expm1(xi, out=xi)
+    np.multiply(chi1, xi, out=xi)
+    mink = np.dot(n[:, None], xi[None], out=np.empty((n_max, t.size)))
     np.multiply(np.pi, mink, out=mink)
     np.sin(mink, out=mink)
-    w_shift = w * (d + xi)
-    del xi
-    a0, a1 = np.empty((2, n_max, n_max))
-    edges = [i * rows for i in range(max(1, n_max // rows))] + [n_max]
-    rind, weighted = np.empty((2, n_max - edges[-2], u.size))
-    for lo, hi in zip(edges, edges[1:]):
-        r, wr = rind[:hi - lo], weighted[:hi - lo]
-        np.dot(n[lo:hi, None], u[None], out=r)
-        np.multiply(np.pi, r, out=r)
-        np.divide(r, u_max, out=r)
-        np.sin(r, out=r)
-        for weight, sums in ((w, a0), (w_shift, a1)):
-            wr[...] = weight
-            np.multiply(r, wr, out=wr)
-            np.matmul(wr, mink.T, out=sums[lo:hi])
-    del mink, rind, weighted, r, wr
-    inv_s = 1.0 / np.sqrt(np.outer(n, n))
-    base = n[None, :] * a1
-    return BogoliubovMap(
-        inv_s * (base + (n[:, None] + n[None, :]) / u_max * a0),
-        inv_s * (base + (n[None, :] - n[:, None]) / u_max * a0))
+    x = np.matmul(rind, mink.T)
+    np.add(d, xi, out=xi)  # xi becomes Y's weight 1 + u_max (d + xi)
+    np.multiply(u_max, xi, out=xi)
+    np.add(1.0, xi, out=xi)
+    for row in mink:
+        np.multiply(row, xi, out=row)
+    y = np.matmul(rind, mink.T)
+    del mink, row
+    root2, inv_root = 2.0 * np.sqrt(n), 1.0 / np.sqrt(n)
+    scale = np.dot(root2[:, None], inv_root[None], out=np.empty_like(x))
+    np.multiply(x, scale, out=x)
+    np.dot(inv_root[:, None], root2[None], out=scale)
+    np.multiply(y, scale, out=y)
+    return (x, y), (y.T, x.T)
 
 
 def symplectic_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -245,36 +271,62 @@ def _coefficients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _alpha(s), 0.5 * ((pp - qq) + 1j * (qp + pq))
 
 
-def _rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """rot @ s for the free-phase map rot = exp(-i phi_n), given cos(phi_n)
-    and sin(phi_n): row pair n of `s` turned by phi_n, elementwise.  The
-    product of two rotations is exactly one, so beta stays exactly zero."""
+def _rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """rot @ s into `out` for the free-phase map rot = exp(-i phi_n), given
+    cos(phi_n) and sin(phi_n): row pair n of `s` turned by phi_n,
+    elementwise.  The product of two rotations is exactly one, so beta
+    stays exactly zero."""
     q, p = s[0::2], s[1::2]
     cos, sin = cos[:, None], sin[:, None]
-    out = np.empty_like(s)
     np.subtract(cos * q, sin * p, out=out[0::2])
     np.add(sin * q, cos * p, out=out[1::2])
     return out
 
 
-def _rotation_product(rot: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """rot @ s for a rotation `rot` built by `_rotate_rows`."""
-    return _rotate_rows(s, np.diagonal(rot)[0::2], np.diagonal(rot, -1)[0::2])
+def _rotation_product(rot: np.ndarray, s: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """rot @ s into `out` for a rotation `rot` built by `_rotate_rows`."""
+    return _rotate_rows(s, np.diagonal(rot)[0::2], np.diagonal(rot, -1)[0::2],
+                        out)
+
+
+def _rotations(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The stack of 2 x 2 rotations [[cos, -sin], [sin, cos]], one per row
+    pair: a batched product with it turns the row pairs of a map."""
+    rot = np.empty((len(cos), 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = cos
+    rot[:, 0, 1] = -sin
+    rot[:, 1, 0] = sin
+    return rot
 
 
 def _map_power(base: np.ndarray, exponent: int,
                product: Callable = np.matmul) -> np.ndarray:
     """base^exponent for exponent >= 1: the squares of `base` for the set
     bits of `exponent`, lowest first, each multiplied on the left by
-    `product`.  Costs bit_length - 1 squarings and popcount - 1 products."""
-    result = None
+    `product(left, right, out=)`.  Costs bit_length - 1 squarings and
+    popcount - 1 products in three rotating buffers: `base`, which it
+    consumes (its bytes are gone unless exponent is 1, when it is the
+    result), the result and one spare, so no more than three matrices are
+    alive at once."""
+    result = spare = None
     while True:
         if exponent & 1:
-            result = base if result is None else product(base, result)
+            if result is None:
+                result = base
+            else:
+                if spare is None:
+                    spare = np.empty_like(base)
+                result, spare = product(base, result, out=spare), result
         exponent >>= 1
         if not exponent:
             return result
-        base = product(base, base)
+        if spare is None:
+            spare = np.empty_like(base)
+        # the result may hold the old square; then no buffer is spare
+        base, spare = (product(base, base, out=spare),
+                       None if base is result else base)
 
 
 def _block_symplectic(traj: Trajectory, L: float, n_max: int, tol: float,
@@ -283,36 +335,72 @@ def _block_symplectic(traj: Trajectory, L: float, n_max: int, tol: float,
     product that powers it: `np.matmul`, or `_rotation_product` when no
     segment accelerates and S is a pure rotation.
 
-    An accelerated segment (`_accelerated_segment`) is built once per call
-    and kept until its last use; a coast turns the row pairs of the running
-    product, and a zero-length coast after the first segment is skipped.
-    `junctions` seeds the call's cache of `_junction_blocks` by h.
+    Each segment is applied, in place of its matrix, to the running block,
+    held from the identity on as n row pairs (q_n, p_n) of 2n columns, with
+    a spare to write into; the q rows and the p rows are strided halves.
+    A coast turns the row pairs by its Minkowski phases, and a zero-length
+    one is skipped.  An accelerated segment maps the halves by S_J =
+    diag(X, Y), turns the row pairs by its Rindler phases and maps them
+    back by S_J^-1 = diag(Yᵀ, Xᵀ): four n x n by n x 2n products.  At -a
+    the reflection x -> x1 + x2 - x conjugates the segment by
+    diag((-1)^(n+1)), a ±1 scaling of the row pairs before and after.
+    Turns and scalings are batched 2 x 2 products (`_rotations`), which
+    need no numpy iterator buffer, so S is built within two 2n x 2n
+    matrices besides the junction blocks, all computed first, with
+    `junctions` seeding them by h.  A pure rotation turns its rows
+    elementwise instead (`_rotate_rows`), so that its beta stays exactly
+    zero.
     """
     if L <= 0:
         raise ValidationError(f"cavity length must be > 0, got {L}")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    junctions = dict(junctions or {})
+    accelerates = False
+    for segment in traj.segments:  # first, so no quadrature's peak adds to S
+        if segment.proper_acceleration:
+            accelerates = True
+            h = abs(segment.proper_acceleration) * L / C**2
+            if h not in junctions:
+                junctions[h] = _junction_blocks(h, n_max, tol)
     omegas = np.arange(1, n_max + 1) * (np.pi / L)
-    keys = [(g.proper_acceleration, g.proper_duration) for g in traj.segments]
-    # by h; by (a, duration) until last use
-    junctions, segments = dict(junctions or {}), {}
-    block = None
-    for i, (a, duration) in enumerate(keys):
+    # diag((-1)^(n+1)) on the row pairs: turns by 0 and by pi
+    parity = _rotations(1.0 - 2.0 * (np.arange(n_max) % 2), np.zeros(n_max))
+    block = np.eye(2 * n_max).reshape(n_max, 2, 2 * n_max)
+    spare = np.empty_like(block)
+    for segment in traj.segments:
+        a, duration = segment.proper_acceleration, segment.proper_duration
         if a == 0.0:
-            if duration == 0.0 and block is not None:
-                continue  # a turn by cos 0 and sin 0 changes nothing
-            phases = _segment_phases(omegas, C * duration, duration)
-            block = _rotate_rows(np.eye(2 * n_max) if block is None else block,
-                                 np.cos(phases), np.sin(phases))
+            if duration != 0.0:  # a turn by cos 0 and sin 0 changes nothing
+                phases = _segment_phases(omegas, C * duration, duration)
+                cos, sin = np.cos(phases), np.sin(phases)
+                if accelerates:
+                    np.matmul(_rotations(cos, sin), block, out=spare)
+                else:
+                    _rotate_rows(block.reshape(2 * n_max, -1), cos, sin,
+                                 spare.reshape(2 * n_max, -1))
+                block, spare = spare, block
             continue
-        s = segments.pop((a, duration), None)
-        if s is None:
-            s = _accelerated_segment(a, duration, L, n_max, tol, junctions)
-        if (a, duration) in keys[i + 1:]:
-            segments[a, duration] = s
-        block = s if block is None else s @ block
-        del s
-    return block, np.matmul if any(a for a, _ in keys) else _rotation_product
+        h = abs(a) * L / C**2
+        (x, y), (y_t, x_t) = junctions[h]
+        # Omega_n from u_max = 2 artanh(h/2) directly: the boundary-ratio
+        # route log(chi2/chi1) loses ~1e-9 relative precision once h ~ 1e-7
+        u_max = 2.0 * math.atanh(h / 2.0)
+        phases = _segment_phases(np.arange(1, n_max + 1) * (math.pi / u_max),
+                                 abs(a) * duration / C, duration)
+        if a < 0:
+            block, spare = np.matmul(parity, block, out=spare), block
+        np.matmul(x, block[:, 0], out=spare[:, 0])
+        np.matmul(y, block[:, 1], out=spare[:, 1])
+        np.matmul(_rotations(np.cos(phases), np.sin(phases)), spare,
+                  out=block)
+        np.matmul(y_t, block[:, 0], out=spare[:, 0])
+        np.matmul(x_t, block[:, 1], out=spare[:, 1])
+        block, spare = spare, block
+        if a < 0:
+            block, spare = np.matmul(parity, block, out=spare), block
+    return (block.reshape(2 * n_max, 2 * n_max),
+            np.matmul if accelerates else _rotation_product)
 
 
 def _segment_phases(omegas: np.ndarray, scale: float,
@@ -326,47 +414,6 @@ def _segment_phases(omegas: np.ndarray, scale: float,
             f"phase of mode {len(phases)} over a segment of {duration:.3g} s "
             "exceeds the representable range")
     return phases
-
-
-def _junction_blocks(h: float, n_max: int, tol: float) -> tuple[tuple, tuple]:
-    """(X, Y) = (alpha - beta, alpha + beta) of `junction_map(h, n_max,
-    tol)`, and (Yᵀ, Xᵀ) as views: alpha and beta are real, so in (q1..qn;
-    p1..pn) order S_J = diag(X, Y), and S_J^-1 = diag(Yᵀ, Xᵀ)."""
-    jmap = junction_map(h, n_max, tol)
-    x, y = jmap.alpha.real - jmap.beta.real, jmap.alpha.real + jmap.beta.real
-    return (x, y), (y.T, x.T)
-
-
-def _accelerated_segment(a: float, duration: float, L: float, n_max: int,
-                         tol: float, junctions: dict) -> np.ndarray:
-    """S = S_J^-1 rot(Omega eta) S_J of one segment at proper acceleration
-    `a` for `duration` seconds; `junctions` caches `_junction_blocks` by h.
-    rot S_J has q rows (C X, -S Y) and p rows (S X, C Y), columns interleaved
-    (C, S: cos and sin of the Rindler phases); S_J^-1 takes them by Yᵀ, Xᵀ."""
-    h = abs(a) * L / C**2
-    if h not in junctions:
-        junctions[h] = _junction_blocks(h, n_max, tol)
-    (x, y), inverse = junctions[h]
-    # Omega_n from u_max = 2 artanh(h/2) directly: the boundary-ratio route
-    # log(chi2/chi1) loses ~1e-9 relative precision once h ~ 1e-7
-    u_max = 2.0 * math.atanh(h / 2.0)
-    omegas = np.arange(1, n_max + 1) * (math.pi / u_max)
-    phases = _segment_phases(omegas, abs(a) * duration / C, duration)
-    cos, sin = np.cos(phases)[:, None], np.sin(phases)[:, None]
-    s, turned = np.empty((n_max, 2, 2 * n_max)), np.empty((n_max, n_max, 2))
-    for kind, (left, right) in enumerate(((cos, -sin), (sin, cos))):
-        np.multiply(left, x, out=turned[..., 0])
-        np.multiply(right, y, out=turned[..., 1])
-        np.matmul(inverse[kind], turned.reshape(n_max, -1), out=s[:, kind])
-    del turned  # not alive through the sign flips' iterator buffer
-    if a < 0:
-        # the Rindler wedge on the other side: the reflection x -> x1 + x2 -
-        # x conjugates by diag((-1)^(n+1)), flipping entries between modes
-        # of opposite parity
-        s4 = s.reshape(n_max, 2, n_max, 2)
-        for part in (s4[0::2, :, 1::2], s4[1::2, :, 0::2]):
-            np.negative(part, out=part)
-    return s.reshape(2 * n_max, 2 * n_max)
 
 
 def trajectory_map(traj: Trajectory, L: float, n_max: int,
@@ -412,25 +459,21 @@ def _trusted_interior(clock_mode: int, n_max: int) -> int:
 
 
 def gated_residual(alpha: np.ndarray, beta: np.ndarray, clock_mode: int,
-                   gate: float | None, what) -> tuple:
+                   gate: float | None, what: str) -> tuple[float, float]:
     """`symplectic_residual` on the block trusted for the 1-based
     `clock_mode`, of (alpha, beta) that may hold just its rows: (eps1, eps2),
-    with `what` naming the map in the gate's message.  Given maps stacked
-    on a leading axis and a name for each in `what`, one pass reads them
-    all and returns one pair per map.  Raises TruncationError for the first
-    map whose eps1 is not <= `gate`, so a NaN residual fails too (None
-    disables the gate)."""
+    with `what` naming the map in the gate's message.  Raises
+    TruncationError when eps1 is not <= `gate`, so a NaN residual fails too
+    (None disables the gate)."""
     interior = _trusted_interior(clock_mode, alpha.shape[-1])
-    eps1, eps2 = _residual(alpha[..., :interior, :], beta[..., :interior, :])
-    pairs = list(zip(np.ravel(eps1).tolist(), np.ravel(eps2).tolist()))
-    names = [what] if alpha.ndim == 2 else what
-    for name, (eps, _) in zip(names, pairs):
-        if gate is not None and not eps <= gate:
-            raise TruncationError(
-                f"{name} symplectic residual {eps:.3e} exceeds gate "
-                f"{gate:.3e} on the leading {interior}x{interior} block; "
-                "increase n_max")
-    return pairs[0] if alpha.ndim == 2 else pairs
+    eps1, eps2 = _residual(alpha[:interior], beta[:interior])
+    eps1, eps2 = float(eps1), float(eps2)
+    if gate is not None and not eps1 <= gate:
+        raise TruncationError(
+            f"{what} symplectic residual {eps1:.3e} exceeds gate "
+            f"{gate:.3e} on the leading {interior}x{interior} block; "
+            "increase n_max")
+    return eps1, eps2
 
 
 _DUMP_HEADER = "# cavityclock bogoliubov map v1"

@@ -5,10 +5,14 @@ symplectic matrix instead, so the two share only `junction_map` and the map
 algebra's conventions: maps compose right to left, `compose(second, first)`.
 
 Also the oracles of the map stage: `whole_table_junction`, one level of
-the junction quadrature on three whole node tables; `doubling_junction`,
-the quadrature whose levels double until two agree, which the one bounded
-level of `junction_map` replaced; and `pair_block_symplectic`, the block
-matrix assembled as S_J^-1 @ rot(S_J) on interleaved 2n x 2n matrices.
+the junction quadrature on whole node tables; `doubling_junction`, the
+quadrature whose levels double until two agree, which the one bounded
+level of `junction_map` replaced; `pair_block_symplectic`, the block map
+applied segment by segment to the running block's row pairs in
+whole-array expressions; `segment_product_symplectic`, the block matrix
+assembled as a product of segment matrices S_J^-1 @ rot(S_J) on
+interleaved 2n x 2n matrices, as it once was; and `allocating_map_power`,
+the power by squaring with a fresh matrix for every product.
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 
 from cavityclock import (BogoliubovMap, C, Trajectory, ValidationError,
                          junction_map, modes)
-from cavityclock.modes import _composite_nodes, symplectic_matrix
+from cavityclock.modes import _composite_nodes
 from kg_oracle import BasisKind, ModeBasis
 
 
@@ -113,22 +117,22 @@ def compose_chain_map(traj: Trajectory, L: float, n_max: int,
 
 
 def whole_table_junction(h: float, n_max: int, panels: int) -> BogoliubovMap:
-    """One level of `junction_map`'s quadrature on `panels` panels, summed
-    on whole n_max x nodes tables (Rindler, its weighted copy, Minkowski);
-    it shares the nodes and the junction geometry with the library."""
+    """One level of `junction_map`'s quadrature on `panels` panels, in
+    whole-array expressions: the blocks X and Y from the weighted Rindler
+    table over t = u / u_max and the Minkowski table, then alpha = (X + Y)
+    / 2 and beta = (Y - X) / 2; it shares the nodes and the junction
+    geometry with the library."""
     u_max, chi1, d = modes._junction_geometry(h)
     n = np.arange(1.0, n_max + 1.0)
-    u, w = _composite_nodes(0.0, u_max, panels)
-    xi = chi1 * np.expm1(u)
-    rind = np.sin(np.pi * np.outer(n, u) / u_max)
+    t, w = _composite_nodes(0.0, 1.0, panels)
+    rind = np.sin(np.pi * np.outer(n, t)) * w
+    xi = chi1 * np.expm1(u_max * t)
     mink = np.sin(np.pi * np.outer(n, xi))
-    a0 = (rind * w) @ mink.T
-    a1 = (rind * (w * (d + xi))) @ mink.T
-    inv_s = 1.0 / np.sqrt(np.outer(n, n))
-    base = n[None, :] * a1
-    return BogoliubovMap(
-        inv_s * (base + (n[:, None] + n[None, :]) / u_max * a0),
-        inv_s * (base + (n[None, :] - n[:, None]) / u_max * a0))
+    root2, inv_root = 2.0 * np.sqrt(n), 1.0 / np.sqrt(n)
+    x = np.outer(root2, inv_root) * (rind @ mink.T)
+    y = (np.outer(inv_root, root2)
+         * (rind @ (mink * (1.0 + u_max * (d + xi))).T))
+    return BogoliubovMap(0.5 * (x + y), 0.5 * (y - x))
 
 
 def doubling_junction(h: float, n_max: int,
@@ -158,18 +162,62 @@ def rotate_rows(s: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def junction_pair(h: float, n_max: int, tol: float = 1e-12):
-    """(S_J, S_J^-1) as interleaved 2n x 2n matrices: `symplectic_matrix` of
-    `junction_map` and of its symplectic inverse (alpha†, -betaᵀ)."""
-    jmap = modes.junction_map(h, n_max, tol)
-    return (symplectic_matrix(jmap.alpha, jmap.beta),
-            symplectic_matrix(jmap.alpha.conj().T, -jmap.beta.T))
+    """(S_J, S_J^-1) as interleaved 2n x 2n matrices, from the junction's
+    real blocks (`modes._junction_blocks`): S_J holds X on its q rows and
+    columns and Y on its p rows and columns, S_J^-1 Yᵀ and Xᵀ, which is
+    `symplectic_matrix` of the junction's (alpha, beta) and of its
+    symplectic inverse (alpha†, -betaᵀ), up to rounding."""
+    (x, y), _ = modes._junction_blocks(h, n_max, tol)
+    s_j, s_j_inv = np.zeros((2, 2 * n_max, 2 * n_max))
+    s_j[0::2, 0::2], s_j[1::2, 1::2] = x, y
+    s_j_inv[0::2, 0::2], s_j_inv[1::2, 1::2] = y.T, x.T
+    return s_j, s_j_inv
 
 
 def pair_block_symplectic(traj: Trajectory, L: float, n_max: int,
                           tol: float = 1e-12) -> np.ndarray:
-    """`modes._block_symplectic`'s matrix, each accelerated segment built as
-    S_J^-1 @ rot(S_J) from `junction_pair`, the -a parity conjugation as a
-    product with np.outer(parity, parity)."""
+    """`modes._block_symplectic`'s matrix for a trajectory that
+    accelerates, in whole-array expressions: the running block's row pairs
+    from the identity, turned per coast by a stack of 2 x 2 rotations,
+    mapped per accelerated segment by X and Y of `modes._junction_blocks`,
+    turned the same way and mapped back by Yᵀ and Xᵀ, with the -a parity
+    as a stack of ±1 diagonals."""
+    omegas = np.arange(1, n_max + 1) * (np.pi / L)
+    block = np.eye(2 * n_max).reshape(n_max, 2, 2 * n_max)
+
+    def rotations(cos, sin):
+        return np.stack((np.stack((cos, -sin), -1),
+                         np.stack((sin, cos), -1)), 1)
+
+    parity = rotations(np.where(np.arange(n_max) % 2 == 0, 1.0, -1.0),
+                       np.zeros(n_max))
+    for seg in traj.segments:
+        a, tau = seg.proper_acceleration, seg.proper_duration
+        if a == 0.0:
+            if tau != 0.0:
+                phases = omegas * (C * tau)
+                block = rotations(np.cos(phases), np.sin(phases)) @ block
+            continue
+        h = abs(a) * L / C**2
+        (x, y), _ = modes._junction_blocks(h, n_max, tol)
+        u_max = 2.0 * math.atanh(h / 2.0)
+        phases = (np.arange(1, n_max + 1) * (math.pi / u_max)
+                  * (abs(a) * tau / C))
+        if a < 0:
+            block = parity @ block
+        turned = (rotations(np.cos(phases), np.sin(phases))
+                  @ np.stack((x @ block[:, 0], y @ block[:, 1]), 1))
+        block = np.stack((y.T @ turned[:, 0], x.T @ turned[:, 1]), 1)
+        if a < 0:
+            block = parity @ block
+    return block.reshape(2 * n_max, 2 * n_max)
+
+
+def segment_product_symplectic(traj: Trajectory, L: float, n_max: int,
+                               tol: float = 1e-12) -> np.ndarray:
+    """The block matrix as a product of segment matrices, each accelerated
+    segment built as S_J^-1 @ rot(S_J) from `junction_pair`, the -a parity
+    conjugation as a product with np.outer(parity, parity)."""
     omegas = np.arange(1, n_max + 1) * (np.pi / L)
     block = None
     for seg in traj.segments:
@@ -192,3 +240,18 @@ def pair_block_symplectic(traj: Trajectory, L: float, n_max: int,
             s *= np.outer(parity, parity)
         block = s if block is None else s @ block
     return block
+
+
+def allocating_map_power(base: np.ndarray, exponent: int) -> np.ndarray:
+    """base^exponent for exponent >= 1 as `modes._map_power` computes it,
+    the squares of `base` for the set bits of `exponent`, lowest first,
+    each multiplied on the left, but into a fresh matrix per product and
+    with `base` left as it was."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else base @ result
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base @ base

@@ -6,14 +6,15 @@ import functools
 import gc
 import tracemalloc
 
-from cavityclock import junction_map
+from cavityclock.modes import _junction_blocks
 
 
 @functools.lru_cache(maxsize=None)
-def cached_junction_map(h, n_max, tol=1e-12):
-    """`junction_map`, computed once per argument tuple: patched in as
-    `modes.junction_map`, the warm-up call of `peak_bytes` fills it."""
-    return junction_map(h, n_max, tol)
+def cached_junction_blocks(h, n_max, tol=1e-12):
+    """`modes._junction_blocks`, the junction quadrature, computed once per
+    argument tuple: patched in as `modes._junction_blocks`, the warm-up
+    call of `peak_bytes` fills it."""
+    return _junction_blocks(h, n_max, tol)
 
 
 def peak_bytes(fn) -> int:

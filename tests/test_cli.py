@@ -17,7 +17,7 @@ import cavityclock.cli as cli
 import cavityclock.clock as clock
 import cavityclock.modes as modes
 from cavityclock import (BogoliubovMap, C, HorizonError, ScenarioConfig,
-                         junction_map, run_twin)
+                         run_twin)
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                              EXIT_VALIDATION, config_digest, load_config, main)
 import map_oracle
@@ -745,12 +745,14 @@ class TestCheckCommand:
     def test_junction_built_at_the_config_tolerance(self, tmp_path,
                                                     monkeypatch):
         tols = []
+        blocks = modes._junction_blocks
 
-        def recording(h, n_max, tol=1e-12):
+        def recording(h, n_max, tol):
             tols.append(tol)
-            return junction_map(h, n_max, tol)
+            return blocks(h, n_max, tol)
 
-        monkeypatch.setattr(modes, "junction_map", recording)
+        monkeypatch.setattr(modes, "_junction_blocks", recording)
+        monkeypatch.setattr(cli, "_junction_blocks", recording)
         doc = base_config()
         doc["numerics"]["quadrature_tol"] = 1e-8
         config = write_config(tmp_path, doc)
@@ -776,7 +778,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("h", [2.1e-4, 0.05])
     def test_inverse_roundtrip_reads_the_pair(self, tmp_path, capsys, h):
         # max |S_J^-1 S_J - I| on the trusted block, for the interleaved
-        # pair (alpha†, -betaᵀ) the segments were once built from
+        # pair of the junction's blocks (X, Y) and (Yᵀ, Xᵀ)
         doc = base_config(a_mps2=h * C**2 / 0.011)
         doc["numerics"]["n_max"] = 24
         config = write_config(tmp_path, doc)
@@ -868,7 +870,7 @@ class TestSharedMapStage:
         config = write_config(tmp_path, doc)
         assert main(["check", "--config", str(config)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        delta = clock._map_stage(load_config(config).scenario)[3]
+        delta = clock._map_stage(load_config(config).scenario).delta
         assert lines[-1] == (f"PASS drift horizon: delta={delta:.3e} "
                              f"horizon={clock._horizon(delta):.4g} round "
                              f"trips (3 requested)")
@@ -893,13 +895,14 @@ class TestSharedMapStage:
                                                      monkeypatch):
         # its junction lines and the map stage read one quadrature
         calls = []
-        junction_map = modes.junction_map
+        blocks = modes._junction_blocks
 
         def counting(*args):
             calls.append(args)
-            return junction_map(*args)
+            return blocks(*args)
 
-        monkeypatch.setattr(modes, "junction_map", counting)
+        monkeypatch.setattr(modes, "_junction_blocks", counting)
+        monkeypatch.setattr(cli, "_junction_blocks", counting)
         config = write_config(tmp_path, base_config())
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert len(calls) == 1

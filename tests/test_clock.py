@@ -512,11 +512,10 @@ class TestTruncationArtifact:
         # run_twin exits on the drift horizon first (184 round trips here);
         # the lanes, which gate every repetition, find the unphysical state
         config = ScenarioConfig(**TRUNCATION_ARTIFACT)
-        stage = clock._map_stage(config)
         with pytest.raises(TruncationError,
                            match=r"repetition \d+: .*uncertainty relation.*"
                                  r"increase n_max"):
-            clock._lane_route(config, stage[0], stage[4])
+            clock._lane_route(config)
 
     @pytest.mark.parametrize("reps", [1, 25, 337])
     def test_unphysical_mode_mixing_only_state(self, reps, monkeypatch):
@@ -527,7 +526,7 @@ class TestTruncationArtifact:
         for state_kind in ("coherent", "squeezed_vacuum"):
             config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                     n_max=12, state_kind=state_kind)
-            mm_rows = clock._map_stage(config)[2]
+            mm_rows = clock._map_stage(config).mm_rows
 
             def breaking(rows, state, k, out=None, work=None):
                 moments, cov, det = row_moments(rows, state, k, out=out,

@@ -29,8 +29,8 @@ def config_a(reps: int, kind: str = "coherent", mean_n: float = 1.0,
 def row_pairs(reps: int) -> tuple:
     """The final and the mode-mixing-only row pair of config A's map stage
     at `reps` round trips; the map stage does not depend on the state."""
-    _, final_rows, mm_rows, *_ = clock._map_stage(config_a(reps))
-    return final_rows, mm_rows
+    stage = clock._map_stage(config_a(reps))
+    return stage.final_rows, stage.mm_rows
 
 
 @pytest.mark.parametrize("reps", [1, 500, 5000])

@@ -9,7 +9,7 @@ from kg_oracle import (BasisKind, Mode, ModeBasis, kg_inner_product,
                        mode_value, rindler_geometry)
 import map_oracle
 from map_oracle import compose, compose_chain_map, free_phase_map, inverse
-from peak import cached_junction_map, peak_bytes
+from peak import cached_junction_blocks, peak_bytes
 from cavityclock import (BogoliubovMap, C, HorizonError, QuadratureError,
                          Segment, Trajectory, ValidationError, apply_reduced,
                          coherent, dump_map, junction_map,
@@ -157,10 +157,29 @@ class TestJunctionMap:
         assert np.max(np.abs(back.beta[interior])) < 1e-8
 
     def test_peak_allocation(self):
-        # the one level's whole 24 x 96 Minkowski table (18 KB) and 8-row
-        # blocks of its Rindler tables peak at about 52 KB; whole Rindler
-        # tables would add about 19 KB
+        # with the Rindler table cached by the warm-up call: the one level's
+        # whole 24 x 96 Minkowski table (18 KB), X, Y, their scale and
+        # alpha, beta peak at about 39 KB
         assert peak_bytes(lambda: junction_map(2.1e-4, 24)) <= 84_000
+
+    def test_rindler_table_is_cached_read_only(self):
+        t, table = modes._rindler_table(24, 3)
+        assert modes._rindler_table(24, 3)[1] is table
+        assert not t.flags.writeable and not table.flags.writeable
+        assert modes._rindler_table.cache_info().maxsize <= 2
+
+    def test_cold_quadrature_under_the_power_stage(self):
+        # in a fresh process the Rindler table is built inside the call; the
+        # quadrature (about 50 KB) still peaks below the three 2n x 2n
+        # buffers of the squarings (about 56 KB), which set a run's peak
+        def cold():
+            modes._rindler_table.cache_clear()
+            modes._junction_blocks(2.1e-4, 24, 1e-12)
+
+        s_b, _ = modes._block_symplectic(twin_block(1e-9, 0.0, 1.7e15), 0.011,
+                                         24, 1e-12)
+        power = peak_bytes(lambda: modes._map_power(s_b.copy(), 5000))
+        assert peak_bytes(cold) < power
 
     def test_horizon_and_domain_errors(self):
         with pytest.raises(HorizonError):
@@ -188,12 +207,12 @@ class TestJunctionMap:
 
 def library_level(h, n_max, tol=1e-12):
     """(`junction_map(h, n_max, tol)`, the panel count of the one level it
-    computes)."""
+    computes, read from its Rindler table)."""
     panels = []
-    nodes = modes._composite_nodes
+    table = modes._rindler_table
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modes, "_composite_nodes", lambda a, b, count: (
-            panels.append(count) or nodes(a, b, count)))
+        patch.setattr(modes, "_rindler_table", lambda rows, count: (
+            panels.append(count) or table(rows, count)))
         jmap = junction_map(h, n_max, tol)
     assert len(panels) == 1
     return jmap, panels[0]
@@ -251,7 +270,7 @@ class TestQuadratureBound:
     def test_unreachable_tolerance_computes_no_level(self, monkeypatch):
         # the rounding floor keeps a tolerance below it unreachable, and the
         # bound says so before any node table is built
-        monkeypatch.setattr(modes, "_composite_nodes", lambda *args: (
+        monkeypatch.setattr(modes, "_rindler_table", lambda *args: (
             pytest.fail("a level was computed")))
         with pytest.raises(QuadratureError, match="did not converge") as raised:
             junction_map(0.05, 8, tol=1e-15)
@@ -384,8 +403,10 @@ def twin_block(t_a, t_i, a, repetitions=1):
 
 
 class TestMapStageBytes:
-    """The row-blocked quadrature and the block-form segment assembly give
-    the bytes of the whole-table and S_J^-1 @ rot(S_J) oracles."""
+    """The quadrature on the cached Rindler table and the block map applied
+    to the running block's row pairs give the bytes of their whole-array
+    oracles, and S_B stays within 5e-14 of the segment products it
+    replaced."""
 
     H = [1e-5, 2.1e-4, 9.5e-4, 0.05, 0.3]
     N_MAX = [8, 24, 48, 128]
@@ -403,20 +424,34 @@ class TestMapStageBytes:
     @pytest.mark.parametrize("n_max", N_MAX)
     @pytest.mark.parametrize("h", H)
     def test_block_symplectic(self, h, n_max, sign, t_i, monkeypatch):
-        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
+        monkeypatch.setattr(modes, "_junction_blocks", cached_junction_blocks)
         L = 0.011
         traj = twin_block(1e-9, t_i, sign * h * C**2 / L)
         s, _ = modes._block_symplectic(traj, L, n_max, 1e-12)
         oracle = map_oracle.pair_block_symplectic(traj, L, n_max)
         assert s.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("t_i", [0.0, 0.3e-9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_max", N_MAX)
+    @pytest.mark.parametrize("h", H)
+    def test_block_symplectic_against_segment_products(self, h, n_max, sign,
+                                                       t_i):
+        # the segments applied to the running block round otherwise than
+        # the product of whole segment matrices they replaced
+        L = 0.011
+        traj = twin_block(1e-9, t_i, sign * h * C**2 / L)
+        s, _ = modes._block_symplectic(traj, L, n_max, 1e-12)
+        oracle = map_oracle.segment_product_symplectic(traj, L, n_max)
+        assert np.max(np.abs(s - oracle)) <= 5e-14
+
     def test_inverse_blocks_are_views(self):
         (x, y), (y_t, x_t) = modes._junction_blocks(2.1e-4, 12, 1e-12)
         assert y_t.base is y and x_t.base is x
         np.testing.assert_array_equal(y_t, y.T)
 
-    @pytest.mark.parametrize("h, deviation", [(2.1e-4, 8.05360836850621e-15),
-                                              (0.05, 4.1048953125510934e-10)])
+    @pytest.mark.parametrize("h, deviation", [(2.1e-4, 8.034264427184677e-15),
+                                              (0.05, 4.1048975329971427e-10)])
     def test_inverse_roundtrip_reads_the_pair(self, h, deviation):
         # max|YᵀX - I|, max|XᵀY - I| on the leading 5 x 5 block, as `check`
         # forms them, equal max|S_J^-1 S_J - I| on the interleaved pair
@@ -428,28 +463,30 @@ class TestMapStageBytes:
         assert dev == pair == deviation
 
     def test_map_stage_peak(self, monkeypatch):
-        # with the quadrature cached: (X, Y), the kept +a segment, the -a
-        # segment, the running block and its product; keeping S_J^-1 or
-        # every segment to the end, or the -a segment's half-turned rows
-        # through its sign flips, would add 9 KB or more
-        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
-        traj = twin_block(1e-9, 0.0, 1.7e15)
-        assert peak_bytes(lambda: modes._block_symplectic(
-            traj, 0.011, 24, 1e-12)) <= 68_900
+        # with the quadrature cached: (X, Y), the running block and the
+        # spare it is written into, each 2n x 2n, peak at about 41 KB with
+        # or without coasts; a third 2n x 2n buffer, a segment matrix, or a
+        # turn or sign flip by broadcast products (their numpy iterator
+        # buffers) would add 9 KB or more
+        monkeypatch.setattr(modes, "_junction_blocks", cached_junction_blocks)
+        for t_i in (0.0, 0.3e-9):
+            traj = twin_block(1e-9, t_i, 1.7e15)
+            assert peak_bytes(lambda: modes._block_symplectic(
+                traj, 0.011, 24, 1e-12)) <= 43_000
 
 
 class TestZeroLengthCoast:
     def test_skipped_after_the_first_segment(self, monkeypatch):
         # a t_i = 0 coast would turn every row pair by cos 0 and sin 0
         calls = []
-        rotate = modes._rotate_rows
-        monkeypatch.setattr(modes, "_rotate_rows",
-                            lambda *args: calls.append(None) or rotate(*args))
+        rotations = modes._rotations
+        monkeypatch.setattr(modes, "_rotations", lambda *args: calls.append(
+            None) or rotations(*args))
         s_b, _ = modes._block_symplectic(twin_block(1e-9, 0.0, 1.7e15),
                                          0.011, 12, 1e-12)
-        # no turn for the coasts; an accelerated segment turns the rows of
-        # its junction blocks itself
-        assert calls == []
+        # no turn for the coasts: the -a parity and the Rindler turn of each
+        # of the three accelerated segments
+        assert len(calls) == 4
         without = Trajectory((Segment(1e-9, 1.7e15), Segment(2e-9, -1.7e15),
                               Segment(1e-9, 1.7e15)), 1)
         s_ref, _ = modes._block_symplectic(without, 0.011, 12, 1e-12)

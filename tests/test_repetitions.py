@@ -22,7 +22,7 @@ from cavityclock.modes import (BogoliubovMap, _block_symplectic, _coefficients,
 from cavityclock.trajectory import build_twin_trajectory, elapsed_times
 import map_oracle
 from map_oracle import compose
-from peak import cached_junction_map, peak_bytes
+from peak import cached_junction_blocks, peak_bytes
 from test_clock import TRUNCATION_ARTIFACT
 from transport_oracle import (apply_full, dense_row_moments, embed,
                               partial_trace)
@@ -102,8 +102,7 @@ def lane_config(reps: int, kind: str = "coherent") -> ScenarioConfig:
 
 def lane_route(config: ScenarioConfig):
     """The series of the lanes alone, from the map stage `run_twin` runs."""
-    stage = clock._map_stage(config)
-    return clock._lane_route(config, stage[0], stage[4])
+    return clock._lane_route(config)
 
 
 def recording_row_moments(monkeypatch) -> list:
@@ -241,7 +240,7 @@ class TestPeakAllocation:
         # sets every peak of the series; 4 KB is room for measurement noise
         # (up to 1 KB), but not for 16 phases (240 B) kept per span: 10000
         # round trips run 27 spans more than 1000.
-        monkeypatch.setattr(modes, "junction_map", cached_junction_map)
+        monkeypatch.setattr(modes, "_junction_blocks", cached_junction_blocks)
         lane = {reps: self.series_peak(reps) for reps in (1000, 5000, 10_000)}
         for low, high in ((1000, 5000), (5000, 10_000), (1000, 10_000)):
             assert lane[high] <= lane[low] + 8 * (high - low) + 4096
@@ -254,10 +253,12 @@ class TestPeakAllocation:
         # kept alive into the next span's lanes (about 18 KB) would lift
         # the peak toward 150 KB
         assert self.series_peak(5000) <= 150_000
-        # run_twin reads the final state from S_B^reps, and the junction
-        # quadrature (about 81 KB) sets its peak; running the lanes, as it
-        # did before, lifted it to about 119 KB
-        assert self.peak(5000) <= 90_000
+        # run_twin reads the final state from S_B^reps, and the squarings
+        # set its peak at about 58 KB: S_B and the two buffers of
+        # `_map_power` (18 KB each); a fourth 2n x 2n matrix alive beside
+        # them, as every squaring allocated one before, would lift it
+        # toward 77 KB
+        assert self.peak(5000) <= 60_000
 
     def test_sweep_peak(self):
         # 16 points of 200 round trips over L: the finished points' results,
@@ -289,21 +290,21 @@ class TestRouteRule:
                                     repetitions=5000, n_max=24,
                                     state_kind=kind, mean_n=10.0, theta0=0.3)
             run_twin(config)
-            _, final_rows, mm_rows, *_ = clock._map_stage(config)
+            stage = clock._map_stage(config)
             assert [rows.tobytes() for rows, *_ in seen] == [np.stack((
-                np.eye(2, 48), final_rows, mm_rows)).tobytes()]
+                np.eye(2, 48), stage.final_rows, stage.mm_rows)).tobytes()]
             assert_dense(seen)
 
     @pytest.mark.parametrize("n_max, reps, first_bad", [(24, 500, 369),
-                                                        (48, 12000, 11227)])
+                                                        (48, 12000, 10581)])
     def test_horizon_below_the_lanes_first_fault(self, n_max, reps,
                                                  first_bad):
-        # the drift trips the lanes' gate at 1.002 and 1.003 times
-        # slack / |delta| here, above the horizon; the lanes name the first
-        # faulty repetition
+        # the drift trips the lanes' gate at 1.002 times slack / |delta|
+        # here, above the horizon; the lanes name the first faulty
+        # repetition
         config = ScenarioConfig(**{**TRUNCATION_ARTIFACT, "n_max": n_max,
                                    "repetitions": reps})
-        horizon = clock._horizon(clock._map_stage(config)[3])
+        horizon = clock._horizon(clock._map_stage(config).delta)
         assert horizon < first_bad <= 2.01 * horizon
         with pytest.raises(TruncationError,
                            match=rf"^transported state at repetition "
@@ -323,7 +324,7 @@ class TestRouteRule:
             pytest.fail("the state entered")
 
         config = ScenarioConfig(**config)
-        delta = clock._map_stage(config)[3]
+        delta = clock._map_stage(config).delta
         horizon = clock._horizon(delta)
         assert horizon < config.repetitions
         monkeypatch.setattr(clock, "row_moments", no_state)
@@ -362,15 +363,35 @@ class TestMapPower:
         assert product is np.matmul
         calls = []
 
-        def counting(left, right):
+        def counting(left, right, out):
             calls.append(None)
-            return product(left, right)
+            return product(left, right, out=out)
 
         power = _map_power(block, exponent, counting)
         assert len(calls) == (exponent.bit_length() - 1
                               + bin(exponent).count("1") - 1)
         if exponent == 1:
             assert power is block
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 200, 5000])
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_three_buffers_match_the_allocating_loop(self, exponent, n_max):
+        block, _ = _block_symplectic(
+            build_twin_trajectory(1e-9, 0.0, 1, 1.7e15), 0.011, n_max, 1e-12)
+        oracle = map_oracle.allocating_map_power(block, exponent)
+        assert _map_power(block.copy(), exponent).tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n_max", [24, 48])
+    def test_peak_within_three_matrices(self, n_max):
+        # S_B, held by the caller as the map stage holds it, and what the
+        # squarings allocate beside it: two more buffers, with 1 KB for the
+        # array headers and the products' own bookkeeping (the calls
+        # consume S_B's bytes; only the allocation is read)
+        block, _ = _block_symplectic(
+            build_twin_trajectory(1e-9, 0.0, 1, 1.7e15), 0.011, n_max, 1e-12)
+        assert block.nbytes == 32 * n_max**2
+        assert block.nbytes + peak_bytes(lambda: _map_power(block, 5000)) <= (
+            3 * block.nbytes + 1024)
 
     def test_run_twin_composes_no_maps(self, monkeypatch):
         # the pipeline multiplies symplectic matrices; the compose of
@@ -413,6 +434,7 @@ class TestResidualGrowth:
             eps.append(symplectic_residual(BogoliubovMap(*_coefficients(power)),
                                            5)[0])
             if r in (1, 3, 1024, 1365, last):
-                np.testing.assert_array_equal(power, _map_power(block, r))
+                np.testing.assert_array_equal(power,
+                                              _map_power(block.copy(), r))
         assert max(eps[1:last]) <= eps[last]
         assert eps[last] > 100 * eps[1]
