@@ -17,8 +17,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cache
@@ -208,9 +210,29 @@ def _csv_line(fields: list[str]) -> str:
     return ",".join(fields) + "\n"
 
 
+# no O_TRUNC (see `_rewrite`); O_BINARY, on Windows only, as `open` passes it
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def _rewrite(path: Path, newline: str | None = None):
+    """`open(path, "w", encoding="utf-8", newline=newline)`, except that an
+    existing file is written over in place and, on exit (error paths too),
+    cut at the position written, so no stale bytes remain.  "w" truncates
+    to zero first: a rerun of the same length then frees the file's blocks
+    and may make the file system flush them on close (ext4's replace-via-
+    truncate), a stall of up to tens of ms per rewritten output."""
+    with open(os.open(path, _REWRITE_FLAGS, 0o666), "w", encoding="utf-8",
+              newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def write_results_csv(path: Path, results: list[ScenarioResult],
                       digest: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _rewrite(path, newline="") as fh:
         fh.write(_csv_line(CSV_COLUMNS))
         for res in results:
             fh.write(_csv_line(_result_row(res, digest)))
@@ -232,9 +254,8 @@ def write_manifest(path: Path, command: str, loaded: LoadedConfig,
         "rows": len(results),
         "errors": errors,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _rewrite(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_twin(args, loaded: LoadedConfig) -> int:
@@ -288,7 +309,7 @@ def _cmd_bogo(args, loaded: LoadedConfig) -> int:
     eps1, eps2 = gated_residual(bmap.alpha, bmap.beta, c.clock_mode,
                                 c.residual_gate, "trajectory-map")
     path = Path(args.out) / f"{loaded.prefix}_bogomap.txt"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         dump_map(bmap, fh, meta={
             "h": c.h, "config_digest": loaded.digest,
             "eps1": eps1, "eps2": eps2,

@@ -1,7 +1,10 @@
 import csv
+import errno
+import gc
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -539,6 +542,125 @@ class TestResultsCsv:
         # row
         assert peak_bytes(lambda: cli.write_results_csv(
             tmp_path / "r.csv", [result], self.DIGEST)) < 16_384
+
+
+class TestInPlaceOutputs:
+    """Outputs are written over in place and cut to what was written,
+    never truncated to zero first."""
+
+    OUTPUTS = {"twin": ("test_results.csv", "test_manifest.json"),
+               "sweep": ("test_results.csv", "test_manifest.json"),
+               "bogo": ("test_bogomap.txt",)}
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        doc = base_config()
+        doc["sweep"] = {"vary": "L", "grid": [0.009, 0.011]}
+        return write_config(tmp_path, doc)
+
+    @staticmethod
+    def comparable(path):
+        data = path.read_bytes()
+        if path.suffix != ".json":
+            return data
+        manifest = json.loads(data)
+        del manifest["generated_at"]
+        return manifest
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_rerun_over_longer_stale_files(self, tmp_path, config, command):
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        assert main([command, "--config", str(config),
+                     "--out", str(fresh)]) == EXIT_OK
+        stale.mkdir()
+        inodes = {}
+        for name in self.OUTPUTS[command]:
+            path = stale / name
+            path.write_bytes(b"stale\n" * ((fresh / name).stat().st_size
+                                           // 6 + 100))
+            inodes[name] = path.stat().st_ino
+        assert main([command, "--config", str(config),
+                     "--out", str(stale)]) == EXIT_OK
+        for name in self.OUTPUTS[command]:
+            assert (self.comparable(stale / name)
+                    == self.comparable(fresh / name))
+            assert (stale / name).stat().st_ino == inodes[name]
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_no_output_is_opened_with_truncation(self, tmp_path, config,
+                                                 monkeypatch, command):
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            if Path(path).parent == tmp_path:
+                opened.append((Path(path).name, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for _ in range(2):  # into an empty --out, then over its own files
+            assert main([command, "--config", str(config),
+                         "--out", str(tmp_path)]) == EXIT_OK
+        assert sorted(name for name, _ in opened) == sorted(
+            2 * self.OUTPUTS[command])
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="POSIX permission bits")
+    def test_new_files_take_the_umask(self, tmp_path, config):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        for name in self.OUTPUTS["twin"]:
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", ["twin", "sweep"])
+    def test_results_path_taken_by_a_directory(self, tmp_path, config,
+                                               capsys, command):
+        (tmp_path / "test_results.csv").mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(config),
+                         "--out", str(tmp_path)]) == EXIT_PARSE
+            gc.collect()
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_failed_write_cuts_the_file_at_what_was_written(
+            self, tmp_path, config, capsys, monkeypatch):
+        (tmp_path / "test_results.csv").write_text("stale\n" * 2000)
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_result_row", disk_full)
+        assert main(["twin", "--config", str(config),
+                     "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("output error: ")
+        header = ",".join(CSV_COLUMNS) + "\n"
+        assert (tmp_path / "test_results.csv").read_text() == header
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                        reason="needs /proc/self/fd")
+    def test_no_descriptor_is_left_open(self, tmp_path, config, monkeypatch):
+        argv = ["twin", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK  # warm: caches and lazy imports
+        gc.collect()
+        before = len(list(Path("/proc/self/fd").iterdir()))
+        for _ in range(50):
+            assert main(argv) == EXIT_OK
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_result_row", disk_full)
+        assert main(argv) == EXIT_PARSE
+        gc.collect()
+        assert len(list(Path("/proc/self/fd").iterdir())) == before
 
 
 class TestSweepCommand:

@@ -153,6 +153,21 @@ class TestExtractParams:
             extract_params(squeezed_vacuum(1e6, 0.3))
         assert not isinstance(raised.value, ValidationError)
 
+    @pytest.mark.parametrize("mean_n", [1e4, 1e5, 1e7])
+    def test_entry_det_unresolved_above_one_sixteenth(self, mean_n):
+        # the entry det's rounding exceeds the purity slack times det: from
+        # 3.1e-8 of det at N 1e4 to 3.1e-2 at N 1e7, where it reads purity
+        # 0.9961 for a pure state
+        with pytest.raises(UnboundedVarianceError, match="cannot resolve"):
+            extract_params(squeezed_vacuum(mean_n, 0.3))
+
+    def test_entry_det_resolved_within_the_slack(self):
+        # rounding 3.1e-10 of det, under the 1e-9 slack
+        params = extract_params(squeezed_vacuum(1e3, 0.3))
+        assert params.purity == pytest.approx(1.0, rel=1e-9)
+        assert params.squeeze_magnitude == pytest.approx(
+            math.asinh(math.sqrt(1e3)), rel=1e-9)
+
     @pytest.mark.parametrize("cov", [0.1 * np.eye(2), 0.2 * np.eye(2),
                                      np.diag([1e6, 1e-8]),
                                      np.array([[1e6, 999.99999],
