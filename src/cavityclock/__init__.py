@@ -18,7 +18,7 @@ from .metrology import cramer_rao, phase_qfi, qfi_change_pct
 from .modes import (BogoliubovMap, dump_map, junction_map,
                     symplectic_residual, trajectory_map)
 from .trajectory import (Segment, Trajectory, build_twin_trajectory,
-                         elapsed_times, final_kinematics)
+                         elapsed_times)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "TruncationError", "UnboundedVarianceError",
     # trajectory
     "Segment", "Trajectory", "build_twin_trajectory", "elapsed_times",
-    "final_kinematics",
     # modes
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
     "dump_map",

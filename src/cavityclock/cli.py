@@ -295,7 +295,7 @@ def _cmd_sweep(args, loaded: LoadedConfig) -> int:
 
 
 def _cmd_qfi(args, loaded: LoadedConfig) -> int:
-    value = _clock_frame(loaded.scenario)[1]
+    value = _clock_frame(loaded.scenario).qfi
     print(f"qfi={value!r}")
     if args.measurements is not None:
         print(f"bound={cramer_rao(value, args.measurements)!r}")
@@ -339,9 +339,6 @@ def _cmd_check(args, loaded: LoadedConfig | None) -> int:
         failures += 0 if ok else 1
         found = " ".join(f"{key}={v:.3e}" for key, v in zip(keys, values))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {found} (limit {limit:.1e})")
-
-    ident = BogoliubovMap.identity(n_max)
-    report("identity map", symplectic_residual(ident, interior), 0.0)
 
     (x, y), inverse = blocks = _junction_blocks(h, n_max, tol)
     eps = symplectic_residual(BogoliubovMap(0.5 * (x + y), 0.5 * (y - x)),

@@ -26,9 +26,11 @@ The clock row pair of S_B^reps carries the initial state, at mode k of a
 vacuum register, straight to the clock mode's moments and covariance
 (`gauss.row_moments`), as the mode-mixing-only row pair does; identity rows
 at mode k carry the initial state itself.  The three are read as one
-3-entry span (`_clock_frame`): one transport pass, one physicality gate,
-whose error names the first faulty state in that order, and one
-`_parameters`.  Every readout takes det sigma from that pass
+3-entry span (`_clock_frame`, whose `ClockFrame` names what it read): one
+transport pass, and one physicality gate with the parameter formulas
+(`gauss._gated_parameters`), whose error names the first faulty state in
+that order.  `qfi` and the lanes read the initial state alone through the
+same path.  Every readout takes det sigma from that pass
 (`gauss.row_moments`), as a sum of terms that are each >= 0, never as s11
 s22 - s12^2, whose O(N^2) products cancel for a large squeezed vacuum at a
 nonzero angle.
@@ -40,7 +42,7 @@ row pairs of M consecutive repetitions, S_B^r = S_B^(r-1) S_B for r = 1..M,
 ending at H = S_B^M; one (2M x 2n) by (2n x 2n) product with H, written
 into a second lane buffer, then moves every lane M repetitions on.  Each
 lane writes the clock mode's moments, covariance and det straight into the
-span buffers; a span is read by the gate and `_parameters` (`_span_phase`).
+span buffers; a span is read by the gate and the formulas (`_span_phase`).
 
 Clock readout, decided once per run from `state_kind`: a coherent clock
 reads its displacement phase atan2(p, q), with period 2 pi, at any
@@ -65,8 +67,8 @@ from .constants import C, G_NEWTON
 from .errors import (CavityClockError, HorizonError, TruncationError,
                      UnboundedVarianceError, ValidationError)
 from .gauss import (_PURITY_SLACK, GaussianParams, GaussianState,
-                    _covariance_terms, _parameters, _remainder, coherent,
-                    row_moments, squeezed_vacuum)
+                    _gated_parameters, _remainder, coherent, row_moments,
+                    squeezed_vacuum)
 from .metrology import phase_qfi, qfi_change_pct
 from .modes import (_TRUSTED_MARGIN, _alpha, _block_symplectic, _coefficients,
                     _map_power, _trusted_interior, gated_residual,
@@ -234,72 +236,70 @@ def _span_phase(moments: np.ndarray, cov: np.ndarray, det: np.ndarray,
     state that breaks the uncertainty relation is a truncation artifact.
     The phase is the displacement phase theta of a coherent clock, or half
     the squeeze angle of a `squeezed` one."""
-    terms, fault = _covariance_terms(cov, det)
+    params, fault = _gated_parameters(moments, cov, det)
     if fault is not None:
         i, message = fault
         name, rep = ((what, first_rep + i) if isinstance(what, str)
                      else (what[i], first_rep[i]))
         raise TruncationError(f"{name} at repetition {rep}: {message}; "
                               "truncation artifact, increase n_max")
-    params = _parameters(moments, terms)
     return 0.5 * params.squeeze_angle if squeezed else params.phase, params
 
 
-def _readout(rows: np.ndarray, state: GaussianState, k: int, first_rep,
-             what, squeezed: bool) -> list[tuple[float, float]]:
-    """(wrapped clock phase, phase QFI) in plain floats of `state` carried
-    by each row pair of `rows` (m, 2, 2N), read as one span
-    (`_span_phase`)."""
-    wrapped, params = _span_phase(*row_moments(rows, state, k), first_rep,
-                                  what, squeezed)
-    # vars(), not dataclasses.astuple: astuple deep-copies every array field
-    fields = [v.tolist() for v in vars(params).values()]
-    return [(theta, phase_qfi(GaussianParams(*entry)))
-            for theta, *entry in zip(wrapped.tolist(), *fields)]
+@dataclass(frozen=True)
+class ClockFrame:
+    """What the readout needs besides the maps (`_clock_frame`)."""
+
+    qfi: float  # the initial state's phase QFI
+    theta_start: float  # the initial state's wrapped clock phase
+    period: float  # the clock phase's period: 2 pi, or pi if squeezed
+    omega_c: float  # omega_k c of the clock mode
+    classical_block: float  # the classical extended clock's time per block
+    readings: list  # (wrapped phase, phase QFI) of each row pair given
 
 
-# the states `_clock_frame` reads, in the order of its span
-_READ_STATES = ("initial state", "transported state", "mode-mixing-only state")
-
-
-def _clock_frame(config: ScenarioConfig, rows: np.ndarray | None = None
-                 ) -> tuple:
-    """(initial state, its phase QFI, whether it is squeezed vacuum,
-    theta_start, period, omega_k c, the classical extended clock's time per
-    block, readings): what the readout needs besides the maps, with the
-    readout decided once per run by `state_kind`.  The initial state is
-    read by identity rows (det sigma exactly 1/16): alone, or, given `rows`,
-    the clock row pair of S_B^reps and the mode-mixing-only row pair, at
-    mode k of a zero matrix ahead of them, all three in one span, whose
-    other two (wrapped phase, QFI) pairs are `readings`.  A squeezed vacuum
-    too faint for its covariance to resolve is a numerical limit."""
+def _clock_frame(config: ScenarioConfig, *rows: np.ndarray) -> ClockFrame:
+    """The initial state's readout and the clock's constants, with the
+    readout decided once per run by `state_kind`.  One span is read
+    (`_span_phase`): identity rows at the clock mode k (det sigma exactly
+    1/16), then the row pairs `rows` (2, 2N), if any: the clock row pair of
+    S_B^reps and the mode-mixing-only row pair, whose (wrapped phase, QFI)
+    pairs, in plain floats, are `readings`.  The identity rows are 2k
+    columns wide alone, 2N with `rows`.  A squeezed vacuum too faint for
+    its covariance to resolve is a numerical limit, reported ahead of any
+    fault of the other states."""
     state = config.initial_state()
     squeezed = config.state_kind == "squeezed_vacuum"
+    # plain ints: an np.int64 mode would make the time fields numpy scalars
     k, reps = int(config.clock_mode), int(config.repetitions)
-    if rows is None:
-        batch, k = np.eye(2)[None], 1
-    else:
-        batch = np.zeros((1 + len(rows), 2, rows.shape[-1]))
-        batch[0, :, 2 * k - 2:2 * k] = np.eye(2)
-        batch[1:] = rows
+    # mode k's identity rows: ones from column 2k - 2 on
+    identity = np.eye(2, rows[0].shape[-1] if rows else 2 * k, 2 * k - 2)
+    span = row_moments(np.stack((identity, *rows)), state, k)
     try:
-        (theta_start, qfi), *readings = _readout(
-            batch, state, k, (0, reps, reps), _READ_STATES, squeezed)
+        wrapped, params = _span_phase(
+            *span, (0, reps, reps),
+            ("initial state", "transported state", "mode-mixing-only state"),
+            squeezed)
     except TruncationError:
-        if rows is not None:  # the initial state's own faults come first
+        if rows:  # the initial state's own faults come first
             _clock_frame(config)
         raise
+    # vars(), not dataclasses.astuple: astuple deep-copies every array field
+    fields = [v.tolist() for v in vars(params).values()]
+    (theta_start, qfi), *readings = [
+        (theta, phase_qfi(GaussianParams(*entry)))
+        for theta, *entry in zip(wrapped.tolist(), *fields)]
     if not qfi > 0:  # covariance cannot resolve mean_n
         raise UnboundedVarianceError(
             f"initial state at mean_n {config.mean_n!r} reads phase QFI "
             f"{qfi!r}: below what its covariance resolves")
-    # a plain int: an np.int64 mode would make the time fields numpy scalars
-    omega_c = int(config.clock_mode) * math.pi / config.L * C
-    classical_block = (2.0 * config.t_i
-                       + classical_cavity_ratio(config.h) * (4.0 * config.t_a))
-    return (state, qfi, squeezed, theta_start,
-            math.pi if squeezed else 2.0 * math.pi, omega_c, classical_block,
-            readings)
+    return ClockFrame(
+        qfi=qfi, theta_start=theta_start,
+        period=math.pi if squeezed else 2.0 * math.pi,
+        omega_c=k * math.pi / config.L * C,
+        classical_block=(2.0 * config.t_i + classical_cavity_ratio(config.h)
+                         * (4.0 * config.t_a)),
+        readings=readings)
 
 
 def _horizon(delta: float) -> float:
@@ -385,9 +385,10 @@ def _lane_route(config: ScenarioConfig) -> np.ndarray:
     s_block, _, tau_alice_block = _block_map(config)
     k = int(config.clock_mode)
     reps = int(config.repetitions)
-    state0, _, squeezed, theta_start, period, omega_c, classical_block, _ = (
-        _clock_frame(config))
-    anchor_block = omega_c * classical_block
+    frame = _clock_frame(config)
+    state0 = config.initial_state()
+    squeezed = config.state_kind == "squeezed_vacuum"
+    anchor_block = frame.omega_c * frame.classical_block
 
     # Sequential products build the lanes and end at H = S_B^M.  H by
     # squaring reads no closer: at 5000 round trips, n_max 24 and ten cavity
@@ -426,8 +427,10 @@ def _lane_route(config: ScenarioConfig) -> np.ndarray:
         wrapped = _span_phase(moments[:count], cov[:count], det[:count],
                               start + 1, "transported state", squeezed)[0]
         rep = np.arange(start + 1, start + 1 + count, dtype=float)
-        theta = _unwrap(wrapped, theta_start + rep * anchor_block, period)
-        theta_alice = theta_start + omega_c * (rep * tau_alice_block)
+        theta = _unwrap(wrapped, frame.theta_start + rep * anchor_block,
+                        frame.period)
+        theta_alice = frame.theta_start + frame.omega_c * (
+            rep * tau_alice_block)
         np.subtract(theta_alice, theta, out=series[start:start + count])
         # nothing of this span may outlive it into the next span's readout
         del wrapped, theta, rep, theta_alice
@@ -443,19 +446,18 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         raise TruncationError(fault)
     # a plain int: an np.int64 count would make the time fields numpy scalars
     reps = int(config.repetitions)
-    (_, qfi_before, _, theta_start, period, omega_c, classical_block,
-     ((theta_full, qfi_after), (theta_mm, qfi_after_mm))) = _clock_frame(
-        config, np.stack((stage.final_rows, stage.mm_rows)))
-    anchor = theta_start + reps * (omega_c * classical_block)
-    theta_full = anchor + math.remainder(theta_full - anchor, period)
-    theta_mm = anchor + math.remainder(theta_mm - anchor, period)
+    frame = _clock_frame(config, stage.final_rows, stage.mm_rows)
+    (theta_full, qfi_after), (theta_mm, qfi_after_mm) = frame.readings
+    anchor = frame.theta_start + reps * (frame.omega_c * frame.classical_block)
+    theta_full = anchor + math.remainder(theta_full - anchor, frame.period)
+    theta_mm = anchor + math.remainder(theta_mm - anchor, frame.period)
 
     tau_alice = reps * stage.tau_alice_block
     tau_point = reps * (4.0 * config.t_a + 2.0 * config.t_i)
-    tau_classical = reps * classical_block
-    theta_alice = theta_start + omega_c * tau_alice
+    tau_classical = reps * frame.classical_block
+    theta_alice = frame.theta_start + frame.omega_c * tau_alice
 
-    pc_numerator = (theta_full - theta_mm) / omega_c
+    pc_numerator = (theta_full - theta_mm) / frame.omega_c
     denom = tau_alice - tau_point
     # without dilation there is nothing to attribute to particle creation
     pc_fraction = 100.0 * pc_numerator / denom if denom else 0.0
@@ -470,11 +472,11 @@ def run_twin(config: ScenarioConfig) -> ScenarioResult:
         theta_mm_only=theta_mm,
         phase_difference_vs_alice=theta_alice - theta_full,
         pc_fraction=pc_fraction,
-        qfi_before=qfi_before,
+        qfi_before=frame.qfi,
         qfi_after=qfi_after,
         qfi_after_mm_only=qfi_after_mm,
-        qfi_change_pct_full=qfi_change_pct(qfi_before, qfi_after),
-        qfi_change_pct_mm_only=qfi_change_pct(qfi_before, qfi_after_mm),
+        qfi_change_pct_full=qfi_change_pct(frame.qfi, qfi_after),
+        qfi_change_pct_mm_only=qfi_change_pct(frame.qfi, qfi_after_mm),
         residual=stage.residuals[1],
         config=config,
     )

@@ -118,7 +118,7 @@ def row_moments(rows: np.ndarray, state: GaussianState, k: int, out=None,
     (..., 2, 2) and (...), and `work`, shaped like `rows` (it holds R sigma,
     then V/4), are written in place like numpy's out=; each is allocated
     when not given.  sigma' is symmetric up to rounding; its consumers
-    (`GaussianState`, `_covariance_terms`) symmetrize."""
+    (`GaussianState`, `_gated_parameters`) symmetrize."""
     i = 2 * k - 2
     flat = rows.reshape(-1, rows.shape[-1])
     moments, cov, det = out if out is not None else (
@@ -170,7 +170,7 @@ def apply_reduced(bmap: BogoliubovMap, k: int, state: GaussianState,
 class GaussianParams:
     """Single-mode parameters: displacement alpha >= 0, phase theta, squeezing
     xi = r exp(i phi), and purity P, all on canonical branches.  Fields are
-    floats, or equal-shape arrays for a batch from `_parameters`."""
+    floats, or equal-shape arrays for a batch from `_gated_parameters`."""
 
     displacement: float
     phase: float
@@ -179,15 +179,17 @@ class GaussianParams:
     purity: float
 
 
-def _covariance_terms(cov: np.ndarray, det: np.ndarray):
-    """The physicality gate of the parameter readout, on single-mode
-    covariances (..., 2, 2) and their determinants `det` (...); a covariance
-    need be symmetric only up to rounding (the off-diagonal entries are
-    averaged).  Returns ((s11, s22, s12, det, purity, trace, split,
-    squeezed), None), or (None, (i, message)) naming the first entry i (flat
-    index) whose covariance is not positive definite or violates the
-    uncertainty relation (purity > 1 + `_PURITY_SLACK`); the caller picks
-    the error."""
+def _gated_parameters(moments: np.ndarray, cov: np.ndarray, det: np.ndarray):
+    """The parameter readout of single-mode moments (..., 2), covariances
+    (..., 2, 2) and their determinants `det` (...), elementwise over the
+    leading axes; a covariance need be symmetric only up to rounding (the
+    off-diagonal entries are averaged).  Returns (GaussianParams, None), or,
+    where the physicality gate fails, (None, (i, message)) naming the first
+    entry i (flat index) whose covariance is not positive definite or
+    violates the uncertainty relation (purity > 1 + `_PURITY_SLACK`); the
+    caller picks the error.  r is evaluated as (1/4) ln((T+s)^2 / (4 det
+    sigma)), the cancellation-free form of (1/2) artanh(s/T) with T = tr
+    sigma and s the eigenvalue split."""
     s11, s22 = cov[..., 0, 0], cov[..., 1, 1]
     s12 = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     # negated comparisons, so that a NaN entry fails the gate
@@ -205,16 +207,6 @@ def _covariance_terms(cov: np.ndarray, det: np.ndarray):
     trace = s11 + s22
     split = np.hypot(s11 - s22, 2.0 * s12)
     squeezed = split > 1e-14 * trace  # degenerate: angle undefined, report 0
-    return (s11, s22, s12, det, purity, trace, split, squeezed), None
-
-
-def _parameters(moments: np.ndarray, terms) -> GaussianParams:
-    """Parameters from moments (..., 2) and the covariance terms of
-    `_covariance_terms` that passed its gate, elementwise over the leading
-    axes.  r is evaluated as (1/4) ln((T+s)^2 / (4 det sigma)), the
-    cancellation-free form of (1/2) artanh(s/T) with T = tr sigma and s the
-    eigenvalue split."""
-    s11, s22, s12, det, purity, trace, split, squeezed = terms
     q, p = moments[..., 0], moments[..., 1]
     displacement = np.hypot(q, p)
     theta = np.where(displacement > 0, np.arctan2(p, q), 0.0)
@@ -223,27 +215,27 @@ def _parameters(moments: np.ndarray, terms) -> GaussianParams:
                    0.0)
     r = np.where(squeezed, 0.25 * np.log((trace + split) ** 2 / (4.0 * det)),
                  0.0)
-    return GaussianParams(displacement, theta, r, phi, np.minimum(purity, 1.0))
+    return GaussianParams(displacement, theta, r, phi,
+                          np.minimum(purity, 1.0)), None
 
 
 def extract_params(state: GaussianState) -> GaussianParams:
     """Parameters from the first and second moments of a single-mode state
-    (`_covariance_terms`, then `_parameters`); an unphysical state raises
-    ValidationError.  A state given by its entries has no rows to take det
-    sigma from (`row_moments`): it is s11 s22 - s12^2, which can cancel.
-    Its rounding is 2 eps (|s11 s22| + s12^2) (the formula's, and one unit
-    roundoff in each stored entry).  Where that exceeds the gate's own
-    slack, `_PURITY_SLACK` det, or a det that fails the gate falls short of
-    the pure state's 1/16 by no more than it, the entries cannot resolve
-    the state: UnboundedVarianceError, a numerical limit, not invalid
-    input."""
+    (`_gated_parameters`); an unphysical state raises ValidationError.  A
+    state given by its entries has no rows to take det sigma from
+    (`row_moments`): it is s11 s22 - s12^2, which can cancel.  Its rounding
+    is 2 eps (|s11 s22| + s12^2) (the formula's, and one unit roundoff in
+    each stored entry).  Where that exceeds the gate's own slack,
+    `_PURITY_SLACK` det, or a det that fails the gate falls short of the
+    pure state's 1/16 by no more than it, the entries cannot resolve the
+    state: UnboundedVarianceError, a numerical limit, not invalid input."""
     if state.mode_count != 1:
         raise ValidationError("extract_params expects a single-mode state")
     c = state.covariance
     diagonal, off = c[0, 0] * c[1, 1], c[0, 1] * c[1, 0]
     det = diagonal - off
     rounding = 2.0 * sys.float_info.epsilon * (abs(diagonal) + abs(off))
-    terms, fault = _covariance_terms(c, det)
+    params, fault = _gated_parameters(state.first_moments, c, det)
     if fault is None:
         unresolved = rounding > _PURITY_SLACK * det
     else:
@@ -255,6 +247,5 @@ def extract_params(state: GaussianState) -> GaussianParams:
             "the state")
     if fault is not None:
         raise ValidationError(fault[1])
-    params = _parameters(state.first_moments, terms)
     # vars(), not dataclasses.astuple: astuple deep-copies every array field
     return GaussianParams(*map(float, vars(params).values()))

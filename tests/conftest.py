@@ -3,7 +3,7 @@
 import numpy as np
 
 from cavityclock import BogoliubovMap
-from cavityclock.gauss import _covariance_terms, _parameters
+from cavityclock.gauss import _gated_parameters
 from map_oracle import compose
 
 
@@ -42,7 +42,6 @@ def entry_det(cov):
 
 
 def moment_params(moments, cov):
-    """(params, None) or (None, fault): the gate, then the formulas, with
+    """(params, None) or (None, fault): the gated parameter readout, with
     the det of the entries (`entry_det`)."""
-    terms, fault = _covariance_terms(cov, entry_det(cov))
-    return (None, fault) if fault else (_parameters(moments, terms), None)
+    return _gated_parameters(moments, cov, entry_det(cov))

@@ -1,7 +1,7 @@
 """A 50-digit referee for the clock readout: the pure initial state of a
 scenario, carried by one row pair of a real symplectic matrix (its doubles
 taken as exact) in `mpmath`, and read to its covariance determinant and
-phase QFI with the parameter formulas of `gauss._parameters` and
+phase QFI with the parameter formulas of `gauss._gated_parameters` and
 `metrology.phase_qfi`.  It shares no rounding with the library: the state
 enters through its factor G_k (sigma_k = G_k G_kᵀ / 4), and sigma' = M Mᵀ / 4
 with M the rows whose mode-k columns are turned into R_k G_k."""

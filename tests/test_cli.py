@@ -778,6 +778,24 @@ class TestQfiCommand:
         assert main(["qfi", "--config", str(config)]) == EXIT_NUMERICAL
         assert "mean_n 1e-30" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta0", [0.0, 0.3])
+    @pytest.mark.parametrize("clock_mode", [1, 3])
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed_vacuum"])
+    def test_prints_qfi_before_bit_for_bit(self, tmp_path, capsys, kind,
+                                           clock_mode, theta0):
+        # `qfi` reads the initial state alone, `run_twin` at the head of
+        # its span with the final and the mode-mixing-only row pair; both
+        # reads must give the same double
+        for mean_n in (1e-3, 1.0, 1e5):
+            for reps in (1, 37, 500):
+                doc = base_config(repetitions=reps, clock_mode=clock_mode,
+                                  state={"kind": kind, "mean_n": mean_n,
+                                         "theta0_rad": theta0})
+                config = write_config(tmp_path, doc)
+                assert main(["qfi", "--config", str(config)]) == EXIT_OK
+                want = run_twin(load_config(config).scenario).qfi_before
+                assert capsys.readouterr().out == f"qfi={want!r}\n"
+
     def test_bound_with_measurements(self, tmp_path, capsys):
         config = write_config(tmp_path, base_config())
         assert main(["qfi", "--config", str(config),
@@ -850,7 +868,8 @@ class TestCheckCommand:
     def test_self_tests_pass(self, capsys):
         assert main(["check"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "PASS identity map: eps1=0.000e+00 eps2=0.000e+00" in out
+        assert "PASS junction map (h=0.01): " in out
+        assert "identity map" not in out
         assert "FAIL" not in out
 
     def test_with_config(self, tmp_path, capsys):

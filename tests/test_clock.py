@@ -12,8 +12,7 @@ from cavityclock import (C, G_NEWTON, CavityClockError, HorizonError,
                          schwarzschild_acceleration, squeezed_vacuum, sweep,
                          trajectory_map)
 import cavityclock.clock as clock
-from cavityclock.clock import _readout, _span_phase
-from cavityclock.gauss import GaussianState
+from cavityclock.clock import _clock_frame, _span_phase
 from conftest import entry_det, moment_params
 from kg_oracle import near_horizon_geometry
 from transport_oracle import vacuum
@@ -361,14 +360,19 @@ TRUNCATION_ARTIFACT = dict(t_a=1e-9, t_i=1e-9, L=0.05, a=1.7e16,
 
 class TestLastEntry:
     def test_fields_are_plain_floats(self):
-        # a one-entry readout, by identity rows, reads like the readout of
-        # a state, in plain floats
-        state = GaussianState([0.2, -0.3], 0.25 * np.eye(2))
-        [(theta, qfi)] = _readout(np.eye(2)[None], state, 1, 0,
-                                  "initial state", False)
-        assert type(theta) is float and type(qfi) is float
-        params = extract_params(state)
-        assert (theta, qfi) == (params.phase, phase_qfi(params))
+        # the initial state read alone, by identity rows at the clock mode,
+        # reads like the readout of the state, in plain floats
+        for clock_mode in (1, 3):
+            config = ScenarioConfig(**SQUID_DEFAULTS, repetitions=1,
+                                    n_max=12, clock_mode=clock_mode,
+                                    mean_n=0.13, theta0=-0.98)
+            frame = _clock_frame(config)
+            assert type(frame.theta_start) is float
+            assert type(frame.qfi) is float
+            assert frame.readings == []
+            params = extract_params(config.initial_state())
+            assert (frame.theta_start, frame.qfi) == (params.phase,
+                                                      phase_qfi(params))
 
 
 def entry(moments, state):
@@ -468,15 +472,15 @@ class TestQfiAfter:
         # the mode-mixing-only state, and the QFI reuses the span's
         # parameters, so no state is read twice and no lane runs
         sizes = []
-        parameters = clock._parameters
+        gated_parameters = clock._gated_parameters
 
-        def recording(moments, terms):
-            sizes.append((len(moments), {len(term) for term in terms}))
-            return parameters(moments, terms)
+        def recording(moments, cov, det):
+            sizes.append((len(moments), len(cov), len(det)))
+            return gated_parameters(moments, cov, det)
 
-        monkeypatch.setattr(clock, "_parameters", recording)
+        monkeypatch.setattr(clock, "_gated_parameters", recording)
         run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps, n_max=12))
-        assert sizes == [(3, {3})]
+        assert sizes == [(3, 3, 3)]
 
 
 class TestGatedStates:
@@ -489,13 +493,13 @@ class TestGatedStates:
     def test_gate_sees_each_state_once(self, reps, state_kind,
                                        monkeypatch):
         entries = []
-        covariance_terms = clock._covariance_terms
+        gated_parameters = clock._gated_parameters
 
-        def counting(cov, det):
+        def counting(moments, cov, det):
             entries.append(cov[..., 0, 0].size)
-            return covariance_terms(cov, det)
+            return gated_parameters(moments, cov, det)
 
-        monkeypatch.setattr(clock, "_covariance_terms", counting)
+        monkeypatch.setattr(clock, "_gated_parameters", counting)
         result = run_twin(ScenarioConfig(**SQUID_DEFAULTS, repetitions=reps,
                                          n_max=12, state_kind=state_kind))
         # run_twin reads the initial state, then the final state and the

@@ -43,13 +43,13 @@ def test_every_readout_det_matches_the_referee(kind, mean_n, theta0, reps,
     # identity rows (exactly 1/16), then the final and the mode-mixing-only
     # row pair
     dets = []
-    covariance_terms = clock._covariance_terms
+    gated_parameters = clock._gated_parameters
 
-    def recording(cov, det):
+    def recording(moments, cov, det):
         dets.extend(np.ravel(det).tolist())
-        return covariance_terms(cov, det)
+        return gated_parameters(moments, cov, det)
 
-    monkeypatch.setattr(clock, "_covariance_terms", recording)
+    monkeypatch.setattr(clock, "_gated_parameters", recording)
     run_twin(config_a(reps, kind, mean_n, theta0))
     assert dets[0] == 0.0625
     for det, rows in zip(dets, (np.eye(2), *row_pairs(reps)), strict=True):

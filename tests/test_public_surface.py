@@ -14,7 +14,6 @@ EXPORTS = [
     "CavityClockError", "ValidationError", "HorizonError", "QuadratureError",
     "TruncationError", "UnboundedVarianceError",
     "Segment", "Trajectory", "build_twin_trajectory", "elapsed_times",
-    "final_kinematics",
     "BogoliubovMap", "junction_map", "trajectory_map", "symplectic_residual",
     "dump_map",
     "GaussianState", "GaussianParams", "coherent", "squeezed_vacuum",
@@ -50,12 +49,15 @@ def test_test_only_map_algebra_is_not_in_the_library():
 
 def test_one_transport_and_one_readout():
     # the dense multimode transport is a test oracle
-    # (tests/transport_oracle.py), and the mode-mixing-only state is read
-    # like every span
+    # (tests/transport_oracle.py), the mode-mixing-only state is read like
+    # every span, the gate and the parameter formulas are one call, and the
+    # clock frame has one read path
     for name in ("vacuum", "embed", "apply_full", "partial_trace",
-                 "moment_params", "_angles"):
+                 "moment_params", "_angles", "_covariance_terms",
+                 "_parameters"):
         assert not hasattr(gauss, name)
-    assert not hasattr(clock, "_last")
+    for name in ("_last", "_readout", "_READ_STATES"):
+        assert not hasattr(clock, name)
 
 
 def test_one_clock_readout():

@@ -193,8 +193,8 @@ class TestLanesAgainstDenseTransport:
         # span buffers, against the dense transport of the same rows
         seen = recording_row_moments(monkeypatch)
         lane_route(lane_config(reps, kind))
-        # the initial state by identity rows, then one row pair per
-        # repetition
+        # the initial state by identity rows at the clock mode, 2k columns
+        # wide (k = 1 here), then one row pair per repetition
         assert seen[0][0].tobytes() == np.eye(2)[None].tobytes()
         assert sum(len(rows) for rows, *_ in seen[1:]) == reps
         assert_dense(seen)

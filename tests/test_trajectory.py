@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from cavityclock import (C, HorizonError, Segment, Trajectory,
                          ValidationError, build_twin_trajectory,
-                         elapsed_times, final_kinematics)
+                         elapsed_times)
 from kg_oracle import rindler_geometry
-from cavityclock.trajectory import _propagate
+from cavityclock.trajectory import _propagate, final_kinematics
 
 
 def is_closed(traj: Trajectory, rtol: float = 1e-12) -> bool:
